@@ -1,11 +1,27 @@
 """Sup-metric clustering of periodic orbits, orbit counting near indifferent
 points, disc-pattern counting, and distortion measurement.
 
-The orbit-to-orbit distance takes the max of pointwise distances along one
-period, minimized over cyclic alignment of base points.  Bunches require
+The orbit-to-orbit distance rho_n takes the max of pointwise distances along
+one period, minimized over cyclic alignment of base points.  Bunches require
 *pairwise* closeness, so clusters come from complete-linkage agglomeration
-(a certified lower bound for the largest bunch) cut at the threshold, with
-the connected-component count reported as the matching upper bound.
+(a certified lower bound for the largest bunch) cut strictly below the
+threshold r, with the largest connected component of the graph
+{rho_n < r} reported as the matching upper bound.
+
+Only the pairs with rho_n < r are ever computed in full.  Each orbit, and
+each of its n cyclic rotations, is a vector in R^(2n) (real parts, then
+imaginary parts).  Since max(|Re w|, |Im w|) <= |w|, the L-infinity distance
+between the base vector of y and a rotation of x never exceeds the sup
+distance at that alignment, so a KD-tree query for L-infinity distance <= r
+returns every (orbit, orbit, shift) triple with rho_n < r, and usually few
+others; rho_n is then evaluated exactly on those candidates only.
+
+Complete linkage merges two clusters at the largest distance between their
+members, so every cluster below the cut is pairwise closer than r and lies
+inside one connected component of {rho_n < r}.  Components therefore never
+merge below the cut, and clustering each component on its own (with the
+same distances, in the same index order) gives the clusters of clustering
+all orbits at once.
 """
 
 from __future__ import annotations
@@ -15,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .dynamics import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, orbit_with_derivative
@@ -44,7 +62,7 @@ class BunchReport:
         return {"n": self.n, "mode": self.mode, "threshold": self.threshold,
                 "clusters": [list(c) for c in self.clusters],
                 "max_cluster": self.max_cluster, "bound": self.bound,
-                "pass": self.passed}
+                "component_max": self.component_max, "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -143,8 +161,34 @@ def _orbit_distance_matrix(orbits: list[PeriodicOrbit], n: int) -> np.ndarray:
     return D
 
 
+def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit index pairs (a, b), a != b, with rho_n < threshold.
+
+    A is the (K, n) array of orbit points.  Candidates come from an
+    L-infinity KD-tree query of every cyclic rotation against every base
+    vector; rho_n is then computed exactly for the candidates only.
+    """
+    K, n = A.shape
+    rotated = np.stack([np.roll(A, -rot, axis=1) for rot in range(n)], axis=1)
+    rotated = rotated.reshape(K * n, n)  # row a * n + rot
+
+    def tree(Z):
+        # at n = 14 (28 dimensions) leaves of 64 query 1.5-3x faster than
+        # the default 16
+
+        return cKDTree(np.concatenate([Z.real, Z.imag], axis=1), leafsize=64)
+
+    cand = tree(A).sparse_distance_matrix(tree(rotated), threshold, p=np.inf,
+                                          output_type="ndarray")
+    b, j = cand["i"].astype(np.intp), cand["j"].astype(np.intp)
+    a = j // n
+    rho = np.abs(rotated[j] - A[b]).max(axis=1)
+    keep = (a != b) & (rho < threshold)
+    return a[keep], b[keep]
+
+
 def bunch_clusters(qmap: QuadraticMap, orbits: list[PeriodicOrbit], mode: str,
-                   param: float, cfg: PrecisionConfig = DEFAULT_CONFIG) -> BunchReport:
+                   param: float) -> BunchReport:
     """Cluster same-period orbits under rho_n.
 
     mode "H": param is delta, threshold exp(-delta n), bound exp(delta n).
@@ -164,28 +208,30 @@ def bunch_clusters(qmap: QuadraticMap, orbits: list[PeriodicOrbit], mode: str,
     bound = math.exp(param * n) if mode == MODE_H else float(2 * n)
 
     K = len(orbits)
-    if K == 1:
-        clusters = ((0,),)
-        comp_max = 1
-    else:
-        D = _orbit_distance_matrix(orbits, n)
-        cut = np.nextafter(threshold, 0.0)  # strict rho_n < threshold
-        condensed = D[np.triu_indices(K, 1)]
+    a, b = _close_pairs(np.array([o.points for o in orbits], dtype=complex), threshold)
+    graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(K, K))
+    _, comp_labels = connected_components(graph, directed=False)
+    sizes = np.bincount(comp_labels)
+    comp_max = int(sizes.max())
+
+    cut = np.nextafter(threshold, 0.0)  # strict rho_n < threshold
+    groups = []
+    order = np.argsort(comp_labels, kind="stable")
+    for members in np.split(order, np.cumsum(sizes)[:-1]):
+        if len(members) == 1:
+            groups.append(members.tolist())
+            continue
+        D = _orbit_distance_matrix([orbits[i] for i in members], n)
+        condensed = D[np.triu_indices(len(members), 1)]
         labels = fcluster(linkage(condensed, method="complete"), t=cut,
                           criterion="distance")
-        groups: dict[int, list[int]] = {}
-        for i, lab in enumerate(labels):
-            groups.setdefault(int(lab), []).append(i)
-        clusters = tuple(tuple(sorted(g)) for g in
-                         sorted(groups.values(), key=lambda g: (-len(g), g)))
-        for cluster in clusters:
-            for a in range(len(cluster)):
-                for b in range(a + 1, len(cluster)):
-                    if not D[cluster[a], cluster[b]] < threshold:
-                        raise QuadrayError(
-                            "internal error: emitted cluster fails the pairwise certificate")
-        _, comp_labels = connected_components(D < threshold, directed=False)
-        comp_max = int(np.bincount(comp_labels).max())
+        for lab in np.unique(labels):
+            local = np.flatnonzero(labels == lab)
+            if not (D[np.ix_(local, local)] < threshold).all():
+                raise QuadrayError(
+                    "internal error: emitted cluster fails the pairwise certificate")
+            groups.append(members[local].tolist())
+    clusters = tuple(tuple(g) for g in sorted(groups, key=lambda g: (-len(g), g)))
 
     max_cluster = max(len(c) for c in clusters)
     return BunchReport(n=n, mode=mode, threshold=threshold, clusters=clusters,
@@ -204,13 +250,12 @@ def verify_hypothesis_h(qmap: QuadraticMap, n: int, delta: float,
     """
     if orbits is None:
         orbits = julia_orbits(qmap, n, cfg, minimal_only=True)
-    report = bunch_clusters(qmap, orbits, MODE_H, delta, cfg)
     if not orbits:
         return BunchReport(n=n, mode=MODE_H, threshold=math.exp(-delta * n),
                            clusters=(), max_cluster=0,
                            bound=math.exp(delta * n), hard_bound=2 * n,
                            passed=True)
-    return report
+    return bunch_clusters(qmap, orbits, MODE_H, delta)
 
 
 def count_orbits_near_point(qmap: QuadraticMap, z0: complex, p: int, n: int,

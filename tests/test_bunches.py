@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.sparse.csgraph import connected_components
 
-from quadray import (DiscPattern, EscapeError, QuadraticMap, bunch_clusters,
-                     count_orbits_in_disc_pattern, count_orbits_near_point,
-                     distortion_ratio, good_bad_partition, julia_orbits,
-                     orbit_metric, verify_hypothesis_h)
+import quadray.bunches as bunches
+from quadray import (DiscPattern, EscapeError, QuadraticMap, QuadrayError,
+                     bunch_clusters, count_orbits_in_disc_pattern,
+                     count_orbits_near_point, distortion_ratio,
+                     good_bad_partition, julia_orbits, orbit_metric,
+                     verify_hypothesis_h)
+from quadray.bunches import _orbit_distance_matrix
 from quadray.orbits import PeriodicOrbit
 from tests.conftest import GOLDEN_ALPHA, GOLDEN_C
+from tests.test_acceptance import SUITE_PARAMS, minimal_orbits
 
 
 def test_metric_circle_chords(squaring):
@@ -86,6 +92,61 @@ def test_bunches_duplicate_orbit_degenerate(basilica):
     report = bunch_clusters(basilica, [orbits[0], orbits[0]], "H", 0.1)
     assert report.max_cluster == 2
     assert report.clusters[0] == (0, 1)
+
+
+def test_bunches_strict_cut_boundary(squaring):
+    pair = julia_orbits(squaring, 4)[:2]
+    rho = _orbit_distance_matrix(pair, 4)[0, 1]
+    apart = bunch_clusters(squaring, pair, "BMS", rho)
+    assert apart.clusters == ((0,), (1,))
+    assert apart.component_max == 1
+    joined = bunch_clusters(squaring, pair, "BMS", np.nextafter(rho, np.inf))
+    assert joined.clusters == ((0, 1),)
+    assert joined.component_max == 2
+
+
+def _dense_reference(orbits, threshold):
+    """Complete linkage and components over the full rho_n matrix."""
+    D = _orbit_distance_matrix(orbits, orbits[0].minimal_period)
+    K = len(orbits)
+    labels = (fcluster(linkage(D[np.triu_indices(K, 1)], method="complete"),
+                       t=np.nextafter(threshold, 0.0), criterion="distance")
+              if K > 1 else np.ones(1, dtype=int))
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(int(lab), []).append(i)
+    clusters = tuple(tuple(g) for g in
+                     sorted(groups.values(), key=lambda g: (-len(g), g)))
+    _, comp = connected_components(D < threshold, directed=False)
+    return clusters, max(map(len, clusters)), int(np.bincount(comp).max())
+
+
+def test_sparse_clustering_matches_dense_reference():
+    multi = 0
+    for c in SUITE_PARAMS:
+        qmap = QuadraticMap(c)
+        for n in range(1, 13):
+            orbits = minimal_orbits(c, n)
+            if not orbits:
+                continue
+            for mode, param in (("H", 0.1), ("H", 0.3), ("BMS", 0.3), ("BMS", 0.6)):
+                rep = bunch_clusters(qmap, orbits, mode, param)
+                want = _dense_reference(orbits, rep.threshold)
+                assert (rep.clusters, rep.max_cluster, rep.component_max) == want, \
+                    (c, n, mode, param)
+                multi += rep.max_cluster > 1
+    assert multi > 0  # the grid exercises clusters of more than one orbit
+
+
+def test_cluster_certificate_rejects_faulty_linkage(squaring, monkeypatch):
+    # one component of 30 orbits holds pairs at rho_8 >= 1.95, so a linkage
+    # step that lumps each component into one cluster must be caught
+    orbits = julia_orbits(squaring, 8)
+    assert bunch_clusters(squaring, orbits, "BMS", 1.95).component_max == 30
+    monkeypatch.setattr(bunches, "fcluster",
+                        lambda Z, t, criterion: np.ones(len(Z) + 1, dtype=int))
+    with pytest.raises(QuadrayError, match="pairwise certificate"):
+        bunch_clusters(squaring, orbits, "BMS", 1.95)
 
 
 def test_bunches_bms_mode(squaring):

@@ -86,6 +86,8 @@ def test_bunches_grid_csv(tmp_path):
     rows = (tmp_path / "bunches.csv").read_text().splitlines()
     assert rows[0] == "n,delta,threshold,max_cluster,bound,hard_bound,pass"
     assert len(rows) == 5
+    reports = json.loads((tmp_path / "bunches.json").read_text())["reports"]
+    assert all(r["component_max"] >= r["max_cluster"] for r in reports)
 
 
 def test_bunches_single_json(tmp_path):
@@ -96,6 +98,7 @@ def test_bunches_single_json(tmp_path):
     assert doc["pass"] is True
     assert doc["n"] == 6
     assert doc["schema"] == "v1"
+    assert doc["component_max"] >= doc["max_cluster"] >= 1
 
 
 def test_determinism_rerun(tmp_path):
