@@ -325,6 +325,9 @@ def cmd_pressure(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_bunches(params: dict, outdir: Path) -> list[str]:
+    # only Hypothesis H is checked; the key stays so older manifests replay
+    if params["mode"] != "H":
+        raise UsageError(f"bunches mode {params['mode']!r} is not supported; only 'H' is")
     qmap = resolve_map(params)
     cfg = resolve_precision(params)
     n_values = parse_int_grid(str(params["n"]))

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -188,9 +186,9 @@ def _mp_preimage_tree(c: complex, z: complex, n: int, bits: int):
     return leaves, logd
 
 
-def _expand_tree(c: complex, start: np.ndarray, start_logd: np.ndarray, depth: int):
-    leaves = start
-    logd = start_logd
+def _expand_tree(c: complex, z: complex, depth: int):
+    leaves = np.array([z], dtype=complex)
+    logd = np.zeros(1)
     with np.errstate(all="ignore"):
         for _ in range(depth):
             w = np.sqrt(leaves - c)
@@ -199,14 +197,6 @@ def _expand_tree(c: complex, start: np.ndarray, start_logd: np.ndarray, depth: i
             leaves = np.concatenate([w, -w])
             logd = np.concatenate([logd + inc, logd + inc])
     return leaves, logd
-
-
-def thread_cap() -> int:
-    """Worker-thread cap from the QUADRAY_THREADS environment variable."""
-    try:
-        return max(1, int(os.environ.get("QUADRAY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
@@ -223,23 +213,8 @@ def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
     z = complex(z)
     _require_finite(z, "z")
     if cfg.mantissa_bits > 53:
-        leaves, logd = _mp_preimage_tree(qmap.c, z, n, cfg.mantissa_bits)
-        return leaves, logd
-
-    workers = min(thread_cap(), 4)
-    if workers > 1 and n >= 12:
-        split = 2
-        top, top_logd = _expand_tree(qmap.c, np.array([z], dtype=complex),
-                                     np.zeros(1), split)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda i: _expand_tree(qmap.c, top[i:i + 1], top_logd[i:i + 1], n - split),
-                range(len(top))))
-        leaves = np.concatenate([p[0] for p in parts])
-        logd = np.concatenate([p[1] for p in parts])
-    else:
-        leaves, logd = _expand_tree(qmap.c, np.array([z], dtype=complex), np.zeros(1), n)
-
+        return _mp_preimage_tree(qmap.c, z, n, cfg.mantissa_bits)
+    leaves, logd = _expand_tree(qmap.c, z, n)
     if n >= 1:
         leaves = _refine_preimages(qmap, z, n, leaves, cfg)
     return leaves, logd

@@ -8,6 +8,12 @@ set, plus the critical orbit (interior attracting cycles, Siegel boundaries).
 Unsettled points near super-repelling chains are polished in software
 floating point; parabolic collisions are merged and counted by winding
 number.
+
+f maps Fix(f^n) onto itself and so permutes the enumerated points; the
+cycles of that permutation are the periodic orbits.  `group_into_orbits`
+builds it with one KD-tree query and raises AmbiguousOrbitError when an image
+matches no point or two, when it is not a bijection, or when a cycle's length
+differs from the minimal period of its points.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .dynamics import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
                        orbit_with_derivative, preimage_tree)
@@ -231,27 +238,6 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
     return found, mult
 
 
-def _minimal_period(qmap: QuadraticMap, z: complex, n: int, tol: float) -> int:
-    """Smallest divisor d of n with f^d(z) = z within tol."""
-    for d in sorted(_divisors(n)):
-        w = z
-        for _ in range(d):
-            w = w * w + qmap.c
-        if abs(w - z) <= tol * max(1.0, abs(z)):
-            return d
-    return n
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
 def level_cap(cfg: PrecisionConfig) -> int:
     return LEVEL_CAP_BINARY64 if cfg.mantissa_bits == 53 else LEVEL_CAP_EXTENDED
 
@@ -301,24 +287,28 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
 
 
 def _attach_periods(qmap, n, found, mult, cfg) -> list[PeriodicPoint]:
-    out = []
+    """Residuals and minimal periods: the minimal period of z is the smallest
+    divisor d of n with |f^d(z) - z| <= 10 dedup_tol max(1, |z|), found in one
+    pass that iterates every root n - 1 times."""
     w, d = orbit_with_derivative(qmap, found, n)
     res = np.abs(w - found) / np.maximum(np.abs(d - 1.0), 1.0)
-    for z, m, r in zip(found, mult, res):
-        out.append(PeriodicPoint(
-            z=complex(z),
-            period_tested=n,
-            minimal_period=_minimal_period(qmap, complex(z), n, 10.0 * cfg.dedup_tol),
-            residual=float(r),
-            multiplicity=int(m)))
-    return out
+    period = np.full(len(found), n)
+    unset = np.ones(len(found), dtype=bool)
+    tol = 10.0 * cfg.dedup_tol * np.maximum(1.0, np.abs(found))
+    fd = found.copy()
+    with np.errstate(all="ignore"):
+        for step in range(1, n):
+            fd = fd * fd + qmap.c
+            if n % step == 0:
+                hit = unset & (np.abs(fd - found) <= tol)
+                period[hit] = step
+                unset &= ~hit
+    return [PeriodicPoint(z=complex(z), period_tested=n, minimal_period=int(p),
+                          residual=float(r), multiplicity=int(m))
+            for z, p, r, m in zip(found, period, res, mult)]
 
 
-def classify_orbit(orbit: PeriodicOrbit, tol_class: float = DEFAULT_CLASS_TOL) -> str:
-    """Stability from the multiplier: repelling/attracting outside the
-    1 +- tol_class annulus, otherwise indifferent, refined to parabolic when
-    the multiplier sits near a root of unity of order <= 64."""
-    lam = orbit.multiplier
+def _classify_multiplier(lam: complex, tol_class: float) -> str:
     mod = abs(lam)
     if mod > 1.0 + tol_class:
         return REPELLING
@@ -332,67 +322,80 @@ def classify_orbit(orbit: PeriodicOrbit, tol_class: float = DEFAULT_CLASS_TOL) -
     return INDIFFERENT_CANDIDATE
 
 
+def classify_orbit(orbit: PeriodicOrbit, tol_class: float = DEFAULT_CLASS_TOL) -> str:
+    """Stability from the multiplier: repelling/attracting outside the
+    1 +- tol_class annulus, otherwise indifferent, refined to parabolic when
+    the multiplier sits near a root of unity of order <= 64."""
+    return _classify_multiplier(orbit.multiplier, tol_class)
+
+
 def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
                       cfg: PrecisionConfig = DEFAULT_CONFIG,
                       tol_class: float = DEFAULT_CLASS_TOL) -> list[PeriodicOrbit]:
     """Partition Fix(f^n) into cycles; each orbit carries its minimal period,
     multiplier and stability class.
 
-    Cycle mates are matched against the enumerated set; a point matching two
-    distinct entries within the dedup tolerance raises AmbiguousOrbitError.
+    pi(i) is the enumerated point nearest to f(z_i), from one k = 2 KD-tree
+    query, matched within 10 dedup_tol max(1, |f(z_i)|), or 1e-6 max(1,
+    |f(z_i)|) when z_i is a multiple root.  AmbiguousOrbitError is raised when
+    f(z_i) matches no point, when it matches two, when pi is not a bijection,
+    or when a cycle's length differs from its points' minimal period.  Each
+    cycle of pi is one orbit, listed from its lexicographically smallest
+    point; the multiplier is the product of 2 z along it.
     """
     pts = sorted(points, key=lambda p: (p.z.real, p.z.imag))
     arr = np.array([p.z for p in pts], dtype=complex)
-    assigned = [False] * len(pts)
+    image = arr * arr + qmap.c
+    # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed
+    # collision, so their images match at a coarser tolerance.
+    coarse = np.array([p.multiplicity > 1 for p in pts])
+    tol = np.where(coarse, 1e-6, 10.0 * cfg.dedup_tol) * np.maximum(1.0, np.abs(image))
+    dist, idx = cKDTree(np.column_stack([arr.real, arr.imag])).query(
+        np.column_stack([image.real, image.imag]), k=2)
+    unmatched = np.flatnonzero(dist[:, 0] > tol)
+    if len(unmatched):
+        i = unmatched[0]
+        raise AmbiguousOrbitError(
+            f"orbit image {complex(image[i])!r} matches no enumerated point "
+            f"(min dist {dist[i, 0]:.2e})")
+    doubled = np.flatnonzero(dist[:, 1] <= tol)
+    if len(doubled):
+        raise AmbiguousOrbitError(
+            f"orbit image {complex(image[doubled[0]])!r} matches two points "
+            "within tolerance; raise precision")
+    pi = idx[:, 0]
+    if np.any(np.bincount(pi, minlength=len(pts)) != 1):
+        raise AmbiguousOrbitError("cycle overlap: two orbits share a point")
+
+    nxt = pi.tolist()
+    seen = [False] * len(pts)
     orbits: list[PeriodicOrbit] = []
-
-    def match_index(z: complex, coarse: bool) -> int:
-        dist = np.abs(arr - z)
-        j = int(np.argmin(dist))
-        # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed
-        # collision, so their cycle mates match at a coarser tolerance.
-        tol_abs = (1e-6 if coarse else 10.0 * cfg.dedup_tol) * max(1.0, abs(z))
-        if dist[j] > tol_abs:
-            raise AmbiguousOrbitError(
-                f"orbit image {z!r} matches no enumerated point (min dist {dist[j]:.2e})")
-        dist[j] = np.inf
-        second = float(dist.min()) if len(dist) > 1 else np.inf
-        if second <= tol_abs:
-            raise AmbiguousOrbitError(
-                f"orbit image {z!r} matches two points within tolerance; raise precision")
-        return j
-
-    for i, p in enumerate(pts):
-        if assigned[i]:
+    for i in range(len(pts)):
+        if seen[i]:
             continue
-        m = p.minimal_period
-        cycle_idx = [i]
-        z = p.z
-        for _ in range(m - 1):
-            z = z * z + qmap.c
-            j = match_index(z, p.multiplicity > 1)
-            cycle_idx.append(j)
-            # snap to the enumerated point: per-step error must not compound
-            # at the Lyapunov rate along long cycles
-            z = arr[j]
-        for j in cycle_idx:
-            if assigned[j] and j != i:
-                raise AmbiguousOrbitError("cycle overlap: two orbits share a point")
-            assigned[j] = True
-        cycle = tuple(arr[j] for j in cycle_idx)
+        cycle = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = nxt[j]
+        m = len(cycle)
+        periods = {pts[j].minimal_period for j in cycle}
+        if periods != {m}:
+            raise AmbiguousOrbitError(
+                f"cycle of length {m} through {pts[i].z!r} carries minimal "
+                f"periods {sorted(periods)}")
+        zs = arr[cycle]
         lam = 1.0 + 0.0j
-        for w in cycle:
+        for w in zs:
             lam *= 2.0 * w
-        orbit = PeriodicOrbit(
-            points=tuple(complex(w) for w in cycle),
+        lam = complex(lam)
+        orbits.append(PeriodicOrbit(
+            points=tuple(complex(w) for w in zs),
             minimal_period=m,
-            multiplier=complex(lam),
-            stability="",
-            multiplicity=max(pts[j].multiplicity for j in cycle_idx))
-        orbit = PeriodicOrbit(
-            points=orbit.points, minimal_period=m, multiplier=orbit.multiplier,
-            stability=classify_orbit(orbit, tol_class), multiplicity=orbit.multiplicity)
-        orbits.append(orbit)
+            multiplier=lam,
+            stability=_classify_multiplier(lam, tol_class),
+            multiplicity=max(pts[j].multiplicity for j in cycle)))
     orbits.sort(key=lambda o: (o.minimal_period, o.points[0].real, o.points[0].imag))
     return orbits
 
@@ -407,8 +410,3 @@ def julia_orbits(qmap: QuadraticMap, n: int, cfg: PrecisionConfig = DEFAULT_CONF
     if minimal_only:
         kept = [o for o in kept if o.minimal_period == n]
     return kept
-
-
-def minimal_period_point_count(orbits: list[PeriodicOrbit], m: int) -> int:
-    """Number of distinct points of minimal period m among the given orbits."""
-    return sum(o.minimal_period for o in orbits if o.minimal_period == m)

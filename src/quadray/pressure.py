@@ -63,24 +63,34 @@ def _warn_negative_t(t: float) -> None:
                       stacklevel=3)
 
 
-def periodic_pressure_estimate(qmap: QuadraticMap, t: float, n: int,
-                               cfg: PrecisionConfig = DEFAULT_CONFIG) -> PressureEstimate:
-    """(1/n) log sum of |(f^n)'(z)|^-t over Fix(f^n) restricted to the Julia
-    set (attracting cycle points dropped, indifferent candidates kept)."""
-    _warn_negative_t(t)
-    orbits = julia_orbits(qmap, n, cfg, minimal_only=False)
-    log_terms = []
-    for orbit in orbits:
+def _julia_log_derivatives(qmap: QuadraticMap, n: int,
+                           cfg: PrecisionConfig) -> np.ndarray:
+    """log|(f^n)'(z)| for every point z of Fix(f^n) on the Julia set, orbit
+    by orbit."""
+    log_derivs = []
+    for orbit in julia_orbits(qmap, n, cfg, minimal_only=False):
         for z in orbit.points:
             w = z
             log_deriv = 0.0
             for _ in range(n):
                 log_deriv += math.log(2.0 * abs(w))
                 w = w * w + qmap.c
-            log_terms.append(-t * log_deriv)
-    log_sum = float(logsumexp(np.array(log_terms)))
+            log_derivs.append(log_deriv)
+    return np.array(log_derivs)
+
+
+def _periodic_estimate(log_derivs: np.ndarray, t: float, n: int) -> PressureEstimate:
+    log_sum = float(logsumexp(-t * log_derivs))
     return PressureEstimate(t=t, n=n, log_sum=log_sum, value=log_sum / n,
                             mode=MODE_PERIODIC)
+
+
+def periodic_pressure_estimate(qmap: QuadraticMap, t: float, n: int,
+                               cfg: PrecisionConfig = DEFAULT_CONFIG) -> PressureEstimate:
+    """(1/n) log sum of |(f^n)'(z)|^-t over Fix(f^n) restricted to the Julia
+    set (attracting cycle points dropped, indifferent candidates kept)."""
+    _warn_negative_t(t)
+    return _periodic_estimate(_julia_log_derivatives(qmap, n, cfg), t, n)
 
 
 def tree_pressure_estimate(qmap: QuadraticMap, z: complex, t: float, n: int,
@@ -137,8 +147,9 @@ def pressure_comparison(qmap: QuadraticMap, z: complex, t_grid, n: int,
     estimates: list[PressureEstimate] = []
     levels = [n] if n <= 1 else [n - 1, n]
     for level in levels:
+        log_derivs = _julia_log_derivatives(qmap, level, cfg)
         for t in ts:
-            estimates.append(periodic_pressure_estimate(qmap, t, level, cfg))
+            estimates.append(_periodic_estimate(log_derivs, t, level))
             estimates.append(tree_pressure_estimate(qmap, z, t, level, cfg))
     disc = 0.0
     for t in ts:

@@ -175,8 +175,6 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
     estimate is then refined by Newton against f^m(z) = z, which recovers the
     landing point even from a stalled tail.
     """
-    if angle_period(theta) is None and theta.denominator % 2 == 0:
-        pass  # preperiodic rational angles land too; no Newton refinement
     c = qmap.c
     ang = _AngleOrbit(theta)
     level_pts: list[complex] = []

@@ -101,6 +101,13 @@ def test_bunches_single_json(tmp_path):
     assert doc["component_max"] >= doc["max_cluster"] >= 1
 
 
+def test_bunches_rejects_unsupported_mode(tmp_path):
+    rc = run_command(["bunches", "--preset", "basilica", "--n", "6",
+                      "--mode", "BMS", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "bunches.json").exists()
+
+
 def test_determinism_rerun(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

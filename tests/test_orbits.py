@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from quadray import (DEFAULT_CONFIG, PeriodicOrbit, PrecisionConfig,
-                     QuadraticMap, alpha_beta_fixed_points, classify_orbit,
+from quadray import (DEFAULT_CONFIG, AmbiguousOrbitError, PeriodicOrbit,
+                     PeriodicPoint, PrecisionConfig, QuadraticMap,
+                     alpha_beta_fixed_points, classify_orbit,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
 from tests.conftest import GOLDEN_ALPHA, GOLDEN_C, GOLDEN_LAMBDA
 
@@ -204,3 +205,69 @@ def test_julia_orbits_excludes_attracting(basilica):
     assert all(abs(z) > 1e-9 for z in pts)           # 0 dropped
     assert all(abs(z + 1.0) > 1e-9 for z in pts)     # -1 dropped
     assert len(pts) == 2                             # the two fixed points
+
+
+def _match_tol(image, multiplicity, cfg):
+    """Tolerance for matching an image f(z), as group_into_orbits documents it."""
+    scale = 1e-6 if multiplicity > 1 else 10.0 * cfg.dedup_tol
+    return scale * max(1.0, abs(image))
+
+
+def _quadratic_orbits(pts, qmap):
+    """Reference grouping: from every point, follow the nearest point to its
+    image (a full scan each step) until the walk returns; the cycle is listed
+    from its lexicographically smallest point."""
+    zs = np.array([p.z for p in pts])
+    cycles = set()
+    for i in range(len(zs)):
+        cycle = [i]
+        j = int(np.argmin(np.abs(zs - (zs[i] ** 2 + qmap.c))))
+        while j != i:
+            assert len(cycle) < len(zs), "the nearest-image walk never returns"
+            cycle.append(j)
+            j = int(np.argmin(np.abs(zs - (zs[j] ** 2 + qmap.c))))
+        k = min(range(len(cycle)), key=lambda a: (zs[cycle[a]].real, zs[cycle[a]].imag))
+        cycles.add(tuple(complex(zs[a]) for a in cycle[k:] + cycle[:k]))
+    return cycles
+
+
+@pytest.mark.parametrize("name", ["squaring", "basilica", "chebyshev", "airplane_root"])
+def test_grouping_matches_quadratic_walk(name, request):
+    qmap = request.getfixturevalue(name)
+    tight = PrecisionConfig(newton_tol=1e-12, dedup_tol=2e-11)
+    cfg = tight if name == "chebyshev" else DEFAULT_CONFIG
+    lex = lambda z: (z.real, z.imag)
+    for n in range(1, 9):
+        pts = fixed_points_of_iterate(qmap, n, cfg)
+        orbits = group_into_orbits(pts, qmap, n, cfg)
+        assert {o.points for o in orbits} == _quadratic_orbits(pts, qmap), (name, n)
+        # the orbits partition the points
+        assert (sorted((z for o in orbits for z in o.points), key=lex)
+                == sorted((p.z for p in pts), key=lex))
+        mult = {p.z: p.multiplicity for p in pts}
+        for o in orbits:
+            assert len(o.points) == o.minimal_period
+            # every orbit closes under f within the match tolerance
+            for z, w in zip(o.points, o.points[1:] + o.points[:1]):
+                image = z * z + qmap.c
+                assert abs(image - w) <= _match_tol(image, mult[z], cfg), (name, n, z)
+
+
+OMEGA = cmath.exp(2j * math.pi / 3.0)
+
+
+@pytest.mark.parametrize("zs_periods, message", [
+    # f(1) = 1 lies within tolerance of both 1 and 1 + 1e-10
+    ([(1.0 + 0j, 1), (1.0 + 1e-10 + 0j, 1)], "matches two points"),
+    # the 2-cycle of z^2 given without its mate omega^2
+    ([(0j, 1), (1.0 + 0j, 1), (OMEGA, 2)], "matches no enumerated point"),
+    # both points carry minimal period 3, but they form a 2-cycle
+    ([(OMEGA, 3), (OMEGA ** 2, 3)], "cycle of length 2"),
+    # f(-1) = f(1) = 1: not a permutation
+    ([(-1.0 + 0j, 1), (1.0 + 0j, 1)], "cycle overlap"),
+], ids=["two_matches", "missing_mate", "period_mismatch", "not_bijective"])
+def test_grouping_rejects_ambiguous_points(squaring, zs_periods, message):
+    pts = [PeriodicPoint(z=z, period_tested=6, minimal_period=m, residual=0.0)
+           for z, m in zs_periods]
+    with pytest.raises(AmbiguousOrbitError, match=message):
+        group_into_orbits(pts, squaring, 6)
