@@ -17,11 +17,10 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .angles import Angle, bryuno_sums, bryuno_sums_from_quotients
+from .angles import Angle, bryuno_sums, bryuno_sums_from_quotients, classify_portrait
 from .bunches import (DiscPattern, count_orbits_in_disc_pattern,
                       count_orbits_near_point, distortion_ratio,
                       verify_hypothesis_h)
@@ -31,10 +30,9 @@ from .orbits import (alpha_beta_fixed_points, fixed_points_of_iterate,
                      group_into_orbits, julia_orbits)
 from .pressure import (MODE_PERIODIC, MODE_TREE, default_tree_basepoint,
                        pressure_comparison)
-from .rays import estimate_landing, portrait_at_orbit, trace_ray
-from .scene import (HullLayer, MarkerLayer, PointCloudLayer, PolylineLayer,
-                    RenderStyle, SceneModel, Viewport, julia_point_cloud,
-                    pressure_curve_svg, render_scene)
+from .rays import portrait_at_orbit, trace_ray
+from .scene import (MarkerLayer, PointCloudLayer, PolylineLayer, SceneModel,
+                    Viewport, julia_point_cloud, pressure_curve_svg, render_scene)
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 _golden_lambda = cmath.exp(2j * math.pi * GOLDEN_ROTATION)
@@ -263,13 +261,13 @@ def cmd_orbits(params: dict, outdir: Path) -> list[str]:
 
 def cmd_rays(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
+    resolve_precision(params)  # rays need no precision knob; still reject bad ones
     angles = parse_angles(params["angles"])
     if not angles:
         raise UsageError("no angles given")
     outputs = []
     for theta in angles:
-        trace = trace_ray(qmap, theta, float(params["g_min"]), cfg=cfg)
+        trace = trace_ray(qmap, theta, float(params["g_min"]))
         name = f"ray_{theta.numerator}_{theta.denominator}.csv"
         write_csv(outdir / name, ["G", "re_z", "im_z"],
                   [[g, z.real, z.imag] for g, z in trace.samples])
@@ -289,10 +287,9 @@ def cmd_portrait(params: dict, outdir: Path) -> list[str]:
         raise UsageError(f"orbit_index {idx} out of range ({len(orbits)} orbits)")
     cap = params.get("ray_period_cap")
     portrait = portrait_at_orbit(
-        qmap, orbits[idx], n, cfg,
+        qmap, orbits[idx], n,
         match_tol=float(params["match_tol"]),
         ray_period_cap=int(cap) if cap else None)
-    from .angles import classify_portrait
     cls = classify_portrait(portrait)
     doc = json.loads(portrait.to_json())
     doc.update({"schema": "v1", "ray_period": portrait.ray_period,
@@ -308,7 +305,7 @@ def cmd_pressure(params: dict, outdir: Path) -> list[str]:
     t_grid = parse_grid(str(params["t"]))
     n = int(params["n"])
     base = params.get("basepoint")
-    z = _resolve_point(base, qmap) if base else default_tree_basepoint(qmap, cfg)
+    z = _resolve_point(base, qmap) if base else default_tree_basepoint(qmap)
     curve = pressure_comparison(qmap, z, t_grid, n, cfg)
     rows = [[e.t, e.n, e.mode, e.value] for e in curve.estimates]
     write_csv(outdir / "pressure.csv", ["t", "n", "mode", "value"], rows)
@@ -448,7 +445,7 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
                 qmap, count=int(params["points"]), seed=int(params["seed"]))))
         elif name == "rays":
             for i, theta in enumerate(parse_angles(params["angles"])):
-                trace = trace_ray(qmap, theta, float(params["g_min"]), cfg=cfg)
+                trace = trace_ray(qmap, theta, float(params["g_min"]))
                 scene.layers.append(PolylineLayer(
                     points=[z for _, z in trace.samples],
                     color=palette[i % len(palette)], label=str(theta)))

@@ -7,14 +7,13 @@ on these primitives.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
-from .errors import BranchPointError, EscapeError, PrecisionError, QuadrayError
+from .errors import PrecisionError, QuadrayError
 
 #: Orbits are truncated once they pass this radius; at that size the escape
 #: to infinity is unconditional for any parameter this package accepts.

@@ -121,13 +121,12 @@ def tree_pressure_estimate(qmap: QuadraticMap, z: complex, t: float, n: int,
                             mode=MODE_TREE, basepoint=z)
 
 
-def default_tree_basepoint(qmap: QuadraticMap,
-                           cfg: PrecisionConfig = DEFAULT_CONFIG) -> complex:
+def default_tree_basepoint(qmap: QuadraticMap) -> complex:
     """Reproducible generic basepoint: low potential on the 1/7 ray, far from
     the measure-zero exceptional set."""
     from .rays import ray_point
 
-    return ray_point(qmap, Angle(1, 7), 0.01, cfg)
+    return ray_point(qmap, Angle(1, 7), 0.01)
 
 
 def pressure_comparison(qmap: QuadraticMap, z: complex, t_grid, n: int,

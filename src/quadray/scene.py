@@ -7,7 +7,6 @@ identical scenes produce byte-identical documents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

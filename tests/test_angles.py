@@ -1,7 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadray import (Angle, OrbitPortrait, QuadrayError, angle_period,
                      bryuno_sums, bryuno_sums_from_quotients, classify_portrait,
@@ -254,6 +257,120 @@ def test_dichotomy_on_paired_cycle_portraits():
                 assert cls.kind in ("primitive", "satellite")
                 if cls.ray_cycles > 1:
                     assert cls.valence == cls.ray_cycles
+
+
+# ---------------------------------------------------------------- properties
+# Each check is compared with a brute-force version written from the
+# definition: chords that cross, triples that keep their orientation, and
+# periods found by doubling until the angle returns.
+
+ODD_DENOMINATORS = (1, 3, 5, 7, 9, 15, 21, 31, 63)
+odd_angles = st.builds(Angle, st.integers(0, 62), st.sampled_from(ODD_DENOMINATORS))
+small_angles = st.builds(Angle, st.integers(0, 11), st.integers(1, 12))
+
+
+def _between(x, lo, hi):
+    return lo < x < hi
+
+
+def brute_unlinked(a_set, b_set):
+    """No chord joining two points of A crosses a chord joining two of B."""
+    for a1, a2 in itertools.combinations(sorted(a_set), 2):
+        for b1, b2 in itertools.combinations(b_set, 2):
+            if _between(b1, a1, a2) != _between(b2, a1, a2):
+                return False
+    return True
+
+
+def _positively_oriented(x, y, z):
+    return x < y < z or y < z < x or z < x < y
+
+
+def brute_cyclic_order(table):
+    """Every triple of sources in positive cyclic order keeps its orientation."""
+    return all(_positively_oriented(*(table[a] for a in triple))
+               == _positively_oriented(*triple)
+               for triple in itertools.combinations(table, 3))
+
+
+def brute_period(a):
+    b = a
+    for k in range(1, a.denominator + 1):
+        b = b.doubled()
+        if b == a:
+            return k
+    return None
+
+
+def brute_report(sets):
+    p = len(sets)
+    cond1 = p > 0 and all(sets)
+    cond2 = cond1 and all(
+        len({a.doubled() for a in sets[i]}) == len(sets[i])
+        and {a.doubled() for a in sets[i]} == set(sets[(i + 1) % p])
+        and brute_cyclic_order({a: a.doubled() for a in sets[i]})
+        for i in range(p))
+    periods = {brute_period(a) for s in sets for a in s}
+    common = periods.pop() if cond1 and len(periods) == 1 else None
+    cond3 = common is not None and common % p == 0
+    cond4 = all(not set(sets[i]) & set(sets[k]) and brute_unlinked(sets[i], sets[k])
+                for i, k in itertools.combinations(range(p), 2))
+    return cond1, cond2, cond3, cond4, common if cond3 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(small_angles, max_size=6), st.sets(small_angles, max_size=6))
+def test_unlinked_matches_chord_crossings(a_set, b_set):
+    if a_set & b_set:
+        with pytest.raises(QuadrayError):
+            unlinked(a_set, b_set)
+        return
+    assert unlinked(a_set, b_set) == brute_unlinked(a_set, b_set)
+    assert unlinked(b_set, a_set) == unlinked(a_set, b_set)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_angles, min_size=1, max_size=7, unique=True), st.data())
+def test_cyclic_order_matches_triple_orientations(sources, data):
+    images = data.draw(st.lists(small_angles, min_size=len(sources),
+                                max_size=len(sources), unique=True))
+    table = dict(zip(sources, images))
+    assert cyclic_order_preserved(sources, table) == brute_cyclic_order(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(odd_angles, min_size=1, max_size=7))
+def test_doubling_order_matches_triple_orientations(angles):
+    # doubling is injective on odd denominators: no two angles differ by 1/2
+    table = {a: a.doubled() for a in angles}
+    assert cyclic_order_preserved(angles, Angle.doubled) == brute_cyclic_order(table)
+
+
+def _orbit_sets(start, p):
+    sets = [tuple(start)]
+    for _ in range(p - 1):
+        sets.append(tuple(a.doubled() for a in sets[-1]))
+    return sets
+
+
+portrait_sets = st.one_of(
+    # arbitrary sets, empty ones included: mostly invalid portraits
+    st.lists(st.lists(odd_angles, max_size=4), max_size=3),
+    # sets built by doubling one set p - 1 times: conditions (2)-(4) vary
+    st.builds(_orbit_sets, st.sets(odd_angles, min_size=1, max_size=4),
+              st.integers(1, 4)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(portrait_sets)
+def test_validate_formal_portrait_matches_brute_force(sets):
+    portrait = OrbitPortrait(sets=tuple(map(tuple, sets)))
+    report = validate_formal_portrait(portrait)
+    assert (report.finite_nonempty, report.bijective_order_preserving,
+            report.common_period, report.pairwise_unlinked,
+            report.ray_period) == brute_report(portrait.sets)
+    assert report.ok == all(brute_report(portrait.sets)[:4])
 
 
 # ---------------------------------------------------------------- bryuno
