@@ -260,8 +260,12 @@ def cmd_orbits(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_rays(params: dict, outdir: Path) -> list[str]:
+    # no ray routine reads a precision knob; the keys stay so manifests replay
+    ignored = [k for k in ("mantissa_bits", "newton_tol", "dedup_tol", "max_iter")
+               if params[k] != COMMON_PARAMS[k]]
+    if ignored:
+        raise UsageError(f"rays does not use {', '.join(ignored)}; leave them at their defaults")
     qmap = resolve_map(params)
-    resolve_precision(params)  # rays need no precision knob; still reject bad ones
     angles = parse_angles(params["angles"])
     if not angles:
         raise UsageError("no angles given")

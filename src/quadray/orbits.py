@@ -5,9 +5,11 @@ The enumeration is Newton-from-seeds on g(z) = f^n(z) - z, never on expanded
 polynomial coefficients (those overflow binary64 past n ~ 12).  Seeds come
 from backward trees of the beta fixed point, which accumulate on the Julia
 set, plus the critical orbit (interior attracting cycles, Siegel boundaries).
-Unsettled points near super-repelling chains are polished in software
-floating point; parabolic collisions are merged and counted by winding
-number.
+Newton iterates only the seeds that still move.  Unsettled points near
+super-repelling chains are polished in software floating point.  Dedup keeps
+the first of each close group in (re, im) order, solved over KD-tree pairs.
+Parabolic collisions are merged and counted by winding number.  Levels whose
+seed rounds would pass ENUMERATION_BUDGET_BYTES are refused up front.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
 cycles of that permutation are the periodic orbits.  `group_into_orbits`
@@ -31,9 +33,12 @@ from .dynamics import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
                        orbit_with_derivative, preimage_tree)
 from .errors import AmbiguousOrbitError, IncompleteEnumerationError, QuadrayError
 
-#: Enumeration caps: 2^n root finding is exponential work.
-LEVEL_CAP_BINARY64 = 20
-LEVEL_CAP_EXTENDED = 28
+#: Peak bytes per seed of the largest round: Newton's first pass holds 9.6-10.7
+#: complex arrays of the seeds' size (tracemalloc, n = 8..13); twelve bound it.
+BYTES_PER_SEED = 12 * 16
+#: 2^n root finding is exponential work: levels whose seed rounds would pass
+#: this many bytes (n > 20) are refused before anything is allocated.
+ENUMERATION_BUDGET_BYTES = 2 ** 31
 
 #: |multiplier - 1| below this marks a candidate multiple root of g_n.
 PARABOLIC_GATE = 1e-3
@@ -82,12 +87,8 @@ class PeriodicOrbit:
 
 def alpha_beta_fixed_points(qmap: QuadraticMap) -> FixedPoints:
     disc = cmath.sqrt(1.0 - 4.0 * qmap.c)
-    r1 = (1.0 + disc) / 2.0
-    r2 = (1.0 - disc) / 2.0
-    if (r1.real, r1.imag) >= (r2.real, r2.imag):
-        beta, alpha = r1, r2
-    else:
-        beta, alpha = r2, r1
+    r1, r2 = (1.0 + disc) / 2.0, (1.0 - disc) / 2.0
+    beta, alpha = (r1, r2) if (r1.real, r1.imag) >= (r2.real, r2.imag) else (r2, r1)
     return FixedPoints(alpha=alpha, beta=beta, degenerate=abs(r1 - r2) == 0.0)
 
 
@@ -111,8 +112,7 @@ def _mp_polish_root(c: complex, z0: complex, n: int, bits: int = 120, iters: int
         z = mp.mpc(z0)
         tiny = mp.mpf(2) ** (4 - bits)
         for _ in range(iters):
-            w = z
-            d = mp.mpc(1)
+            w, d = z, mp.mpc(1)
             for _ in range(n):
                 d = d * 2 * w
                 w = w * w + cc
@@ -130,21 +130,26 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
                   cfg: PrecisionConfig, maxit: int = 140) -> np.ndarray:
     """Vectorized Newton on f^n(z) - z; returns plausible roots only.
 
-    Points whose final Newton step cannot certify dedup resolution (noise
-    floor near super-repelling chains) are re-polished in extended precision.
+    Only the active seeds are iterated: a seed leaves the active set once its
+    step is below 1e-13 (1 + |z|) or its update is not finite.  Points whose
+    final Newton step cannot certify dedup resolution (noise floor near
+    super-repelling chains) are re-polished in extended precision.
     """
-    z = np.asarray(seeds, dtype=complex)
+    z = np.array(seeds, dtype=complex)
+    active = np.arange(len(z))
     with np.errstate(all="ignore"):
         for _ in range(maxit):
-            w, d = orbit_with_derivative(qmap, z, n)
-            g = w - z
-            gp = d - 1.0
-            step = np.where(np.abs(gp) > 1e-30, g / gp, 0.0)
-            z_new = z - step
-            fin = np.isfinite(z_new)
-            z = np.where(fin, z_new, z)
-            if np.all(~fin | (np.abs(step) < 1e-13 * (1.0 + np.abs(z)))):
+            if len(active) == 0:
                 break
+            za = z[active]
+            g, gp = orbit_with_derivative(qmap, za, n)
+            g -= za
+            gp -= 1.0
+            step = np.where(np.abs(gp) > 1e-30, g / gp, 0.0)
+            za -= step
+            fin = np.isfinite(za)
+            z[active[fin]] = za[fin]
+            active = active[fin & (np.abs(step) >= 1e-13 * (1.0 + np.abs(za)))]
         w, d = orbit_with_derivative(qmap, z, n)
         g = np.abs(w - z)
         gp = np.abs(d - 1.0)
@@ -170,24 +175,30 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    """Merge points within tol * max(1, |z|); sweep over the lex-sorted list."""
+    """Merge points within tol * max(1, |z|) as a sweep over the (re, im)
+    sorted list does: z_j is dropped when some kept z_i, i < j, has
+    |z_i - z_j| <= tol * max(1, |z_j|).
+
+    Bit-identical copies collapse first (Newton sends many seeds to the same
+    float), then a KD-tree lists the close pairs.  The rule runs over a DAG in
+    index order, so it has one fixed point, the sweep's result; iterating it
+    from "all kept" reaches it after at most the longest path's length + 1.
+    """
     if len(points) == 0:
         return points
-    order = np.lexsort((points.imag, points.real))
-    points = points[order]
-    out: list[complex] = []
-    for p in points:
-        tol_abs = tol * max(1.0, abs(p))
-        j = len(out) - 1
-        dup = False
-        while j >= 0 and p.real - out[j].real <= tol_abs:
-            if abs(p - out[j]) <= tol_abs:
-                dup = True
-                break
-            j -= 1
-        if not dup:
-            out.append(complex(p))
-    return np.array(out, dtype=complex)
+    pts = points[np.lexsort((points.imag, points.real))]
+    pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
+    radius = tol * np.maximum(1.0, np.abs(pts))
+    i, j = cKDTree(np.column_stack([pts.real, pts.imag])).query_pairs(
+        float(radius.max()) * (1.0 + 1e-9), output_type="ndarray").T  # i < j
+    close = np.abs(pts[i] - pts[j]) <= radius[j]
+    kept = np.ones(len(pts), dtype=bool)
+    while True:
+        new = np.ones(len(pts), dtype=bool)
+        new[j[close & kept[i]]] = False
+        if np.array_equal(new, kept):
+            return pts[kept]
+        kept = new
 
 
 def _winding_multiplicity(qmap: QuadraticMap, n: int, z0: complex,
@@ -200,16 +211,13 @@ def _winding_multiplicity(qmap: QuadraticMap, n: int, z0: complex,
     g = w - ring
     if not np.all(np.isfinite(g)) or np.any(g == 0):
         return 1
-    turns = np.angle(g / np.roll(g, 1)).sum() / (2.0 * np.pi)
-    return int(round(turns))
+    return int(round(np.angle(g / np.roll(g, 1)).sum() / (2.0 * np.pi)))
 
 
 def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
-                     cfg: PrecisionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse near-unit-multiplier clusters and assign winding multiplicities.
-
-    Returns (points, multiplicities).
-    """
+                     cfg: PrecisionConfig):
+    """Collapse near-unit-multiplier clusters and assign winding multiplicities;
+    returns (points, multiplicities, f^n(points), (f^n)'(points))."""
     w, d = orbit_with_derivative(qmap, found, n)
     near_one = np.abs(d - 1.0) < PARABOLIC_GATE
     if near_one.any():
@@ -226,20 +234,18 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
         near_one = np.abs(d - 1.0) < PARABOLIC_GATE
 
     mult = np.ones(len(found), dtype=int)
-    for idx in np.where(near_one)[0]:
-        if len(found) > 1:
-            others = np.abs(found - found[idx])
-            others[idx] = np.inf
-            radius = min(PARABOLIC_MERGE_TOL, 0.45 * float(others.min()))
-        else:
-            radius = PARABOLIC_MERGE_TOL
+    for idx in np.flatnonzero(near_one):
+        gap = np.abs(np.delete(found, idx) - found[idx]).min(initial=np.inf)
+        radius = min(PARABOLIC_MERGE_TOL, 0.45 * float(gap))
         if radius > 1e-12:
             mult[idx] = max(1, _winding_multiplicity(qmap, n, complex(found[idx]), radius))
-    return found, mult
+    return found, mult, w, d
 
 
-def level_cap(cfg: PrecisionConfig) -> int:
-    return LEVEL_CAP_BINARY64 if cfg.mantissa_bits == 53 else LEVEL_CAP_EXTENDED
+def enumeration_bytes(n: int) -> int:
+    """Peak bytes of the seed rounds at level n: round 3 holds 2^(n+3) + 2^(n+1)
+    seeds and the temporaries of Newton's first pass over all of them."""
+    return BYTES_PER_SEED * (2 ** (n + 3) + 2 ** (n + 1))
 
 
 def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
@@ -247,38 +253,37 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
                             extra_seeds: tuple[complex, ...] = ()) -> list[PeriodicPoint]:
     """All roots of f^n(z) = z, deduplicated, with multiplicity summing to 2^n.
 
-    Raises IncompleteEnumerationError (carrying the partial set) when the
+    Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
+    IncompleteEnumerationError (carrying the partial set) when the
     seed-escalation rounds fail to account for the full degree.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > level_cap(cfg):
-        raise QuadrayError(f"level {n} exceeds the enumeration cap {level_cap(cfg)}")
+    if enumeration_bytes(n) > ENUMERATION_BUDGET_BYTES:
+        raise QuadrayError(
+            f"level {n} needs about {enumeration_bytes(n) / 2 ** 30:.1f} GiB for its "
+            f"seed rounds, over the {ENUMERATION_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
     fp = alpha_beta_fixed_points(qmap)
 
     def tree(base: complex, depth: int) -> np.ndarray:
-        leaves, _ = preimage_tree(qmap, base, depth, DEFAULT_CONFIG)
-        return leaves
+        return preimage_tree(qmap, base, depth, DEFAULT_CONFIG)[0]
 
     rounds = [
-        lambda: np.concatenate([tree(fp.beta, n),
-                                np.array([fp.alpha, fp.beta], dtype=complex),
-                                np.array(_critical_orbit_tail(qmap) or [0j], dtype=complex),
-                                np.array(list(extra_seeds) or [0j], dtype=complex)]),
+        lambda: np.concatenate([tree(fp.beta, n), [fp.alpha, fp.beta],
+                                _critical_orbit_tail(qmap) or [0j], list(extra_seeds) or [0j]]),
         lambda: tree(fp.beta, n + 2),
         lambda: np.concatenate([tree(fp.beta, n + 3), tree(fp.alpha, n + 1)]),
     ]
 
     found = np.array([], dtype=complex)
-    mult = np.array([], dtype=int)
     for build in rounds:
         roots = _newton_roots(qmap, n, build(), cfg)
         found = _dedup(np.concatenate([found, roots]), cfg.dedup_tol)
-        found, mult = _merge_parabolic(qmap, n, found, cfg)
+        found, mult, w, d = _merge_parabolic(qmap, n, found, cfg)
         if int(mult.sum()) == 2 ** n:
             break
     total = int(mult.sum())
-    points = _attach_periods(qmap, n, found, mult, cfg)
+    points = _attach_periods(qmap, n, found, mult, w, d, cfg)
     if total != 2 ** n:
         raise IncompleteEnumerationError(
             f"found {total} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}",
@@ -286,11 +291,11 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     return points
 
 
-def _attach_periods(qmap, n, found, mult, cfg) -> list[PeriodicPoint]:
-    """Residuals and minimal periods: the minimal period of z is the smallest
-    divisor d of n with |f^d(z) - z| <= 10 dedup_tol max(1, |z|), found in one
-    pass that iterates every root n - 1 times."""
-    w, d = orbit_with_derivative(qmap, found, n)
+def _attach_periods(qmap, n, found, mult, w, d, cfg) -> list[PeriodicPoint]:
+    """Residuals from (w, d) = (f^n, (f^n)') at the roots, and minimal
+    periods: the minimal period of z is the smallest divisor d of n with
+    |f^d(z) - z| <= 10 dedup_tol max(1, |z|), found in one pass that iterates
+    every root n - 1 times."""
     res = np.abs(w - found) / np.maximum(np.abs(d - 1.0), 1.0)
     period = np.full(len(found), n)
     unset = np.ones(len(found), dtype=bool)
@@ -386,14 +391,9 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
                 f"cycle of length {m} through {pts[i].z!r} carries minimal "
                 f"periods {sorted(periods)}")
         zs = arr[cycle]
-        lam = 1.0 + 0.0j
-        for w in zs:
-            lam *= 2.0 * w
-        lam = complex(lam)
+        lam = complex(math.prod(2.0 * zs, start=1.0 + 0.0j))
         orbits.append(PeriodicOrbit(
-            points=tuple(complex(w) for w in zs),
-            minimal_period=m,
-            multiplier=lam,
+            points=tuple(complex(w) for w in zs), minimal_period=m, multiplier=lam,
             stability=_classify_multiplier(lam, tol_class),
             multiplicity=max(pts[j].multiplicity for j in cycle)))
     orbits.sort(key=lambda o: (o.minimal_period, o.points[0].real, o.points[0].imag))

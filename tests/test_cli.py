@@ -185,3 +185,38 @@ def test_rays_command_files(tmp_path):
     last = body[-1].split(",")
     assert float(last[1]) == pytest.approx(2.0, abs=1e-2)
     assert abs(float(last[2])) < 1e-9
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--mantissa-bits", "64"), ("--newton-tol", "1e-14"),
+    ("--dedup-tol", "1e-13"), ("--max-iter", "100")])
+def test_rays_rejects_precision_flags(tmp_path, flag, value):
+    # no ray routine reads a precision knob, so setting one is an error
+    rc = run_command(["rays", "--preset", "basilica", "--angles", "1/3",
+                      flag, value, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "ray_1_3.csv").exists()
+
+
+def test_rays_rejects_precision_key_in_config(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[rays]\nnewton_tol = 1e-12\n")
+    rc = run_command(["rays", "--config", str(cfg), "--preset", "basilica",
+                      "--angles", "1/3", "--output-dir", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_rays_replays_manifest_with_default_precision(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[quadray]\nmantissa_bits = 53\nmax_iter = 4096\n")
+    rc = run_command(["rays", "--config", str(cfg), "--preset", "basilica",
+                      "--angles", "1/3,2/3", "--newton-tol", "1e-9",
+                      "--output-dir", str(a)])
+    assert rc == 0
+    params = json.loads((a / "manifest.json").read_text())["params"]
+    assert (params["newton_tol"], params["dedup_tol"]) == (1e-9, 1e-9)
+    rc = run_command(["rays", "--from-manifest", str(a / "manifest.json"),
+                      "--output-dir", str(b)])
+    assert rc == 0
+    assert hashes(a) == hashes(b)

@@ -1,9 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadray import orbits as orbits_mod
 from quadray import (DEFAULT_CONFIG, AmbiguousOrbitError, PeriodicOrbit,
                      PeriodicPoint, PrecisionConfig, QuadraticMap,
                      alpha_beta_fixed_points, classify_orbit,
@@ -188,6 +192,94 @@ def test_level_cap_enforced(squaring):
     from quadray import QuadrayError
     with pytest.raises(QuadrayError):
         fixed_points_of_iterate(squaring, 21)
+
+
+def test_enumeration_bytes_bounds_the_largest_round(basilica):
+    # round 3 as fixed_points_of_iterate builds it, measured with tracemalloc
+    from quadray.dynamics import preimage_tree
+    fp = alpha_beta_fixed_points(basilica)
+    for n in (8, 10):
+        tracemalloc.start()
+        try:
+            seeds = np.concatenate([preimage_tree(basilica, fp.beta, n + 3)[0],
+                                    preimage_tree(basilica, fp.alpha, n + 1)[0]])
+            orbits_mod._newton_roots(basilica, n, seeds, DEFAULT_CONFIG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * orbits_mod.enumeration_bytes(n) <= peak <= orbits_mod.enumeration_bytes(n)
+    assert orbits_mod.enumeration_bytes(20) <= orbits_mod.ENUMERATION_BUDGET_BYTES
+    assert orbits_mod.enumeration_bytes(21) > orbits_mod.ENUMERATION_BUDGET_BYTES
+
+
+def test_budget_refuses_before_allocating(squaring, monkeypatch):
+    from quadray import QuadrayError
+    # extended precision used to lift the level cap to 28, a 2^31-seed round
+    with pytest.raises(QuadrayError, match="budget"):
+        fixed_points_of_iterate(squaring, 28, PrecisionConfig(mantissa_bits=120))
+    monkeypatch.setattr(orbits_mod, "ENUMERATION_BUDGET_BYTES", orbits_mod.enumeration_bytes(5))
+    assert sum(p.multiplicity for p in fixed_points_of_iterate(squaring, 5)) == 32
+    with pytest.raises(QuadrayError, match="budget"):
+        fixed_points_of_iterate(squaring, 6)
+
+
+def _sweep_dedup(points, tol):
+    """Reference dedup: sweep the (re, im) sorted list and keep a point unless
+    a kept one lies within tol * max(1, |z|) of it."""
+    if len(points) == 0:
+        return points
+    points = points[np.lexsort((points.imag, points.real))]
+    out = []
+    for p in points:
+        tol_abs = tol * max(1.0, abs(p))
+        j = len(out) - 1
+        dup = False
+        while j >= 0 and p.real - out[j].real <= tol_abs:
+            if abs(p - out[j]) <= tol_abs:
+                dup = True
+                break
+            j -= 1
+        if not dup:
+            out.append(complex(p))
+    return np.array(out, dtype=complex)
+
+
+coords = st.floats(-5.0, 5.0, allow_subnormal=False)
+# steps in units of tol * max(1, |z|): below 1 chains points, above 1 splits them
+chain_steps = st.lists(st.floats(0.0, 2.0), max_size=8)
+
+
+@st.composite
+def dedup_inputs(draw):
+    """(points, tol): chains, repeats and optionally a cluster of over a
+    thousand coincident points; tol is dedup_tol, the parabolic merge radius,
+    or large enough that tol * max(1, |z|) differs along a chain."""
+    tol = draw(st.sampled_from([1e-9, 1e-4, 0.05]))
+    points = []
+    for _ in range(draw(st.integers(0, 12))):
+        z = complex(draw(coords), draw(coords))
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        for step in draw(chain_steps):
+            points.append(z)
+            z += step * tol * max(1.0, abs(z)) * cmath.exp(1j * angle)
+        points.append(z)
+        points.extend([points[-1]] * draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        # Newton sends well over a thousand seeds to the root 0 at c = 0
+        points.extend([0j] * draw(st.integers(1000, 1600)))
+        points.extend(complex(draw(coords), 0.0) * 1e-10 for _ in range(3))
+    order = draw(st.permutations(range(len(points))))
+    return np.array([points[k] for k in order], dtype=complex), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(dedup_inputs())
+def test_dedup_equals_sweep(points_tol):
+    points, tol = points_tol
+    got = orbits_mod._dedup(points, tol)
+    want = _sweep_dedup(points, tol)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_count_identity_with_multiplicity(basilica, airplane_root):
