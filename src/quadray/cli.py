@@ -4,6 +4,8 @@ Every run writes its outputs plus a manifest.json recording the fully
 resolved configuration, tool version and wall time; re-running a command
 from its manifest reproduces the output files byte for byte (the manifest
 itself carries the non-deterministic wall time and is not compared).
+Each command names the precision keys it reads; setting any other away from
+its default is a usage error.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -26,8 +28,8 @@ from .bunches import (DiscPattern, count_orbits_in_disc_pattern,
                       verify_hypothesis_h)
 from .dynamics import PrecisionConfig, QuadraticMap
 from .errors import QuadrayError
-from .orbits import (alpha_beta_fixed_points, fixed_points_of_iterate,
-                     group_into_orbits, julia_orbits)
+from .orbits import (PeriodicOrbit, alpha_beta_fixed_points,
+                     fixed_points_of_iterate, group_into_orbits, julia_orbits)
 from .pressure import (MODE_PERIODIC, MODE_TREE, default_tree_basepoint,
                        pressure_comparison)
 from .rays import portrait_at_orbit, trace_ray
@@ -102,6 +104,45 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+#: the columns of orbits.csv, in order
+ORBIT_HEADER = ["re_z", "im_z", "minimal_period", "re_lambda", "im_lambda",
+                "abs_lambda", "stability"]
+
+#: json.dumps spells the non-finite floats that repr gives as 'inf', '-inf', 'nan'
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def write_orbits(outdir: Path, orbits: list[PeriodicOrbit]) -> None:
+    """Write orbits.csv and orbits.jsonl, one row per orbit point, in one pass.
+
+    The CSV is write_csv of ORBIT_HEADER and rows [re z, im z, minimal period,
+    re lambda, im lambda, |lambda|, stability]; line k of the JSONL is
+    json.dumps(dict(zip(ORBIT_HEADER, row k)), sort_keys=True).  Finite
+    floats are spelled by repr in both files, so each value is formatted once
+    (an orbit's fields once per orbit) and the same text goes into both.
+    """
+    csv_lines = [",".join(ORBIT_HEADER)]
+    json_lines = []
+    js = _JSON_NONFINITE.get
+    for o in orbits:
+        lam = o.multiplier
+        re_l, im_l, abs_l = repr(lam.real), repr(lam.imag), repr(abs(lam))
+        period = str(o.minimal_period)
+        csv_tail = f"{period},{re_l},{im_l},{abs_l},{o.stability}"
+        json_head = (f'{{"abs_lambda": {js(abs_l, abs_l)}, '
+                     f'"im_lambda": {js(im_l, im_l)}, "im_z": ')
+        json_mid = (f', "minimal_period": {period}, '
+                    f'"re_lambda": {js(re_l, re_l)}, "re_z": ')
+        json_tail = f', "stability": {json.dumps(o.stability)}}}\n'
+        for z in o.points:
+            re_z, im_z = repr(z.real), repr(z.imag)
+            csv_lines.append(f"{re_z},{im_z},{csv_tail}")
+            json_lines.append(f"{json_head}{js(im_z, im_z)}{json_mid}"
+                              f"{js(re_z, re_z)}{json_tail}")
+    (outdir / "orbits.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    (outdir / "orbits.jsonl").write_text("".join(json_lines), encoding="utf-8")
 
 
 def write_json(path: Path, obj) -> None:
@@ -217,7 +258,26 @@ def resolve_map(params: dict) -> QuadraticMap:
     raise UsageError("need --c re,im or --preset")
 
 
-def resolve_precision(params: dict) -> PrecisionConfig:
+#: the keys of PrecisionConfig; a command names the ones it reads
+PRECISION_KEYS = ("mantissa_bits", "newton_tol", "dedup_tol", "max_iter")
+#: what the enumeration of Fix(f^n) reads
+ENUMERATION_KEYS = ("newton_tol", "dedup_tol")
+
+
+def resolve_precision(command: str, params: dict,
+                      reads: tuple[str, ...]) -> PrecisionConfig:
+    """The PrecisionConfig of a command that reads the precision keys `reads`.
+
+    Any other precision key set away from its default, by a flag, a config
+    file or a manifest, is a usage error, so no knob is accepted and then
+    ignored; the keys stay in every manifest, which replays when they hold
+    their defaults.
+    """
+    unread = [k for k in PRECISION_KEYS
+              if k not in reads and params[k] != COMMON_PARAMS[k]]
+    if unread:
+        raise UsageError(f"{command} does not use {', '.join(unread)}; "
+                         "leave them at their defaults")
     return PrecisionConfig(
         mantissa_bits=int(params["mantissa_bits"]),
         newton_tol=float(params["newton_tol"]),
@@ -241,30 +301,16 @@ def _resolve_point(token, qmap: QuadraticMap) -> complex:
 
 def cmd_orbits(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
+    cfg = resolve_precision("orbits", params, ENUMERATION_KEYS)
     n = int(params["n"])
     points = fixed_points_of_iterate(qmap, n, cfg)
     orbits = group_into_orbits(points, qmap, n, cfg)
-    header = ["re_z", "im_z", "minimal_period", "re_lambda", "im_lambda",
-              "abs_lambda", "stability"]
-    rows = []
-    for o in orbits:
-        for z in o.points:
-            rows.append([z.real, z.imag, o.minimal_period, o.multiplier.real,
-                         o.multiplier.imag, abs(o.multiplier), o.stability])
-    write_csv(outdir / "orbits.csv", header, rows)
-    with (outdir / "orbits.jsonl").open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+    write_orbits(outdir, orbits)
     return ["orbits.csv", "orbits.jsonl"]
 
 
 def cmd_rays(params: dict, outdir: Path) -> list[str]:
-    # no ray routine reads a precision knob; the keys stay so manifests replay
-    ignored = [k for k in ("mantissa_bits", "newton_tol", "dedup_tol", "max_iter")
-               if params[k] != COMMON_PARAMS[k]]
-    if ignored:
-        raise UsageError(f"rays does not use {', '.join(ignored)}; leave them at their defaults")
+    resolve_precision("rays", params, reads=())
     qmap = resolve_map(params)
     angles = parse_angles(params["angles"])
     if not angles:
@@ -281,7 +327,7 @@ def cmd_rays(params: dict, outdir: Path) -> list[str]:
 
 def cmd_portrait(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
+    cfg = resolve_precision("portrait", params, ENUMERATION_KEYS)
     n = int(params["period"])
     orbits = [o for o in julia_orbits(qmap, n, cfg) if o.minimal_period == n]
     if not orbits:
@@ -305,7 +351,7 @@ def cmd_portrait(params: dict, outdir: Path) -> list[str]:
 
 def cmd_pressure(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
+    cfg = resolve_precision("pressure", params, ("mantissa_bits",) + ENUMERATION_KEYS)
     t_grid = parse_grid(str(params["t"]))
     n = int(params["n"])
     base = params.get("basepoint")
@@ -330,7 +376,7 @@ def cmd_bunches(params: dict, outdir: Path) -> list[str]:
     if params["mode"] != "H":
         raise UsageError(f"bunches mode {params['mode']!r} is not supported; only 'H' is")
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
+    cfg = resolve_precision("bunches", params, ENUMERATION_KEYS)
     n_values = parse_int_grid(str(params["n"]))
     deltas = parse_grid(str(params["delta"]))
     reports = []
@@ -357,7 +403,7 @@ def cmd_bunches(params: dict, outdir: Path) -> list[str]:
 
 def cmd_near_point(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
+    cfg = resolve_precision("near-point", params, ENUMERATION_KEYS)
     z0 = _resolve_point(params["z0"], qmap)
     p = int(params["p"])
     n = int(params["n"])
@@ -373,7 +419,7 @@ def cmd_near_point(params: dict, outdir: Path) -> list[str]:
 
 def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
+    cfg = resolve_precision("disc-pattern", params, ENUMERATION_KEYS)
     p = int(params["period"])
     n = int(params["n"])
     delta = float(params["delta"])
@@ -397,6 +443,7 @@ def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_distortion(params: dict, outdir: Path) -> list[str]:
+    resolve_precision("distortion", params, reads=())
     qmap = resolve_map(params)
     center = _resolve_point(params["center"], qmap)
     report = distortion_ratio(
@@ -412,6 +459,7 @@ def cmd_distortion(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
+    resolve_precision("bryuno", params, reads=())
     terms = int(params["terms"])
     if params.get("quotients"):
         quots = [int(tok) for tok in str(params["quotients"]).split(",") if tok.strip()]
@@ -434,14 +482,16 @@ def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_render(params: dict, outdir: Path) -> list[str]:
+    layer_names = [s.strip() for s in str(params["layers"]).split(",") if s.strip()]
+    # only the orbits layer enumerates
+    cfg = resolve_precision("render", params,
+                            ENUMERATION_KEYS if "orbits" in layer_names else ())
     qmap = resolve_map(params)
-    cfg = resolve_precision(params)
     vp_bits = [float(b) for b in str(params["viewport"]).split(":")]
     if len(vp_bits) != 4:
         raise UsageError("viewport must be remin:remax:immin:immax")
     vp = Viewport(*vp_bits)
     scene = SceneModel(viewport=vp)
-    layer_names = [s.strip() for s in str(params["layers"]).split(",") if s.strip()]
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     for name in layer_names:
         if name == "julia":

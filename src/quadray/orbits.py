@@ -308,9 +308,10 @@ def _attach_periods(qmap, n, found, mult, w, d, cfg) -> list[PeriodicPoint]:
                 hit = unset & (np.abs(fd - found) <= tol)
                 period[hit] = step
                 unset &= ~hit
-    return [PeriodicPoint(z=complex(z), period_tested=n, minimal_period=int(p),
-                          residual=float(r), multiplicity=int(m))
-            for z, p, r, m in zip(found, period, res, mult)]
+    return [PeriodicPoint(z=z, period_tested=n, minimal_period=p, residual=r,
+                          multiplicity=m)
+            for z, p, r, m in zip(found.tolist(), period.tolist(), res.tolist(),
+                                  mult.tolist())]
 
 
 def _classify_multiplier(lam: complex, tol_class: float) -> str:
@@ -346,16 +347,20 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
     f(z_i) matches no point, when it matches two, when pi is not a bijection,
     or when a cycle's length differs from its points' minimal period.  Each
     cycle of pi is one orbit, listed from its lexicographically smallest
-    point; the multiplier is the product of 2 z along it.
+    point; the multiplier is the product of 2 z along it.  Cycle lengths and
+    heads come from n vectorized steps of pi in O(N) memory, so Python loops
+    once per orbit, not once per point.
     """
-    pts = sorted(points, key=lambda p: (p.z.real, p.z.imag))
-    arr = np.array([p.z for p in pts], dtype=complex)
-    image = arr * arr + qmap.c
+    z = np.array([p.z for p in points], dtype=complex)
+    period = np.array([p.minimal_period for p in points])
+    mult = np.array([p.multiplicity for p in points])
+    order = np.lexsort((z.imag, z.real))
+    z, period, mult = z[order], period[order], mult[order]
+    image = z * z + qmap.c
     # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed
     # collision, so their images match at a coarser tolerance.
-    coarse = np.array([p.multiplicity > 1 for p in pts])
-    tol = np.where(coarse, 1e-6, 10.0 * cfg.dedup_tol) * np.maximum(1.0, np.abs(image))
-    dist, idx = cKDTree(np.column_stack([arr.real, arr.imag])).query(
+    tol = np.where(mult > 1, 1e-6, 10.0 * cfg.dedup_tol) * np.maximum(1.0, np.abs(image))
+    dist, idx = cKDTree(np.column_stack([z.real, z.imag])).query(
         np.column_stack([image.real, image.imag]), k=2)
     unmatched = np.flatnonzero(dist[:, 0] > tol)
     if len(unmatched):
@@ -369,34 +374,47 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
             f"orbit image {complex(image[doubled[0]])!r} matches two points "
             "within tolerance; raise precision")
     pi = idx[:, 0]
-    if np.any(np.bincount(pi, minlength=len(pts)) != 1):
+    if np.any(np.bincount(pi, minlength=len(z)) != 1):
         raise AmbiguousOrbitError("cycle overlap: two orbits share a point")
 
-    nxt = pi.tolist()
-    seen = [False] * len(pts)
+    # Walk pi^k(i) for k = 1..n: the first k with pi^k(i) = i is the cycle
+    # length of i, and its head, the smallest index on the cycle, lies `ahead`
+    # steps on.  A cycle longer than n keeps length 0 and fails the check.
+    index = np.arange(len(z))
+    length = np.zeros(len(z), dtype=int)
+    head = index.copy()
+    ahead = np.zeros(len(z), dtype=int)
+    j = index
+    for k in range(1, n + 1):
+        j = pi[j]
+        closer = j < head
+        head[closer] = j[closer]
+        ahead[closer] = k
+        length[(j == index) & (length == 0)] = k
+    bad = np.flatnonzero(length != period)
+    if len(bad):
+        # the failing cycle with the smallest head, walked in full
+        i = int(head[bad].min())
+        cycle = [i]
+        while pi[cycle[-1]] != i:
+            cycle.append(int(pi[cycle[-1]]))
+        raise AmbiguousOrbitError(
+            f"cycle of length {len(cycle)} through {complex(z[i])!r} carries "
+            f"minimal periods {sorted(set(period[cycle].tolist()))}")
+
+    # Orbits by (minimal period, head), each from its head in cycle order;
+    # index order is (re, im) order, so the head is the smallest point.
+    walk = np.lexsort(((length - ahead) % length, head, length))
+    starts = np.flatnonzero(head[walk] == walk)
+    zs = z[walk].tolist()
+    twice = (2.0 * z[walk]).tolist()
     orbits: list[PeriodicOrbit] = []
-    for i in range(len(pts)):
-        if seen[i]:
-            continue
-        cycle = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = nxt[j]
-        m = len(cycle)
-        periods = {pts[j].minimal_period for j in cycle}
-        if periods != {m}:
-            raise AmbiguousOrbitError(
-                f"cycle of length {m} through {pts[i].z!r} carries minimal "
-                f"periods {sorted(periods)}")
-        zs = arr[cycle]
-        lam = complex(math.prod(2.0 * zs, start=1.0 + 0.0j))
+    for s, m, mu in zip(starts.tolist(), length[walk[starts]].tolist(),
+                        np.maximum.reduceat(mult[walk], starts).tolist()):
+        lam = math.prod(twice[s:s + m], start=1.0 + 0.0j)
         orbits.append(PeriodicOrbit(
-            points=tuple(complex(w) for w in zs), minimal_period=m, multiplier=lam,
-            stability=_classify_multiplier(lam, tol_class),
-            multiplicity=max(pts[j].multiplicity for j in cycle)))
-    orbits.sort(key=lambda o: (o.minimal_period, o.points[0].real, o.points[0].imag))
+            points=tuple(zs[s:s + m]), minimal_period=m, multiplier=lam,
+            stability=_classify_multiplier(lam, tol_class), multiplicity=mu))
     return orbits
 
 

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from quadray.cli import (PRESETS, parse_complex, parse_grid, run_command)
+from quadray import (DEFAULT_CONFIG, PeriodicOrbit, QuadraticMap,
+                     fixed_points_of_iterate, group_into_orbits)
+from quadray.cli import (ORBIT_HEADER, PRESETS, parse_complex, parse_grid,
+                         run_command, write_csv, write_orbits)
 
 
 def hashes(d: Path) -> dict:
@@ -220,3 +223,87 @@ def test_rays_replays_manifest_with_default_precision(tmp_path):
                       "--output-dir", str(b)])
     assert rc == 0
     assert hashes(a) == hashes(b)
+
+
+#: a small valid run of each command, and the precision keys it reads
+#: (rays reads none; test_rays_rejects_precision_flags covers it)
+PRECISION_READS = {
+    "orbits": (["orbits", "--preset", "basilica", "--n", "3"], {"newton_tol", "dedup_tol"}),
+    "portrait": (["portrait", "--preset", "basilica", "--period", "3"],
+                 {"newton_tol", "dedup_tol"}),
+    "pressure": (["pressure", "--preset", "basilica", "--t", "1", "--n", "4"],
+                 {"mantissa_bits", "newton_tol", "dedup_tol"}),
+    "bunches": (["bunches", "--preset", "basilica", "--n", "4"], {"newton_tol", "dedup_tol"}),
+    "near-point": (["near-point", "--preset", "basilica", "--n", "4"],
+                   {"newton_tol", "dedup_tol"}),
+    "disc-pattern": (["disc-pattern", "--c", "0,0", "--period", "1", "--n", "4"],
+                     {"newton_tol", "dedup_tol"}),
+    "distortion": (["distortion", "--preset", "basilica", "--n", "4", "--samples", "16"],
+                   set()),
+    "bryuno": (["bryuno", "--terms", "5"], set()),
+    "render-julia": (["render", "--preset", "basilica", "--layers", "julia",
+                      "--points", "100"], set()),
+    "render-orbits": (["render", "--preset", "basilica", "--layers", "orbits",
+                       "--marker-period", "2"], {"newton_tol", "dedup_tol"}),
+}
+NON_DEFAULT = {"mantissa_bits": "64", "newton_tol": "1e-12", "dedup_tol": "1e-12",
+               "max_iter": "100"}
+
+
+@pytest.mark.parametrize("argv, key", [
+    pytest.param(argv, key, id=f"{label}-{key}")
+    for label, (argv, reads) in PRECISION_READS.items()
+    for key in NON_DEFAULT if key not in reads])
+def test_unread_precision_key_rejected(tmp_path, capsys, argv, key):
+    # a knob the command never reads is an error before any work, not ignored
+    out = tmp_path / "out"
+    rc = run_command(argv + [f"--{key.replace('_', '-')}", NON_DEFAULT[key],
+                             "--output-dir", str(out)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def _oracle_orbit_files(outdir: Path, orbits) -> None:
+    """Reference writer: write_csv rows, then one json.dumps per row."""
+    rows = [[z.real, z.imag, o.minimal_period, o.multiplier.real,
+             o.multiplier.imag, abs(o.multiplier), o.stability]
+            for o in orbits for z in o.points]
+    write_csv(outdir / "orbits.csv", ORBIT_HEADER, rows)
+    with (outdir / "orbits.jsonl").open("w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(dict(zip(ORBIT_HEADER, row)), sort_keys=True) + "\n")
+
+
+def _enumerated(preset, n):
+    qmap = QuadraticMap(PRESETS[preset])
+    return group_into_orbits(fixed_points_of_iterate(qmap, n), qmap, n, DEFAULT_CONFIG)
+
+
+INF, NAN = float("inf"), float("nan")
+HAND_BUILT = [
+    PeriodicOrbit(points=(complex(-0.0, 5e-324), complex(1e16, -0.0)), minimal_period=2,
+                  multiplier=complex(INF, NAN), stability="repelling", multiplicity=2),
+    PeriodicOrbit(points=(complex(NAN, -INF),), minimal_period=1,
+                  multiplier=complex(-INF, -0.0), stability="parabolic_candidate"),
+    PeriodicOrbit(points=(0.1 + 0.2j,), minimal_period=1, multiplier=complex(NAN, 1e-300),
+                  stability="indifferent_candidate"),
+]
+
+
+@pytest.mark.parametrize("orbits", [
+    pytest.param(lambda: _enumerated("basilica", 6), id="basilica-6"),
+    pytest.param(lambda: _enumerated("airplane_root", 6), id="airplane_root-6"),
+    pytest.param(lambda: _enumerated("golden_siegel", 5), id="golden_siegel-5"),
+    pytest.param(lambda: HAND_BUILT, id="hand-built"),
+    pytest.param(lambda: [], id="empty"),
+])
+def test_orbit_writer_matches_row_oracle(tmp_path, orbits):
+    orbits = orbits()
+    new, old = tmp_path / "new", tmp_path / "old"
+    new.mkdir()
+    old.mkdir()
+    write_orbits(new, orbits)
+    _oracle_orbit_files(old, orbits)
+    for name in ("orbits.csv", "orbits.jsonl"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name

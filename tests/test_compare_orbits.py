@@ -1,6 +1,8 @@
-"""tools/compare_orbits.py: class counts and roots within rtol of each other."""
+"""tools/compare_orbits.py: class counts, roots within rtol of each other, and
+the orbits.jsonl twin of each orbits.csv."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from quadray.cli import run_command
@@ -48,3 +50,22 @@ def test_compare_orbits(tmp_path, capsys):
     other = _rewrite(a, tmp_path / "other.csv", relabel)
     assert compare_orbits.main([str(a), str(other)]) == 1
     assert "rows against" in capsys.readouterr().out
+
+
+def test_compare_orbits_checks_jsonl_twin(tmp_path, capsys):
+    a = tmp_path / "a"
+    assert run_command(["orbits", "--preset", "basilica", "--n", "4",
+                        "--output-dir", str(a)]) == 0
+    b = tmp_path / "b"
+    b.mkdir()
+    (b / "orbits.csv").write_bytes((a / "orbits.csv").read_bytes())
+    lines = (a / "orbits.jsonl").read_text().splitlines()
+    row = json.loads(lines[3])
+    row["re_z"] += 1e-3
+    lines[3] = json.dumps(row, sort_keys=True)
+    (b / "orbits.jsonl").write_text("\n".join(lines) + "\n")
+    assert compare_orbits.main([str(a / "orbits.csv"), str(b / "orbits.csv")]) == 1
+    assert "row 4 differs" in capsys.readouterr().out
+    (b / "orbits.jsonl").write_text("\n".join(lines[:-1]) + "\n")
+    assert compare_orbits.main([str(a / "orbits.csv"), str(b / "orbits.csv")]) == 1
+    assert "15 rows against 16" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,9 @@ def test_grouping_matches_quadratic_walk(name, request):
         pts = fixed_points_of_iterate(qmap, n, cfg)
         orbits = group_into_orbits(pts, qmap, n, cfg)
         assert {o.points for o in orbits} == _quadratic_orbits(pts, qmap), (name, n)
+        # the input order does not matter
+        shuffled = random.Random(n).sample(pts, len(pts))
+        assert group_into_orbits(shuffled, qmap, n, cfg) == orbits, (name, n)
         # the orbits partition the points
         assert (sorted((z for o in orbits for z in o.points), key=lex)
                 == sorted((p.z for p in pts), key=lex))

@@ -8,7 +8,11 @@ The files agree when
   both, so the orbit counts, periods, stability classes and the number of
   points in each class (their multiplicity as rows) are unchanged; and
 * every root of each file lies within RTOL * max(1, |z|) of a root of the
-  same class in the other file.
+  same class in the other file; and
+* the JSONL twin of each file (orbits.jsonl beside orbits.csv), when there
+  is one, holds the same rows in the same order: the writer formats each
+  value once for both files, so a JSONL value spelled as the CSV spells it
+  equals the CSV field.
 
 This is the check for a change that moves printed roots in their last digits,
 where a byte comparison of the outputs would fail.  It prints one summary
@@ -20,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,6 +44,24 @@ def read_orbits(path: str) -> dict[tuple[int, str], np.ndarray]:
             key = (int(row["minimal_period"]), row["stability"])
             groups.setdefault(key, []).append(complex(float(row["re_z"]), float(row["im_z"])))
     return {key: np.array(zs, dtype=complex) for key, zs in groups.items()}
+
+
+def twin_problems(csv_path: str) -> list[str]:
+    """Rows where the orbits.jsonl beside an orbits.csv (the same name with the
+    suffix .jsonl) disagrees with it; empty when there is no such file."""
+    jsonl = Path(csv_path).with_suffix(".jsonl")
+    if not jsonl.exists():
+        return []
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
+    if len(json_rows) != len(csv_rows):
+        return [f"{jsonl}: {len(json_rows)} rows against {len(csv_rows)} in {csv_path}"]
+    for k, (want, row) in enumerate(zip(csv_rows, json_rows), start=1):
+        spelled = {key: repr(v) if isinstance(v, float) else str(v) for key, v in row.items()}
+        if spelled != want:
+            return [f"{jsonl}: row {k} differs from {csv_path}"]
+    return []
 
 
 def _drift(a: np.ndarray, b: np.ndarray) -> float:
@@ -71,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     a, b = read_orbits(args.a), read_orbits(args.b)
     problems, drift = compare(a, b)
+    problems += twin_problems(args.a) + twin_problems(args.b)
     rows = sum(len(v) for v in a.values())
     status = "OK" if not problems else "FAIL"
     print(f"{status} {args.a} {args.b}: {rows} rows, {len(a)} classes, "
