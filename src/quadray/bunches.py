@@ -87,7 +87,7 @@ class DiscPattern:
                     raise QuadrayError(
                         f"C-scaled discs {i} and {j} are not disjoint")
 
-    def separation_ok(self, qmap: QuadraticMap, r0: float, delta: float) -> bool:
+    def separation_ok(self, r0: float, delta: float) -> bool:
         """diam B_i <= r0 exp(-delta n p) dist(C B_i, critical point)."""
         bound = r0 * math.exp(-delta * self.n * self.p)
         for ctr, rad in zip(self.centers, self.radii):
@@ -97,7 +97,7 @@ class DiscPattern:
         return True
 
     @classmethod
-    def around_orbit(cls, qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
+    def around_orbit(cls, orbit: PeriodicOrbit, n: int,
                      delta: float, r0: float, C: float = 2.0) -> "DiscPattern":
         """Largest admissible pattern around a cycle: radii saturate the
         separation inequality with a 10% margin."""
@@ -187,8 +187,7 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     return a[keep], b[keep]
 
 
-def bunch_clusters(qmap: QuadraticMap, orbits: list[PeriodicOrbit], mode: str,
-                   param: float) -> BunchReport:
+def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> BunchReport:
     """Cluster same-period orbits under rho_n.
 
     mode "H": param is delta, threshold exp(-delta n), bound exp(delta n).
@@ -255,7 +254,7 @@ def verify_hypothesis_h(qmap: QuadraticMap, n: int, delta: float,
                            clusters=(), max_cluster=0,
                            bound=math.exp(delta * n), hard_bound=2 * n,
                            passed=True)
-    return bunch_clusters(qmap, orbits, MODE_H, delta)
+    return bunch_clusters(orbits, MODE_H, delta)
 
 
 def count_orbits_near_point(qmap: QuadraticMap, z0: complex, p: int, n: int,
@@ -378,8 +377,7 @@ def distortion_ratio(qmap: QuadraticMap, center: complex, r: float, n: int,
                             per_step_log_derivative_bound=per_step)
 
 
-def good_bad_partition(qmap: QuadraticMap, orbit: PeriodicOrbit,
-                       delta: float) -> dict:
+def good_bad_partition(orbit: PeriodicOrbit, delta: float) -> dict:
     """Indices along the cycle split by distance to the critical point 0:
     good when |f^i(x)| >= exp(-n delta / 2), bad otherwise."""
     n = orbit.minimal_period

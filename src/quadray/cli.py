@@ -428,9 +428,9 @@ def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
     if not orbits:
         raise QuadrayError(f"no minimal-period-{p} orbit on the Julia set")
     idx = int(params["orbit_index"])
-    pattern = DiscPattern.around_orbit(qmap, orbits[idx], n, delta, r0,
+    pattern = DiscPattern.around_orbit(orbits[idx], n, delta, r0,
                                        C=float(params["C"]))
-    if not pattern.separation_ok(qmap, r0, delta):
+    if not pattern.separation_ok(r0, delta):
         raise QuadrayError("pattern violates the separation inequality")
     report = count_orbits_in_disc_pattern(qmap, pattern, cfg)
     write_json(outdir / "disc_pattern.json", {

@@ -215,11 +215,11 @@ def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
         return _mp_preimage_tree(qmap.c, z, n, cfg.mantissa_bits)
     leaves, logd = _expand_tree(qmap.c, z, n)
     if n >= 1:
-        leaves = _refine_preimages(qmap, z, n, leaves, cfg)
+        leaves = _refine_preimages(qmap, z, n, leaves)
     return leaves, logd
 
 
-def _refine_preimages(qmap, z, n, leaves, cfg):
+def _refine_preimages(qmap, z, n, leaves):
     """One-or-two Newton corrections on f^n(x) = z for every leaf."""
     x = leaves
     with np.errstate(all="ignore"):

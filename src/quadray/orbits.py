@@ -3,13 +3,15 @@ and stability classification.
 
 The enumeration is Newton-from-seeds on g(z) = f^n(z) - z, never on expanded
 polynomial coefficients (those overflow binary64 past n ~ 12).  Seeds come
-from backward trees of the beta fixed point, which accumulate on the Julia
-set, plus the critical orbit (interior attracting cycles, Siegel boundaries).
-Newton iterates only the seeds that still move.  Unsettled points near
-super-repelling chains are polished in software floating point.  Dedup keeps
-the first of each close group in (re, im) order, solved over KD-tree pairs.
-Parabolic collisions are merged and counted by winding number.  Levels whose
-seed rounds would pass ENUMERATION_BUDGET_BYTES are refused up front.
+from backward trees, which accumulate on the Julia set: first
+tree(beta, n + 2) (it holds tree(beta, n)), alpha, beta and the critical orbit
+(interior attracting cycles, Siegel boundaries); then, if 2^n roots are not
+yet found, tree(beta, n + 3) and tree(alpha, n + 1).  Newton iterates only the
+seeds that still move.  Unsettled points near super-repelling chains are
+polished in software floating point.  Dedup keeps the first of each close
+group in (re, im) order, solved over KD-tree pairs.  Parabolic collisions are
+merged and counted by winding number.  Levels whose seed rounds would pass
+ENUMERATION_BUDGET_BYTES are refused up front.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
 cycles of that permutation are the periodic orbits.  `group_into_orbits`
@@ -188,10 +190,12 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
         return points
     pts = points[np.lexsort((points.imag, points.real))]
     pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
-    radius = tol * np.maximum(1.0, np.abs(pts))
+    # np.hypot rounds |z| as Python's abs does; np.abs can differ by an ulp
+    radius = tol * np.maximum(1.0, np.hypot(pts.real, pts.imag))
     i, j = cKDTree(np.column_stack([pts.real, pts.imag])).query_pairs(
         float(radius.max()) * (1.0 + 1e-9), output_type="ndarray").T  # i < j
-    close = np.abs(pts[i] - pts[j]) <= radius[j]
+    diff = pts[i] - pts[j]
+    close = np.hypot(diff.real, diff.imag) <= radius[j]
     kept = np.ones(len(pts), dtype=bool)
     while True:
         new = np.ones(len(pts), dtype=bool)
@@ -243,14 +247,13 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
 
 
 def enumeration_bytes(n: int) -> int:
-    """Peak bytes of the seed rounds at level n: round 3 holds 2^(n+3) + 2^(n+1)
-    seeds and the temporaries of Newton's first pass over all of them."""
+    """Peak bytes of the seed rounds at level n: the last round's 2^(n+3) +
+    2^(n+1) seeds and the temporaries of Newton's first pass over them all."""
     return BYTES_PER_SEED * (2 ** (n + 3) + 2 ** (n + 1))
 
 
 def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
-                            cfg: PrecisionConfig = DEFAULT_CONFIG,
-                            extra_seeds: tuple[complex, ...] = ()) -> list[PeriodicPoint]:
+                            cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[PeriodicPoint]:
     """All roots of f^n(z) = z, deduplicated, with multiplicity summing to 2^n.
 
     Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
@@ -269,9 +272,8 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
         return preimage_tree(qmap, base, depth, DEFAULT_CONFIG)[0]
 
     rounds = [
-        lambda: np.concatenate([tree(fp.beta, n), [fp.alpha, fp.beta],
-                                _critical_orbit_tail(qmap) or [0j], list(extra_seeds) or [0j]]),
-        lambda: tree(fp.beta, n + 2),
+        lambda: np.concatenate([tree(fp.beta, n + 2), [fp.alpha, fp.beta],
+                                _critical_orbit_tail(qmap)]),
         lambda: np.concatenate([tree(fp.beta, n + 3), tree(fp.alpha, n + 1)]),
     ]
 

@@ -1,10 +1,11 @@
 """Finite-level estimators of the geometric pressure for f_c.
 
 Two routes to the same limit: the periodic estimator sums |(f^n)'|^-t over
-the fixed points of f^n on the Julia set; the tree estimator sums the same
-weight over the 2^n preimages of a basepoint.  Both are aggregated in log
-space, and the comparison reports the finite-level discrepancy without
-extrapolating the limit (a limsup is not observable at finite n).
+the fixed points of f^n on the Julia set, read off the cycle multipliers; the
+tree estimator sums the same weight over the 2^n preimages of a basepoint.
+Both are aggregated in log space, and the comparison reports the finite-level
+discrepancy without extrapolating the limit (a limsup is not observable at
+finite n).
 
 The two sums differ at finite n by more than their limits do.  The tree sum
 carries the basepoint factor of the transfer operator: sum ~ h_t(z) e^{nP},
@@ -65,44 +66,21 @@ def _warn_negative_t(t: float) -> None:
 
 def _julia_log_derivatives(qmap: QuadraticMap, n: int,
                            cfg: PrecisionConfig) -> np.ndarray:
-    """log|(f^n)'(z)| for every point z of Fix(f^n) on the Julia set, orbit
-    by orbit."""
-    log_derivs = []
-    for orbit in julia_orbits(qmap, n, cfg, minimal_only=False):
-        for z in orbit.points:
-            w = z
-            log_deriv = 0.0
-            for _ in range(n):
-                log_deriv += math.log(2.0 * abs(w))
-                w = w * w + qmap.c
-            log_derivs.append(log_deriv)
-    return np.array(log_derivs)
+    """log|(f^n)'(z)| = (n/m) log|lambda| for every point z of Fix(f^n) on the
+    Julia set, orbit by orbit (minimal period m, multiplier lambda)."""
+    orbits = julia_orbits(qmap, n, cfg, minimal_only=False)
+    return np.repeat([n / len(o) * math.log(abs(o.multiplier)) for o in orbits],
+                     [len(o) for o in orbits])
 
 
-def _periodic_estimate(log_derivs: np.ndarray, t: float, n: int) -> PressureEstimate:
-    log_sum = float(logsumexp(-t * log_derivs))
-    return PressureEstimate(t=t, n=n, log_sum=log_sum, value=log_sum / n,
-                            mode=MODE_PERIODIC)
-
-
-def periodic_pressure_estimate(qmap: QuadraticMap, t: float, n: int,
-                               cfg: PrecisionConfig = DEFAULT_CONFIG) -> PressureEstimate:
-    """(1/n) log sum of |(f^n)'(z)|^-t over Fix(f^n) restricted to the Julia
-    set (attracting cycle points dropped, indifferent candidates kept)."""
-    _warn_negative_t(t)
-    return _periodic_estimate(_julia_log_derivatives(qmap, n, cfg), t, n)
-
-
-def tree_pressure_estimate(qmap: QuadraticMap, z: complex, t: float, n: int,
-                           cfg: PrecisionConfig = DEFAULT_CONFIG) -> PressureEstimate:
-    """(1/n) log sum of |(f^n)'(x)|^-t over the 2^n preimages x of z.
+def _tree_log_derivatives(qmap: QuadraticMap, z: complex, n: int,
+                          cfg: PrecisionConfig) -> np.ndarray:
+    """log|(f^n)'(x)| over the 2^n preimages x of z.
 
     The basepoint must avoid the forward critical orbit: a tree node equal to
     the critical value collapses a branch and the weight degenerates there.
     """
-    _warn_negative_t(t)
-    z = complex(z)
-    leaves, log_derivs = preimage_tree(qmap, z, n, cfg)
+    _, log_derivs = preimage_tree(qmap, z, n, cfg)
     if not np.all(np.isfinite(log_derivs)):
         # A path passed through 0, i.e. some tree node equals c; that happens
         # exactly when z lies on the forward orbit of the critical point.
@@ -116,9 +94,30 @@ def tree_pressure_estimate(qmap: QuadraticMap, z: complex, t: float, n: int,
         raise BranchPointError(
             f"basepoint {z} is on the critical orbit; branch collapses at "
             f"tree level {level}", level=level)
+    return log_derivs
+
+
+def _estimate(log_derivs: np.ndarray, t: float, n: int, mode: str,
+              basepoint: complex | None = None) -> PressureEstimate:
     log_sum = float(logsumexp(-t * log_derivs))
     return PressureEstimate(t=t, n=n, log_sum=log_sum, value=log_sum / n,
-                            mode=MODE_TREE, basepoint=z)
+                            mode=mode, basepoint=basepoint)
+
+
+def periodic_pressure_estimate(qmap: QuadraticMap, t: float, n: int,
+                               cfg: PrecisionConfig = DEFAULT_CONFIG) -> PressureEstimate:
+    """(1/n) log sum of |(f^n)'(z)|^-t over Fix(f^n) restricted to the Julia
+    set (attracting cycle points dropped, indifferent candidates kept)."""
+    _warn_negative_t(t)
+    return _estimate(_julia_log_derivatives(qmap, n, cfg), t, n, MODE_PERIODIC)
+
+
+def tree_pressure_estimate(qmap: QuadraticMap, z: complex, t: float, n: int,
+                           cfg: PrecisionConfig = DEFAULT_CONFIG) -> PressureEstimate:
+    """(1/n) log sum of |(f^n)'(x)|^-t over the 2^n preimages x of z, which
+    must avoid the forward critical orbit (BranchPointError otherwise)."""
+    _warn_negative_t(t)
+    return _estimate(_tree_log_derivatives(qmap, z, n, cfg), t, n, MODE_TREE, complex(z))
 
 
 def default_tree_basepoint(qmap: QuadraticMap) -> complex:
@@ -143,16 +142,16 @@ def pressure_comparison(qmap: QuadraticMap, z: complex, t_grid, n: int,
     ts = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_grid must be strictly increasing")
-    estimates: list[PressureEstimate] = []
-    levels = [n] if n <= 1 else [n - 1, n]
-    for level in levels:
-        log_derivs = _julia_log_derivatives(qmap, level, cfg)
-        for t in ts:
-            estimates.append(_periodic_estimate(log_derivs, t, level))
-            estimates.append(tree_pressure_estimate(qmap, z, t, level, cfg))
-    disc = 0.0
     for t in ts:
-        per = next(e for e in estimates if e.mode == MODE_PERIODIC and e.n == n and e.t == t)
-        tre = next(e for e in estimates if e.mode == MODE_TREE and e.n == n and e.t == t)
-        disc = max(disc, abs(per.value - tre.value))
+        _warn_negative_t(t)
+    z = complex(z)
+    estimates: list[PressureEstimate] = []
+    for level in ([n] if n <= 1 else [n - 1, n]):
+        tree = _tree_log_derivatives(qmap, z, level, cfg)
+        periodic = _julia_log_derivatives(qmap, level, cfg)
+        pairs = [(_estimate(periodic, t, level, MODE_PERIODIC),
+                  _estimate(tree, t, level, MODE_TREE, z)) for t in ts]
+        estimates += [e for pair in pairs for e in pair]
+    # pairs now holds level n
+    disc = max((abs(per.value - tre.value) for per, tre in pairs), default=0.0)
     return PressureCurve(t_grid=tuple(ts), estimates=tuple(estimates), discrepancy=disc)

@@ -75,7 +75,7 @@ def test_bunches_squaring_all_singletons(squaring):
         min_pair = min(min_pair, best)
     assert min_pair > math.exp(-1.0)
 
-    report = bunch_clusters(squaring, orbits, "H", 0.2)
+    report = bunch_clusters(orbits, "H", 0.2)
     assert report.threshold == pytest.approx(math.exp(-1.0))
     assert report.max_cluster == 1
     assert len(report.clusters) == 6
@@ -83,13 +83,13 @@ def test_bunches_squaring_all_singletons(squaring):
 
 def test_bunches_single_orbit(basilica):
     orbits = julia_orbits(basilica, 3)
-    report = bunch_clusters(basilica, orbits[:1], "H", 0.1)
+    report = bunch_clusters(orbits[:1], "H", 0.1)
     assert report.max_cluster == 1 and report.clusters == ((0,),)
 
 
 def test_bunches_duplicate_orbit_degenerate(basilica):
     orbits = julia_orbits(basilica, 3)
-    report = bunch_clusters(basilica, [orbits[0], orbits[0]], "H", 0.1)
+    report = bunch_clusters([orbits[0], orbits[0]], "H", 0.1)
     assert report.max_cluster == 2
     assert report.clusters[0] == (0, 1)
 
@@ -97,10 +97,10 @@ def test_bunches_duplicate_orbit_degenerate(basilica):
 def test_bunches_strict_cut_boundary(squaring):
     pair = julia_orbits(squaring, 4)[:2]
     rho = _orbit_distance_matrix(pair, 4)[0, 1]
-    apart = bunch_clusters(squaring, pair, "BMS", rho)
+    apart = bunch_clusters(pair, "BMS", rho)
     assert apart.clusters == ((0,), (1,))
     assert apart.component_max == 1
-    joined = bunch_clusters(squaring, pair, "BMS", np.nextafter(rho, np.inf))
+    joined = bunch_clusters(pair, "BMS", np.nextafter(rho, np.inf))
     assert joined.clusters == ((0, 1),)
     assert joined.component_max == 2
 
@@ -130,7 +130,7 @@ def test_sparse_clustering_matches_dense_reference():
             if not orbits:
                 continue
             for mode, param in (("H", 0.1), ("H", 0.3), ("BMS", 0.3), ("BMS", 0.6)):
-                rep = bunch_clusters(qmap, orbits, mode, param)
+                rep = bunch_clusters(orbits, mode, param)
                 want = _dense_reference(orbits, rep.threshold)
                 assert (rep.clusters, rep.max_cluster, rep.component_max) == want, \
                     (c, n, mode, param)
@@ -142,16 +142,16 @@ def test_cluster_certificate_rejects_faulty_linkage(squaring, monkeypatch):
     # one component of 30 orbits holds pairs at rho_8 >= 1.95, so a linkage
     # step that lumps each component into one cluster must be caught
     orbits = julia_orbits(squaring, 8)
-    assert bunch_clusters(squaring, orbits, "BMS", 1.95).component_max == 30
+    assert bunch_clusters(orbits, "BMS", 1.95).component_max == 30
     monkeypatch.setattr(bunches, "fcluster",
                         lambda Z, t, criterion: np.ones(len(Z) + 1, dtype=int))
     with pytest.raises(QuadrayError, match="pairwise certificate"):
-        bunch_clusters(squaring, orbits, "BMS", 1.95)
+        bunch_clusters(orbits, "BMS", 1.95)
 
 
 def test_bunches_bms_mode(squaring):
     orbits = julia_orbits(squaring, 4)
-    report = bunch_clusters(squaring, orbits, "BMS", 0.05)
+    report = bunch_clusters(orbits, "BMS", 0.05)
     assert report.mode == "BMS"
     assert report.threshold == 0.05
     assert report.max_cluster == 1
@@ -208,8 +208,8 @@ def test_disc_pattern_around_basilica_cycle(basilica):
     # the 2-cycle is attracting, use the repelling fixed points' level instead
     all_orbits = julia_orbits(basilica, 2, minimal_only=False)
     cycle = [o for o in all_orbits if o.minimal_period == 1][0]
-    pattern = DiscPattern.around_orbit(basilica, cycle, 5, 0.3, 0.5)
-    assert pattern.separation_ok(basilica, 0.5, 0.3)
+    pattern = DiscPattern.around_orbit(cycle, 5, 0.3, 0.5)
+    assert pattern.separation_ok(0.5, 0.3)
     report = count_orbits_in_disc_pattern(basilica, pattern)
     assert report.count <= report.bound
     assert report.passed
@@ -229,7 +229,7 @@ def test_disc_pattern_beta_matches_fixed_point_bound(squaring):
     all1 = julia_orbits(squaring, 1, minimal_only=False)
     beta_orbit = [o for o in all1 if abs(o.points[0] - 1.0) < 1e-9][0]
     for n in (2, 4, 6):
-        pattern = DiscPattern.around_orbit(squaring, beta_orbit, n, 0.3, 0.5)
+        pattern = DiscPattern.around_orbit(beta_orbit, n, 0.3, 0.5)
         report = count_orbits_in_disc_pattern(squaring, pattern)
         assert report.count == 0
 
@@ -261,7 +261,7 @@ def test_distortion_repelling_negative_control(squaring):
 
 def test_good_bad_all_good_on_circle(squaring):
     orbits = julia_orbits(squaring, 10)
-    part = good_bad_partition(squaring, orbits[0], 0.5)
+    part = good_bad_partition(orbits[0], 0.5)
     assert part["bad"] == [] and part["a_bound"] == 0
     assert len(part["good"]) == 10
 
@@ -272,7 +272,7 @@ def test_good_bad_chebyshev_near_zero(chebyshev):
     closest = min(abs(z) for z in target.points)
     delta = 0.9
     cutoff = math.exp(-5 * delta / 2.0)
-    part = good_bad_partition(chebyshev, target, delta)
+    part = good_bad_partition(target, delta)
     expected_bad = [i for i, z in enumerate(target.points) if abs(z) < cutoff]
     assert part["bad"] == expected_bad
     assert part["a_bound"] == len(expected_bad)
@@ -281,7 +281,7 @@ def test_good_bad_chebyshev_near_zero(chebyshev):
 def test_good_bad_short_orbit(squaring):
     orbit = PeriodicOrbit(points=(1.0 + 0j,), minimal_period=1,
                           multiplier=2.0 + 0j, stability="repelling")
-    part = good_bad_partition(squaring, orbit, 0.5)
+    part = good_bad_partition(orbit, 0.5)
     assert part == {"good": [0], "bad": [], "a_bound": 0}
 
 
@@ -289,5 +289,5 @@ def test_cluster_pairwise_certificate(squaring):
     # clusters emitted for tight thresholds stay pairwise-certified
     orbits = julia_orbits(squaring, 6)
     for delta in (0.05, 0.2, 0.5):
-        report = bunch_clusters(squaring, orbits, "H", delta)
+        report = bunch_clusters(orbits, "H", delta)
         assert report.passed or report.max_cluster <= 2 * 6

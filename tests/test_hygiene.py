@@ -51,3 +51,26 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in _imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _unread_parameters(tree: ast.Module):
+    """(function, parameter) for every parameter its function's body never
+    reads; self, cls and _-prefixed names are exempt."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for name in params:
+            if name not in read and name not in ("self", "cls") and not name.startswith("_"):
+                yield node.name, name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = sorted(_unread_parameters(tree))
+    assert not unread, f"{path.name} has parameters its functions never read: {unread}"

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadray import orbits as orbits_mod
@@ -196,7 +196,7 @@ def test_level_cap_enforced(squaring):
 
 
 def test_enumeration_bytes_bounds_the_largest_round(basilica):
-    # round 3 as fixed_points_of_iterate builds it, measured with tracemalloc
+    # the last round as fixed_points_of_iterate builds it, measured with tracemalloc
     from quadray.dynamics import preimage_tree
     fp = alpha_beta_fixed_points(basilica)
     for n in (8, 10):
@@ -211,6 +211,24 @@ def test_enumeration_bytes_bounds_the_largest_round(basilica):
         assert 0.5 * orbits_mod.enumeration_bytes(n) <= peak <= orbits_mod.enumeration_bytes(n)
     assert orbits_mod.enumeration_bytes(20) <= orbits_mod.ENUMERATION_BUDGET_BYTES
     assert orbits_mod.enumeration_bytes(21) > orbits_mod.ENUMERATION_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("name", ["squaring", "basilica", "chebyshev",
+                                  "airplane_root", "golden_siegel"])
+def test_first_seed_round_holds_tree_of_depth_n(name, request):
+    # beta is in f^-2(beta), so tree(beta, n + 2) holds every leaf of
+    # tree(beta, n): a first round of the deeper tree loses no seed
+    from scipy.spatial import cKDTree
+
+    from quadray.dynamics import preimage_tree
+    qmap = request.getfixturevalue(name)
+    beta = alpha_beta_fixed_points(qmap).beta
+    for n in range(1, 11):
+        deep = preimage_tree(qmap, beta, n + 2)[0]
+        leaves = preimage_tree(qmap, beta, n)[0]
+        gap, _ = cKDTree(np.column_stack([deep.real, deep.imag])).query(
+            np.column_stack([leaves.real, leaves.imag]))
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(leaves))), (n, gap.max())
 
 
 def test_budget_refuses_before_allocating(squaring, monkeypatch):
@@ -275,6 +293,9 @@ def dedup_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(dedup_inputs())
+# exactly tol apart by abs (and np.hypot), one ulp over by numpy's complex abs
+@example((np.array([0.0002779291950021079 - 0.7670634002641398j,
+                    0.0003779291950021074 - 0.7670634002540613j]), 1e-4))
 def test_dedup_equals_sweep(points_tol):
     points, tol = points_tol
     got = orbits_mod._dedup(points, tol)

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from quadray import (BranchPointError, PrecisionConfig, QuadraticMap,
-                     default_tree_basepoint, periodic_pressure_estimate,
-                     pressure_comparison, tree_pressure_estimate)
+                     default_tree_basepoint, julia_orbits,
+                     periodic_pressure_estimate, pressure_comparison,
+                     tree_pressure_estimate)
+from quadray.pressure import _julia_log_derivatives
+
+TIGHT = PrecisionConfig(newton_tol=1e-12, dedup_tol=2e-11)
 
 
 def test_periodic_squaring_t0(squaring):
@@ -97,6 +101,55 @@ def test_tree_mode_records_basepoint(squaring):
 def test_negative_t_warns(squaring):
     with pytest.warns(UserWarning):
         periodic_pressure_estimate(squaring, -0.5, 4)
+
+
+def test_comparison_warns_on_negative_t_and_refuses_critical_basepoint(basilica):
+    with pytest.warns(UserWarning):
+        curve = pressure_comparison(basilica, default_tree_basepoint(basilica),
+                                    [-0.5, 0.0], 4)
+    assert curve.value(-0.5, 4, "tree") > curve.value(0.0, 4, "tree")
+    with pytest.raises(BranchPointError):
+        pressure_comparison(basilica, basilica.c, [0.0, 1.0], 4)
+    # an empty grid compares nothing
+    assert pressure_comparison(basilica, 0.3 + 0.2j, [], 4).discrepancy == 0.0
+
+
+def _mp_log_derivative(c, z0, n, multiplicity):
+    """log|(f^n)'(z)| at the root of f^n(z) = z near z0, Newton-polished at
+    60 digits (a double root takes the multiplicity-2 step)."""
+    with mp.workdps(60):
+        c, z = mp.mpc(c), mp.mpc(z0)
+        for _ in range(100):
+            w, d = z, mp.mpc(1)
+            for _ in range(n):
+                d, w = 2 * w * d, w * w + c
+            if d == 1:
+                break
+            step = multiplicity * (w - z) / (d - 1)
+            z -= step
+            if abs(step) < mp.mpf(10) ** -50:
+                break
+        w, log_deriv = z, mp.mpf(0)
+        for _ in range(n):
+            log_deriv += mp.log(2 * abs(w))
+            w = w * w + c
+        return float(log_deriv)
+
+
+@pytest.mark.parametrize("name, levels, cfg, tol", [
+    ("chebyshev", range(1, 11), TIGHT, 1e-11),
+    ("golden_siegel", range(1, 9), PrecisionConfig(), 1e-11),
+    # the parabolic 3-cycle is a double root: binary64 holds it to ~sqrt(eps)
+    ("airplane_root", [6], PrecisionConfig(), 1e-6),
+])
+def test_multiplier_log_derivatives_match_mp_reference(name, levels, cfg, tol, request):
+    qmap = request.getfixturevalue(name)
+    for n in levels:
+        orbits = julia_orbits(qmap, n, cfg, minimal_only=False)
+        want = [_mp_log_derivative(qmap.c, z, n, o.multiplicity)
+                for o in orbits for z in o.points]
+        got = _julia_log_derivatives(qmap, n, cfg)
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol, err_msg=f"n = {n}")
 
 
 def test_periodic_estimate_stable_under_tighter_precision(basilica):
