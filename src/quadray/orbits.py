@@ -8,7 +8,8 @@ tree(beta, n + 2) (it holds tree(beta, n)), alpha, beta and the critical orbit
 (interior attracting cycles, Siegel boundaries); then, if 2^n roots are not
 yet found, tree(beta, n + 3) and tree(alpha, n + 1).  Newton iterates only the
 seeds that still move.  Unsettled points near super-repelling chains are
-polished in software floating point.  Dedup keeps the first of each close
+polished in software floating point, one per cluster near a multiple root.
+Dedup keeps the first of each close
 group in (re, im) order, solved over KD-tree pairs.  Parabolic collisions are
 merged and counted by winding number.  Levels whose seed rounds would pass
 ENUMERATION_BUDGET_BYTES are refused up front.
@@ -135,7 +136,8 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
     Only the active seeds are iterated: a seed leaves the active set once its
     step is below 1e-13 (1 + |z|) or its update is not finite.  Points whose
     final Newton step cannot certify dedup resolution (noise floor near
-    super-repelling chains) are re-polished in extended precision.
+    super-repelling chains) are re-polished in extended precision; near a
+    multiple root, one per cluster.
     """
     z = np.array(seeds, dtype=complex)
     active = np.arange(len(z))
@@ -161,11 +163,17 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
     z = z[plausible]
     last_step = last_step[plausible]
 
-    unsettled = np.where(last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z)))[0]
-    if len(unsettled) > 4096:
+    unsettled = last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z))
+    if unsettled.sum() > 4096:
         raise QuadrayError(
-            f"{len(unsettled)} points unresolvable at level {n}; raise dedup_tol or precision")
-    for i in unsettled:
+            f"{unsettled.sum()} points unresolvable at level {n}; raise dedup_tol or precision")
+    # _merge_parabolic collapses each cluster of points near a multiple root
+    # into one point, so only the cluster's first is polished.
+    near = unsettled & (gp[plausible] < PARABOLIC_GATE)
+    clusters = _dedup(z[near], PARABOLIC_MERGE_TOL)
+    z = np.concatenate([z[~near], clusters])
+    polish = np.concatenate([unsettled[~near], np.ones(len(clusters), dtype=bool)])
+    for i in np.flatnonzero(polish):
         z[i] = _mp_polish_root(qmap.c, z[i], n)
 
     with np.errstate(all="ignore"):

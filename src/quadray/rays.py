@@ -15,10 +15,24 @@ exact: theta = r/den with r <- 2r mod den once per level, and the float r/den
 is 2^k theta mod 1 correctly rounded.
 
 `_descent` walks one ray in scalar Python; `_batch_landing` walks the
-portrait candidates together in numpy.  Single rays stay scalar: at one
-point, f^100 with its derivative takes about 20 us in a Python loop and
-about 500 us through orbit_with_derivative on a one-element array (2-vCPU
-Xeon, Python 3.11).
+portrait candidates together in numpy, and each substep iterates only the
+rays whose Newton steps still move.  Single rays stay scalar: at one point,
+f^100 with its derivative takes about 20 us in a Python loop and about
+500 us through orbit_with_derivative on a one-element array (2-vCPU Xeon,
+Python 3.11).
+
+Rays that land on one cycle are permuted by doubling, and f maps
+R_theta(g) onto R_2theta(2g).  So a portrait screen descends one ray per
+doubling cycle, the smallest angle, picked by integer rotations of its
+binary word, and reads the tails of the other rays of the cycle off the
+images of its tail under f.  The cycles are counted before any candidate is
+built, against PORTRAIT_CANDIDATE_BUDGET.
+
+A ray landing on a repelling point converges geometrically level by level;
+on a parabolic point the residuals shrink like 1/k^2, so their ratio tends
+to 1.  `estimate_landing` hands a periodic ray to Newton on its period
+equation once that ratio reaches STALL_RATIO, and keeps descending when the
+refined point fails its gates.
 """
 
 from __future__ import annotations
@@ -30,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import (Angle, OrbitPortrait, angle_period, doubling_orbit,
-                     periodic_angles, validate_formal_portrait)
+from .angles import Angle, OrbitPortrait, angle_period, validate_formal_portrait
 from .dynamics import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, orbit_with_derivative
 from .errors import PortraitError, PrecisionError, QuadrayError
 from .orbits import PARABOLIC_CANDIDATE, REPELLING, PeriodicOrbit
@@ -40,6 +53,13 @@ from .orbits import PARABOLIC_CANDIDATE, REPELLING, PeriodicOrbit
 ANCHOR_POTENTIAL = 16.0 * math.log(2.0)
 SUBSTEPS = 8
 MAX_HALVINGS = 200
+#: A level residual at least this fraction of the one before marks a stall:
+#: the ratio tends to 1 on parabolic landings (0.75 by level 12 on the
+#: airplane's 1/7 rays), to |lambda|^(-1/m) on repelling ones.
+STALL_RATIO = 0.75
+#: Portrait screens descend at most this many ray cycles: every period n <= 5
+#: with the default cap 4n (n = 5: 54,664 cycles, about 22 s), not n = 6.
+PORTRAIT_CANDIDATE_BUDGET = 2 ** 16
 
 DEFAULT_LANDING_TOL = 1e-8
 DEFAULT_MATCH_TOL = 1e-6
@@ -61,6 +81,7 @@ class LandingEstimate:
     z: complex
     residual: float
     converged: bool
+    levels: int  # descent levels walked
 
 
 @dataclass(frozen=True)
@@ -168,16 +189,20 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
     """Landing point of a rational ray.
 
     Potentials descend geometrically; convergence is declared when
-    consecutive level points differ by less than landing_tol.  Parabolic
-    landing slows below the geometric rate, so after max_halvings the trace
-    is declared stalled and the best point is kept.  For a periodic angle the
-    estimate is then refined by Newton against f^m(z) = z, which recovers the
-    landing point even from a stalled tail.
+    consecutive level points differ by less than landing_tol, and after
+    max_halvings levels the trace is declared stalled.  For a periodic angle
+    the last level point is then refined by Newton against f^m(z) = z, and
+    replaced by the root when that lies within 0.05.  Parabolic landing slows
+    below the geometric rate: once a level's residual is at least STALL_RATIO
+    times the one before, a periodic ray is refined at once, and the root is
+    returned when it also passes landing_tol on its last Newton step;
+    otherwise the descent goes on.  `levels` counts the levels walked.
     """
     level_pts: list[complex] = []
     converged = False
     residual = math.inf
     status = STATUS_OK
+    m = angle_period(theta)
     points = itertools.islice(_descent(qmap, theta, ANCHOR_POTENTIAL),
                               max_halvings * SUBSTEPS + 1)
     try:
@@ -186,22 +211,29 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
                 continue
             level_pts.append(x)
             if len(level_pts) >= 2:
-                residual = abs(level_pts[-1] - level_pts[-2])
+                last, residual = residual, abs(level_pts[-1] - level_pts[-2])
                 if residual < landing_tol:
                     converged = True
                     break
+                if m is not None and residual >= STALL_RATIO * last:
+                    refined, step = _refine_periodic(qmap, x, m)
+                    if (refined is not None and abs(refined - x) < 0.05
+                            and step < landing_tol):
+                        return LandingEstimate(z=refined, residual=step, converged=True,
+                                               levels=len(level_pts))
         else:
             status = STATUS_STALLED
     except PrecisionError:
         status = STATUS_PRECISION
 
     z = level_pts[-1] if level_pts else x
-    m = angle_period(theta)
     if m is not None and status != STATUS_PRECISION:
         refined, step = _refine_periodic(qmap, z, m)
         if refined is not None and abs(refined - z) < 0.05:
-            return LandingEstimate(z=refined, residual=step, converged=step < landing_tol)
-    return LandingEstimate(z=z, residual=residual, converged=converged)
+            return LandingEstimate(z=refined, residual=step, converged=step < landing_tol,
+                                   levels=len(level_pts))
+    return LandingEstimate(z=z, residual=residual, converged=converged,
+                           levels=len(level_pts))
 
 
 def _refine_periodic(qmap, z0, m, iters=90):
@@ -225,35 +257,43 @@ def _refine_periodic(qmap, z0, m, iters=90):
     return z, last
 
 
-def _batch_landing(qmap: QuadraticMap, angles: list[Angle], levels: int,
+def _batch_landing(qmap: QuadraticMap, r: np.ndarray, den: np.ndarray, levels: int,
                    newton_iters: int = 8):
-    """Vectorized coarse descent of many rays to a fixed depth.
+    """Vectorized coarse descent of the rays r/den to a fixed depth.
 
     Returns (points, alive) where alive flags rays whose Newton solves stayed
-    finite.  Used as a screen before per-ray refinement.
+    finite.  Each substep iterates only the rays still moving: a ray leaves
+    once its own step is below 1e-12 (1 + |x|) or is not finite, so its tail
+    is what a batch of one would give.  Used as a screen before per-ray
+    refinement.
     """
     c = qmap.c
-    # Candidate denominators are 2^m - 1 with m <= 24, so 2r fits int64 and
-    # r, den are exact doubles: r / den rounds exactly as the scalar path's.
-    r = np.array([a.numerator for a in angles], dtype=np.int64)
-    den = np.array([a.denominator for a in angles], dtype=np.int64)
+    # Candidate denominators are 2^m - 1 with m <= 20 (the candidate budget
+    # admits no larger m), so 2r fits int64 and r, den are exact doubles:
+    # r / den rounds exactly as the scalar path's.
+    r = np.asarray(r, dtype=np.int64)
+    den = np.asarray(den, dtype=np.int64)
     x = _anchor_seed_vec(c, r / den, ANCHOR_POTENTIAL)
-    alive = np.ones(len(angles), dtype=bool)
+    alive = np.ones(len(x), dtype=bool)
     with np.errstate(all="ignore"):
         for k in range(1, levels + 1):
             r = 2 * r % den
             for potential in _level_potentials(ANCHOR_POTENTIAL, k):
                 target = _anchor_seed_vec(c, r / den, potential * 2.0 ** k)
+                active = np.flatnonzero(alive)
                 for _ in range(newton_iters):
-                    w, d = orbit_with_derivative(qmap, x, k)
-                    step = (w - target) / d
-                    ok = np.isfinite(step)
-                    step = np.where(ok, step, 0.0)
-                    x = x - np.where(alive, step, 0.0)
-                    if np.all(np.abs(step[alive]) < 1e-12 * (1.0 + np.abs(x[alive]))):
+                    if len(active) == 0:
                         break
-                alive &= np.isfinite(x)
-                x = np.where(np.isfinite(x), x, 0.0)
+                    xa = x[active]
+                    w, d = orbit_with_derivative(qmap, xa, k)
+                    step = (w - target[active]) / d
+                    step = np.where(np.isfinite(step), step, 0.0)
+                    xa = xa - step
+                    x[active] = xa
+                    active = active[~(np.abs(step) < 1e-12 * (1.0 + np.abs(xa)))]
+                finite = np.isfinite(x)
+                alive &= finite
+                x[~finite] = 0.0
     return x, alive
 
 
@@ -262,15 +302,78 @@ def _anchor_seed_vec(c, theta_arr, potential):
     return w - c / (2.0 * w)
 
 
-def portrait_candidate_angles(n: int, ray_period_cap: int) -> list[Angle]:
-    """Angles whose exact doubling period is a multiple of n up to the cap."""
-    out = []
-    m = n
-    while m <= ray_period_cap:
-        if m <= 24:
-            out.extend(a for a in periodic_angles(m) if angle_period(a) == m)
-        m += n
-    return out
+def _cycle_count(m: int) -> int:
+    """Doubling cycles of exact period m: the necklace count
+    (1/m) sum_{d | m} mu(m/d) 2^d for m >= 2, and 1 at m = 1 (the words 0 and
+    1 are one angle).  m doublings fix 2^m - 1 angles; removing those of
+    exact period d for each proper divisor d of m leaves exact period m."""
+    def exact(p: int) -> int:
+        return 2 ** p - 1 - sum(exact(d) for d in range(1, p) if p % d == 0)
+    return exact(m) // m
+
+
+def _cycle_representatives(m: int) -> np.ndarray:
+    """Numerators k of the smallest angle k/(2^m - 1) of every doubling cycle
+    of exact period m, increasing.
+
+    Doubling k/(2^m - 1) rotates the m-bit word of k, so k is the smallest
+    angle of a cycle of exact period m when it is below each of its m - 1
+    proper rotations (a word fixed by a shorter rotation equals one of them).
+    Rotations are integer doublings mod 2^m - 1 over the words still smallest.
+    """
+    den = 2 ** m - 1
+    k = np.arange(max(den, 1), dtype=np.int64)
+    rot = k
+    for _ in range(m - 1):
+        rot = 2 * rot % den
+        smallest = k < rot
+        k, rot = k[smallest], rot[smallest]
+    return k
+
+
+def portrait_candidate_angles(n: int, ray_period_cap: int) -> np.ndarray:
+    """One angle per doubling cycle whose exact period is a multiple of n up
+    to the cap, its smallest, as int64 rows (numerator, denominator 2^m - 1).
+
+    The cycles are counted first; more than PORTRAIT_CANDIDATE_BUDGET raise
+    QuadrayError before any array is built.
+    """
+    periods = range(n, ray_period_cap + 1, n)
+    count = sum(_cycle_count(m) for m in periods)
+    if count > PORTRAIT_CANDIDATE_BUDGET:
+        raise QuadrayError(
+            f"{count} candidate ray cycles of period {n}, {2 * n}, ... <= {ray_period_cap}, "
+            f"over the budget of {PORTRAIT_CANDIDATE_BUDGET}; lower the ray-period cap")
+    rows = [np.empty((0, 2), dtype=np.int64)]
+    for m in periods:
+        k = _cycle_representatives(m)
+        rows.append(np.column_stack([k, np.full_like(k, 2 ** m - 1)]))
+    return np.concatenate(rows)
+
+
+def _cycle_landing(qmap: QuadraticMap, pts: np.ndarray, m: int, tail: complex,
+                   match_tol: float) -> list[int] | None:
+    """Orbit-point indices j_0 .. j_{m-1} where the rays 2^i theta land, from
+    the tail of a ray theta of period m and its images f^i(tail), or None.
+
+    f maps R_theta(g) onto R_2theta(2g), so f^i(tail) lies on ray 2^i theta.
+    Each is refined by Newton on f^m(z) = z, must move by at most 0.05, match
+    an orbit point within match_tol, and the indices must step by one mod n.
+    """
+    n = len(pts)
+    js: list[int] = []
+    x = tail
+    for i in range(m):
+        refined, _ = _refine_periodic(qmap, x, m)
+        if refined is None or abs(refined - x) > 0.05:
+            return None
+        d = np.abs(pts - refined)
+        j = int(np.argmin(d))
+        if not d[j] < match_tol or (js and j != (js[0] + i) % n):
+            return None
+        js.append(j)
+        x = x * x + qmap.c
+    return js
 
 
 def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
@@ -281,10 +384,14 @@ def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
     """Assemble the orbit portrait of a repelling or parabolic cycle from
     coarse-traced candidate rays.
 
-    Candidate angles (periods n, 2n, ... up to the cap) are descended in one
-    vectorized pass; rays whose tails pass the distance gate are refined by
-    Newton on their period equation and matched to orbit points within
-    match_tol.  The assembled portrait must pass formal validation.
+    Rays landing on one cycle are permuted by doubling, so one angle per
+    doubling cycle (periods n, 2n, ... up to the cap; its smallest) is
+    descended, in one vectorized pass of screen_levels levels.  When its tail
+    lies within screen_gate of the orbit, the tails of the other rays of its
+    cycle are its images under f; each is refined by Newton on the period
+    equation and matched to an orbit point within match_tol, and the cycle is
+    kept when f steps the matched points as doubling steps the angles.  The
+    assembled portrait must pass formal validation.
     """
     if orbit.stability not in (REPELLING, PARABOLIC_CANDIDATE):
         raise QuadrayError(
@@ -294,35 +401,18 @@ def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
     if ray_period_cap is None:
         ray_period_cap = 4 * n
     pts = np.array(orbit.points)
-    candidates = portrait_candidate_angles(n, ray_period_cap)
-    if not candidates:
+    r, den = portrait_candidate_angles(n, ray_period_cap).T
+    if not len(r):
         raise PortraitError("no candidate angles below the ray-period cap")
 
-    tails, alive = _batch_landing(qmap, candidates, screen_levels)
+    tails, alive = _batch_landing(qmap, r, den, screen_levels)
     dist = np.min(np.abs(tails[:, None] - pts[None, :]), axis=1)
-    survivors = [i for i in range(len(candidates)) if alive[i] and dist[i] < screen_gate]
-
-    matches: dict[Angle, int] = {}
-    for i in survivors:
-        theta = candidates[i]
-        m = angle_period(theta)
-        refined, _ = _refine_periodic(qmap, complex(tails[i]), m)
-        if refined is None or abs(refined - tails[i]) > 0.05:
-            continue
-        d = np.abs(pts - refined)
-        j = int(np.argmin(d))
-        if d[j] < match_tol:
-            matches[theta] = j
-
-    # Keep only full, f-equivariant angle cycles.
     accepted: dict[Angle, int] = {}
-    for theta, j in matches.items():
-        cyc = doubling_orbit(theta)
-        ok = all(a in matches and matches[a] == (j + idx) % n
-                 for idx, a in enumerate(cyc))
-        if ok:
-            for idx, a in enumerate(cyc):
-                accepted[a] = (j + idx) % n
+    for i in np.flatnonzero(alive & (dist < screen_gate)).tolist():
+        ri, di = int(r[i]), int(den[i])
+        js = _cycle_landing(qmap, pts, di.bit_length(), complex(tails[i]), match_tol)
+        for idx, j in enumerate(js or ()):
+            accepted[Angle(ri * 2 ** idx % di, di)] = j
 
     if not accepted:
         raise PortraitError(

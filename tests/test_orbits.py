@@ -13,7 +13,10 @@ from quadray import (DEFAULT_CONFIG, AmbiguousOrbitError, PeriodicOrbit,
                      PeriodicPoint, PrecisionConfig, QuadraticMap,
                      alpha_beta_fixed_points, classify_orbit,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
+from quadray.cli import run_command
+from quadray.dynamics import orbit_with_derivative
 from tests.conftest import GOLDEN_ALPHA, GOLDEN_C, GOLDEN_LAMBDA
+from tests.test_compare_orbits import compare_orbits
 
 
 def mobius_count(n):
@@ -169,6 +172,65 @@ def test_parabolic_total_count(airplane_root):
     pts = fixed_points_of_iterate(airplane_root, 3)
     assert sum(p.multiplicity for p in pts) == 8
     assert len(pts) == 5
+
+
+def ref_newton_roots(qmap, n, seeds, cfg, maxit=140):
+    """_newton_roots polishing every unsettled point on its own, near a
+    multiple root or not."""
+    z = np.array(seeds, dtype=complex)
+    active = np.arange(len(z))
+    with np.errstate(all="ignore"):
+        for _ in range(maxit):
+            if len(active) == 0:
+                break
+            za = z[active]
+            g, gp = orbit_with_derivative(qmap, za, n)
+            g -= za
+            gp -= 1.0
+            step = np.where(np.abs(gp) > 1e-30, g / gp, 0.0)
+            za -= step
+            fin = np.isfinite(za)
+            z[active[fin]] = za[fin]
+            active = active[fin & (np.abs(step) >= 1e-13 * (1.0 + np.abs(za)))]
+        w, d = orbit_with_derivative(qmap, z, n)
+        g = np.abs(w - z)
+        gp = np.abs(d - 1.0)
+        last_step = g / np.maximum(gp, 1e-30)
+        plausible = (np.isfinite(z) & np.isfinite(g) & np.isfinite(gp)
+                     & (g < 1e-3) & ((g < cfg.newton_tol) | (last_step < 1e-6)))
+    z = z[plausible]
+    last_step = last_step[plausible]
+    for i in np.where(last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z)))[0]:
+        z[i] = orbits_mod._mp_polish_root(qmap.c, z[i], n)
+    with np.errstate(all="ignore"):
+        w, d = orbit_with_derivative(qmap, z, n)
+        g = np.abs(w - z)
+        err = g / np.maximum(np.abs(d - 1.0), 1.0)
+        keep = np.isfinite(z) & np.isfinite(g) & (g < 1e-3) & (err < cfg.newton_tol)
+    return z[keep]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_near_parabolic_cluster_polished_once(n, monkeypatch, tmp_path):
+    # at the airplane root the unsettled seeds crowd around the double roots
+    # of the parabolic 3-cycle: one polish per cluster, and the same orbits
+    # as polishing each of them (about 75 calls)
+    calls = []
+    polish = orbits_mod._mp_polish_root
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(orbits_mod, "_mp_polish_root", counted)
+    argv = ["orbits", "--c", "-1.75,0", "--n", str(n), "--output-dir"]
+    assert run_command(argv + [str(tmp_path / "clustered")]) == 0
+    assert 1 <= len(calls) <= 3
+    monkeypatch.setattr(orbits_mod, "_newton_roots", ref_newton_roots)
+    assert run_command(argv + [str(tmp_path / "each")]) == 0
+    assert len(calls) > 30
+    assert compare_orbits.main([str(tmp_path / "clustered" / "orbits.csv"),
+                                str(tmp_path / "each" / "orbits.csv")]) == 0
 
 
 def test_alpha_beta_examples():

@@ -1,18 +1,27 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadray import (Angle, PrecisionError, QuadraticMap, angle_period,
+from quadray import (Angle, OrbitPortrait, PortraitError, PrecisionError,
+                     QuadraticMap, QuadrayError, angle_period,
                      circle_exit_cyclic_order, classify_portrait,
                      estimate_landing, green_potential, julia_orbits,
-                     portrait_at_orbit, ray_point, trace_ray)
+                     periodic_angles, portrait_at_orbit, ray_point, trace_ray,
+                     validate_formal_portrait)
+from quadray import rays as rays_mod
+from quadray.angles import doubling_orbit
 from quadray.dynamics import orbit_with_derivative
-from quadray.rays import (ANCHOR_POTENTIAL, MAX_HALVINGS, SUBSTEPS,
-                          _anchor_seed, _anchor_seed_vec, _batch_landing,
-                          _newton_to_target, _refine_periodic,
+from quadray.orbits import PARABOLIC_CANDIDATE, REPELLING
+from quadray.rays import (ANCHOR_POTENTIAL, MAX_HALVINGS, PORTRAIT_CANDIDATE_BUDGET,
+                          SUBSTEPS, _anchor_seed, _anchor_seed_vec, _batch_landing,
+                          _cycle_representatives, _newton_to_target, _refine_periodic,
                           portrait_candidate_angles)
+from tests.conftest import GOLDEN_C
 
 
 def joukowski_ray_point(theta, G):
@@ -282,10 +291,78 @@ def ref_batch_landing(qmap, angles, levels, newton_iters=8):
     return x, alive
 
 
+def ref_candidate_angles(n, ray_period_cap):
+    """Every angle whose exact doubling period is a multiple of n up to the
+    cap, as the portrait screen first listed them."""
+    out = []
+    for m in range(n, min(ray_period_cap, 24) + 1, n):
+        out.extend(a for a in periodic_angles(m) if angle_period(a) == m)
+    return out
+
+
+def ref_portrait_at_orbit(qmap, orbit, n, match_tol=1e-6, ray_period_cap=None,
+                          screen_levels=40, screen_gate=0.2):
+    """The all-candidate screen: every candidate descended in lockstep,
+    refined from its own tail, and kept in full f-equivariant cycles."""
+    if ray_period_cap is None:
+        ray_period_cap = 4 * n
+    pts = np.array(orbit.points)
+    candidates = ref_candidate_angles(n, ray_period_cap)
+    if not candidates:
+        raise PortraitError("no candidate angles below the ray-period cap")
+    tails, alive = ref_batch_landing(qmap, candidates, screen_levels)
+    dist = np.min(np.abs(tails[:, None] - pts[None, :]), axis=1)
+    matches = {}
+    for i in range(len(candidates)):
+        if not (alive[i] and dist[i] < screen_gate):
+            continue
+        theta = candidates[i]
+        refined, _ = _refine_periodic(qmap, complex(tails[i]), angle_period(theta))
+        if refined is None or abs(refined - tails[i]) > 0.05:
+            continue
+        d = np.abs(pts - refined)
+        j = int(np.argmin(d))
+        if d[j] < match_tol:
+            matches[theta] = j
+    accepted = {}
+    for theta, j in matches.items():
+        cyc = doubling_orbit(theta)
+        if all(a in matches and matches[a] == (j + idx) % n for idx, a in enumerate(cyc)):
+            for idx, a in enumerate(cyc):
+                accepted[a] = (j + idx) % n
+    if not accepted:
+        raise PortraitError(f"no candidate ray landed within {match_tol} of the orbit")
+    sets = tuple(tuple(sorted(a for a, j in accepted.items() if j == i)) for i in range(n))
+    report = validate_formal_portrait(OrbitPortrait(sets=sets))
+    if not report.ok:
+        raise PortraitError(f"assembled portrait failed validation: {report.failures}")
+    return OrbitPortrait(sets=sets, ray_period=report.ray_period)
+
+
+def mp_periodic_root(c, z0, m, bits=200):
+    """A root of f^m(z) = z near z0 by multiplicity-2 Newton at `bits` bits:
+    quadratic at the double roots of a parabolic cycle."""
+    with mp.workprec(bits):
+        cc, z = mp.mpc(c), mp.mpc(z0)
+        for _ in range(100):
+            w, d = z, mp.mpc(1)
+            for _ in range(m):
+                d, w = 2 * d * w, w * w + cc
+            if w == z or d == 1:
+                break
+            step = 2 * (w - z) / (d - 1)
+            z -= step
+            if abs(step) < mp.mpf(2) ** (8 - bits):
+                break
+        return z
+
+
 REFERENCE_CS = (-1.0, -1.75, 1j, 0.25)
 # odd and even denominators, 0, and a denominator above 2^63
 REFERENCE_ANGLES = (Angle(0), Angle(1, 3), Angle(2, 7), Angle(22, 63), Angle(1, 4),
                     Angle(5, 12), Angle(12345, 2 ** 64 + 1))
+# (c, angle) -> period of the parabolic cycle the ray lands on
+PARABOLIC_LANDINGS = {(-1.75, Angle(2, 7)): 3, (0.25, Angle(0)): 1}
 
 
 @pytest.mark.parametrize("c", REFERENCE_CS)
@@ -305,15 +382,113 @@ def test_scalar_descent_matches_reference(c):
             else:
                 with pytest.raises(PrecisionError):
                     ray_point(qmap, theta, g_min)
+        # A periodic ray may leave the descent at a stall and be refined from
+        # an earlier level point: on a repelling landing the root agrees to
+        # rounding; on a parabolic one both lie in the sqrt(eps) noise ball of
+        # the double root, and the stall's is no farther from the true root.
         est = estimate_landing(qmap, theta)
-        assert repr((est.z, est.residual, est.converged)) == repr(ref_landing(qmap, theta))
+        ref_z, ref_residual, ref_converged = ref_landing(qmap, theta)
+        m = PARABOLIC_LANDINGS.get((c, theta))
+        if angle_period(theta) is None:
+            assert repr((est.z, est.residual, est.converged)) == repr(
+                (ref_z, ref_residual, ref_converged)), theta
+        elif m is None:
+            assert abs(est.z - ref_z) <= 1e-15 * abs(ref_z), theta
+            assert est.converged == ref_converged, theta
+        else:
+            root = mp_periodic_root(c, ref_z, m)
+            dist = float(abs(mp.mpc(est.z) - root))
+            assert dist < 1e-8 and dist <= float(abs(mp.mpc(ref_z) - root)), theta
 
 
 @pytest.mark.parametrize("c", REFERENCE_CS)
 def test_batch_descent_matches_reference(c):
+    # the active set makes each ray's descent that of a batch of one; eight
+    # levels keep the sixty one-element reference runs short
     qmap = QuadraticMap(c)
-    candidates = portrait_candidate_angles(3, 6)
-    points, alive = _batch_landing(qmap, candidates, 40)
-    ref_points, ref_alive = ref_batch_landing(qmap, candidates, 40)
-    assert points.tobytes() == ref_points.tobytes()
-    assert alive.tobytes() == ref_alive.tobytes()
+    candidates = ref_candidate_angles(3, 6)
+    r = np.array([a.numerator for a in candidates])
+    den = np.array([a.denominator for a in candidates])
+    points, alive = _batch_landing(qmap, r, den, 8)
+    ref = [ref_batch_landing(qmap, [a], 8) for a in candidates]
+    assert points.tobytes() == np.concatenate([p for p, _ in ref]).tobytes()
+    assert alive.tobytes() == np.concatenate([a for _, a in ref]).tobytes()
+
+
+def necklace_count(m):
+    """(1/m) sum_{d | m} mu(m/d) 2^d, the number of aperiodic binary necklaces."""
+    def mu(k):
+        out, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return -out if k > 1 else out
+    return sum(mu(m // d) * 2 ** d for d in range(1, m + 1) if m % d == 0) // m
+
+
+def test_cycle_representatives_one_per_cycle():
+    for m in range(1, 11):
+        den = 2 ** m - 1
+        reps = [Angle(int(k), den) for k in _cycle_representatives(m)]
+        cycles = {min(doubling_orbit(a)) for a in periodic_angles(m) if angle_period(a) == m}
+        assert reps == sorted(cycles)
+    for m in range(1, 19):
+        # at m = 1 the necklaces 0 and 1 are the same angle
+        assert len(_cycle_representatives(m)) == necklace_count(m) - (m == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2 ** 16))
+def test_cycle_representative_is_orbit_minimum(m, k):
+    den = 2 ** m - 1
+    theta = Angle(k % den, den)
+    reps = set(_cycle_representatives(m).tolist())
+    members = [a.numerator * (den // a.denominator) for a in doubling_orbit(theta)]
+    if angle_period(theta) == m:
+        assert [a in reps for a in members].count(True) == 1
+        assert min(members) in reps
+    else:
+        assert not reps & set(members)
+
+
+def test_candidate_budget_refuses_before_building(monkeypatch, squaring):
+    def refuse(*args):
+        raise AssertionError("candidates built past the budget")
+
+    monkeypatch.setattr(rays_mod, "_cycle_representatives", refuse)
+    monkeypatch.setattr(rays_mod, "_batch_landing", refuse)
+    # period 6 with the default cap 24: about 7e5 ray cycles
+    orbit = julia_orbits(squaring, 6)[0]
+    with pytest.raises(QuadrayError, match="budget"):
+        portrait_at_orbit(squaring, orbit, 6)
+    with pytest.raises(QuadrayError, match="budget"):
+        portrait_candidate_angles(6, 24)
+    # period 5 with the default cap 20 still fits
+    assert sum(necklace_count(m) for m in (5, 10, 15, 20)) <= PORTRAIT_CANDIDATE_BUDGET
+
+
+def test_parabolic_landings_stop_at_the_stall(airplane_root):
+    for k in range(1, 7):
+        est = estimate_landing(airplane_root, Angle(k, 7))
+        assert est.converged and est.levels <= 40, (k, est)
+
+
+@pytest.mark.parametrize("c", [-1.0, -1.75, 1j, 0.25, -2.0, GOLDEN_C])
+def test_portrait_screen_matches_all_candidate_screen(c):
+    qmap = QuadraticMap(c)
+    for n, cap in ((1, 4), (2, 4), (3, 6)):
+        for orbit in julia_orbits(qmap, n):
+            if orbit.stability not in (REPELLING, PARABOLIC_CANDIDATE):
+                continue
+            try:
+                want = ref_portrait_at_orbit(qmap, orbit, n, ray_period_cap=cap)
+            except PortraitError:
+                with pytest.raises(PortraitError):
+                    portrait_at_orbit(qmap, orbit, n, ray_period_cap=cap)
+                continue
+            got = portrait_at_orbit(qmap, orbit, n, ray_period_cap=cap)
+            assert (got.sets, got.ray_period) == (want.sets, want.ray_period), (n, orbit)
