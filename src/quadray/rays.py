@@ -31,8 +31,9 @@ built, against PORTRAIT_CANDIDATE_BUDGET.
 A ray landing on a repelling point converges geometrically level by level;
 on a parabolic point the residuals shrink like 1/k^2, so their ratio tends
 to 1.  `estimate_landing` hands a periodic ray to Newton on its period
-equation once that ratio reaches STALL_RATIO, and keeps descending when the
-refined point fails its gates.
+equation once that ratio reaches STALL_RATIO, which weakly repelling
+landings reach too, and keeps descending when the refined point fails its
+gates, one of them a bound from the geometric tail of the descent.
 """
 
 from __future__ import annotations
@@ -55,8 +56,18 @@ SUBSTEPS = 8
 MAX_HALVINGS = 200
 #: A level residual at least this fraction of the one before marks a stall:
 #: the ratio tends to 1 on parabolic landings (0.75 by level 12 on the
-#: airplane's 1/7 rays), to |lambda|^(-1/m) on repelling ones.
+#: airplane's 1/7 rays), to |lambda|^(-1/m) on repelling ones, which stall
+#: too when weakly repelling (0.81 at c = -1 on the 1/3 ray).
 STALL_RATIO = 0.75
+#: A root refined at a stall must lie within TAIL_SLACK * residual / (1 - q)
+#: of the level point, q the stall ratio: the geometric tail of the descent
+#: with a margin.  A repelling landing sits at about q times it (0.82 at
+#: c = -1), a parabolic one with a single petal at about twice it (residuals
+#: ~ 1/k^2, distances ~ 1/k): 1.3 to 2.1 on the airplane's 1/7 rays and at
+#: c = 1/4 up to level 30, 3.7 by level 120 as the ratio swings with the ray
+#: period.  A rejected stall descends on, so landings with more petals,
+#: which sit farther out, finish the full descent.
+TAIL_SLACK = 4.0
 #: Portrait screens descend at most this many ray cycles: every period n <= 5
 #: with the default cap 4n (n = 5: 54,664 cycles, about 22 s), not n = 6.
 PORTRAIT_CANDIDATE_BUDGET = 2 ** 16
@@ -195,8 +206,9 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
     replaced by the root when that lies within 0.05.  Parabolic landing slows
     below the geometric rate: once a level's residual is at least STALL_RATIO
     times the one before, a periodic ray is refined at once, and the root is
-    returned when it also passes landing_tol on its last Newton step;
-    otherwise the descent goes on.  `levels` counts the levels walked.
+    returned when it also lies within TAIL_SLACK geometric tails of the level
+    point and passes landing_tol on its last Newton step; otherwise the
+    descent goes on.  `levels` counts the levels walked.
     """
     level_pts: list[complex] = []
     converged = False
@@ -216,11 +228,12 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
                     converged = True
                     break
                 if m is not None and residual >= STALL_RATIO * last:
-                    refined, step = _refine_periodic(qmap, x, m)
-                    if (refined is not None and abs(refined - x) < 0.05
-                            and step < landing_tol):
-                        return LandingEstimate(z=refined, residual=step, converged=True,
-                                               levels=len(level_pts))
+                    q = residual / last
+                    tail = TAIL_SLACK * residual / (1.0 - q) if q < 1.0 else math.inf
+                    est = _periodic_landing(qmap, x, m, min(tail, 0.05), landing_tol,
+                                            len(level_pts))
+                    if est is not None and est.converged:
+                        return est
         else:
             status = STATUS_STALLED
     except PrecisionError:
@@ -228,12 +241,22 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
 
     z = level_pts[-1] if level_pts else x
     if m is not None and status != STATUS_PRECISION:
-        refined, step = _refine_periodic(qmap, z, m)
-        if refined is not None and abs(refined - z) < 0.05:
-            return LandingEstimate(z=refined, residual=step, converged=step < landing_tol,
-                                   levels=len(level_pts))
+        est = _periodic_landing(qmap, z, m, 0.05, landing_tol, len(level_pts))
+        if est is not None:
+            return est
     return LandingEstimate(z=z, residual=residual, converged=converged,
                            levels=len(level_pts))
+
+
+def _periodic_landing(qmap, x, m, radius, landing_tol, levels):
+    """The root of f^m(z) = z that Newton reaches from the level point x, as
+    a landing estimate converged when its last step is below landing_tol, or
+    None unless it lies within radius of x."""
+    refined, step = _refine_periodic(qmap, x, m)
+    if refined is None or not abs(refined - x) < radius:
+        return None
+    return LandingEstimate(z=refined, residual=step, converged=step < landing_tol,
+                           levels=levels)
 
 
 def _refine_periodic(qmap, z0, m, iters=90):

@@ -403,16 +403,19 @@ def test_scalar_descent_matches_reference(c):
 
 @pytest.mark.parametrize("c", REFERENCE_CS)
 def test_batch_descent_matches_reference(c):
-    # the active set makes each ray's descent that of a batch of one; eight
-    # levels keep the sixty one-element reference runs short
+    # the active set makes each ray's descent that of a batch of one: the
+    # whole candidate batch runs all 40 screen levels, and every fifth ray
+    # (both periods) is checked against its own one-element run, which takes
+    # about 0.3 s
     qmap = QuadraticMap(c)
     candidates = ref_candidate_angles(3, 6)
     r = np.array([a.numerator for a in candidates])
     den = np.array([a.denominator for a in candidates])
-    points, alive = _batch_landing(qmap, r, den, 8)
-    ref = [ref_batch_landing(qmap, [a], 8) for a in candidates]
-    assert points.tobytes() == np.concatenate([p for p, _ in ref]).tobytes()
-    assert alive.tobytes() == np.concatenate([a for _, a in ref]).tobytes()
+    points, alive = _batch_landing(qmap, r, den, 40)
+    for i in range(0, len(candidates), 5):
+        ref_points, ref_alive = ref_batch_landing(qmap, [candidates[i]], 40)
+        assert points[i:i + 1].tobytes() == ref_points.tobytes(), candidates[i]
+        assert alive[i:i + 1].tobytes() == ref_alive.tobytes(), candidates[i]
 
 
 def necklace_count(m):
@@ -472,9 +475,28 @@ def test_candidate_budget_refuses_before_building(monkeypatch, squaring):
 
 
 def test_parabolic_landings_stop_at_the_stall(airplane_root):
+    # Newton reaches a double root of f^3(z) = z only to about sqrt(eps), so
+    # its last step, which sets `converged`, is rounding noise near
+    # landing_tol; the landing is checked against the 200-bit root instead.
     for k in range(1, 7):
         est = estimate_landing(airplane_root, Angle(k, 7))
-        assert est.converged and est.levels <= 40, (k, est)
+        root = mp_periodic_root(-1.75, est.z, 3)
+        assert est.levels <= 40, (k, est)
+        assert float(abs(mp.mpc(est.z) - root)) < 1e-7, (k, est)
+
+
+@pytest.mark.parametrize("c", [-1.0, -0.76])
+def test_weakly_repelling_landings_stop_at_the_stall(c):
+    # alpha has multiplier about -1.24 at c = -1 and -1.01 at c = -0.76, so
+    # the 1/3 and 2/3 rays landing there stall; the root taken at the stall
+    # must be alpha, not the 2-cycle that f^2(z) = z also has near it
+    qmap = QuadraticMap(c)
+    with mp.workprec(200):
+        alpha = (1 - mp.sqrt(1 - 4 * mp.mpf(c))) / 2
+    for theta in (Angle(1, 3), Angle(2, 3)):
+        est = estimate_landing(qmap, theta)
+        assert est.converged and est.levels < MAX_HALVINGS, (theta, est)
+        assert float(abs(mp.mpc(est.z) - alpha)) < 1e-12, (theta, est)
 
 
 @pytest.mark.parametrize("c", [-1.0, -1.75, 1j, 0.25, -2.0, GOLDEN_C])
