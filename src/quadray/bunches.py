@@ -34,7 +34,6 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .dynamics import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, orbit_with_derivative
 from .errors import EscapeError, QuadrayError
@@ -44,6 +43,14 @@ MODE_H = "H"
 MODE_BMS = "BMS"
 
 DISTORTION_SAMPLE_PAIRS = 2048
+
+#: Peak bytes per entry of the (K n, n) rotated orbit array of _close_pairs:
+#: tracemalloc measures 2.3-2.5 complex arrays of that size at the peak of the
+#: search (n = 8..14); three bound it.
+BYTES_PER_ROTATION_ENTRY = 3 * 16
+#: K orbits of period n hold K n^2 rotated points, and K grows like 2^n / n:
+#: searches that would pass this many bytes are refused before any is built.
+CLUSTER_BUDGET_BYTES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,8 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     vector; rho_n is then computed exactly for the candidates only.
     """
     K, n = A.shape
-    rotated = np.stack([np.roll(A, -rot, axis=1) for rot in range(n)], axis=1)
-    rotated = rotated.reshape(K * n, n)  # row a * n + rot
+    shift = np.arange(n)
+    rotated = A[:, (shift[:, None] + shift) % n].reshape(K * n, n)  # row a * n + rot
 
     def tree(Z):
         # at n = 14 (28 dimensions) leaves of 64 query 1.5-3x faster than
@@ -187,13 +194,20 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     return a[keep], b[keep]
 
 
+def close_pair_bytes(K: int, n: int) -> int:
+    """Peak bytes of the close-pair search over K orbits of period n: the
+    K n^2 rotated points, their float copy for the KD-tree and the input."""
+    return BYTES_PER_ROTATION_ENTRY * K * n * n
+
+
 def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> BunchReport:
     """Cluster same-period orbits under rho_n.
 
     mode "H": param is delta, threshold exp(-delta n), bound exp(delta n).
     mode "BMS": param is the radius r itself.
     Every emitted cluster is re-certified pairwise; a violation means the
-    clustering step is buggy and raises.
+    clustering step is buggy and raises.  Raises QuadrayError when
+    close_pair_bytes exceeds CLUSTER_BUDGET_BYTES, before the search.
     """
     if mode not in (MODE_H, MODE_BMS):
         raise ValueError("mode must be 'H' or 'BMS'")
@@ -207,6 +221,10 @@ def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> Bunc
     bound = math.exp(param * n) if mode == MODE_H else float(2 * n)
 
     K = len(orbits)
+    if close_pair_bytes(K, n) > CLUSTER_BUDGET_BYTES:
+        raise QuadrayError(
+            f"{K} orbits of period {n} need about {close_pair_bytes(K, n) / 2 ** 30:.1f} GiB "
+            f"for the close-pair search, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
     a, b = _close_pairs(np.array([o.points for o in orbits], dtype=complex), threshold)
     graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(K, K))
     _, comp_labels = connected_components(graph, directed=False)
@@ -336,6 +354,9 @@ def count_orbits_in_disc_pattern(qmap: QuadraticMap, pattern: DiscPattern,
 
 def _low_discrepancy_disc(center: complex, r: float, count: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy points in a disc (Halton in polar form)."""
+    # scipy.stats costs about 0.5 s and 30 MB to import; only distortion needs it
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=2, scramble=True, seed=seed)
     uv = sampler.random(count)
     return center + r * np.sqrt(uv[:, 0]) * np.exp(2j * np.pi * uv[:, 1])
@@ -348,7 +369,8 @@ def distortion_ratio(qmap: QuadraticMap, center: complex, r: float, n: int,
     B(center, r), i <= n, for g = f^period.
 
     Also reports the sampled sup of |log |g'(x)|| over the initial disc (the
-    per-step bound L r that controls the one-step expansion)."""
+    per-step bound L r that controls the one-step expansion).  The first call
+    in a process imports scipy.stats for the sampler (about 0.5 s)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if samples < 1:

@@ -352,14 +352,14 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
     multiplier and stability class.
 
     pi(i) is the enumerated point nearest to f(z_i), from one k = 2 KD-tree
-    query, matched within 10 dedup_tol max(1, |f(z_i)|), or 1e-6 max(1,
-    |f(z_i)|) when z_i is a multiple root.  AmbiguousOrbitError is raised when
-    f(z_i) matches no point, when it matches two, when pi is not a bijection,
-    or when a cycle's length differs from its points' minimal period.  Each
-    cycle of pi is one orbit, listed from its lexicographically smallest
-    point; the multiplier is the product of 2 z along it.  Cycle lengths and
-    heads come from n vectorized steps of pi in O(N) memory, so Python loops
-    once per orbit, not once per point.
+    query bounded by the largest tolerance, matched within 10 dedup_tol
+    max(1, |f(z_i)|), or 1e-6 max(1, |f(z_i)|) when z_i is a multiple root.
+    AmbiguousOrbitError is raised when f(z_i) matches no point, when it
+    matches two, when pi is not a bijection, or when a cycle's length differs
+    from its points' minimal period.  Each cycle of pi is one orbit, listed
+    from its lexicographically smallest point; the multiplier is the product
+    of 2 z along it.  Cycle lengths and heads come from n vectorized steps of
+    pi in O(N) memory, so Python loops once per orbit, not once per point.
     """
     z = np.array([p.z for p in points], dtype=complex)
     period = np.array([p.minimal_period for p in points])
@@ -370,14 +370,19 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
     # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed
     # collision, so their images match at a coarser tolerance.
     tol = np.where(mult > 1, 1e-6, 10.0 * cfg.dedup_tol) * np.maximum(1.0, np.abs(image))
-    dist, idx = cKDTree(np.column_stack([z.real, z.imag])).query(
-        np.column_stack([image.real, image.imag]), k=2)
+    tree = cKDTree(np.column_stack([z.real, z.imag]))
+    images = np.column_stack([image.real, image.imag])
+    # A neighbour past every tolerance can only raise, so the search stops
+    # there; a missing neighbour reads as distance inf, index len(z).
+    dist, idx = tree.query(images, k=2,
+                           distance_upper_bound=float(tol.max()) * (1.0 + 1e-9))
     unmatched = np.flatnonzero(dist[:, 0] > tol)
     if len(unmatched):
         i = unmatched[0]
+        nearest, _ = tree.query(images[i])
         raise AmbiguousOrbitError(
             f"orbit image {complex(image[i])!r} matches no enumerated point "
-            f"(min dist {dist[i, 0]:.2e})")
+            f"(min dist {nearest:.2e})")
     doubled = np.flatnonzero(dist[:, 1] <= tol)
     if len(doubled):
         raise AmbiguousOrbitError(

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,39 @@ def test_cluster_certificate_rejects_faulty_linkage(squaring, monkeypatch):
                         lambda Z, t, criterion: np.ones(len(Z) + 1, dtype=int))
     with pytest.raises(QuadrayError, match="pairwise certificate"):
         bunch_clusters(orbits, "BMS", 1.95)
+
+
+def test_close_pair_bytes_bounds_the_search(basilica):
+    # the search as bunch_clusters runs it, measured with tracemalloc
+    for n in (10, 12):
+        orbits = julia_orbits(basilica, n)
+        tracemalloc.start()
+        try:
+            A = np.array([o.points for o in orbits], dtype=complex)
+            bunches._close_pairs(A, math.exp(-0.1 * n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = bunches.close_pair_bytes(len(orbits), n)
+        assert 0.5 * bound <= peak <= bound, (n, peak, bound)
+    # every level the enumeration budget admits (n <= 20) fits: fewer than
+    # 2^20 / 20 orbits of minimal period 20
+    assert bunches.close_pair_bytes(2 ** 20 // 20, 20) <= bunches.CLUSTER_BUDGET_BYTES
+
+
+def test_cluster_budget_refuses_before_searching(basilica, monkeypatch):
+    orbits = julia_orbits(basilica, 8)
+
+    def search(*_):
+        raise AssertionError("close-pair search run past the budget")
+
+    monkeypatch.setattr(bunches, "_close_pairs", search)
+    monkeypatch.setattr(bunches, "CLUSTER_BUDGET_BYTES",
+                        bunches.close_pair_bytes(len(orbits), 8) - 1)
+    with pytest.raises(QuadrayError, match="budget"):
+        bunch_clusters(orbits, "H", 0.1)
+    with pytest.raises(QuadrayError, match="budget"):
+        verify_hypothesis_h(basilica, 8, 0.1, orbits=orbits)
 
 
 def test_bunches_bms_mode(squaring):

@@ -1,6 +1,9 @@
-"""Static checks on the package source."""
+"""Static checks on the package source, and on what importing it loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,26 @@ def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unread = sorted(_unread_parameters(tree))
     assert not unread, f"{path.name} has parameters its functions never read: {unread}"
+
+
+# scipy.stats (and the scipy.optimize it pulls in) is about half of a cold
+# start; only distortion_ratio's Halton sampler needs it.
+_DEFERRED = ("scipy.stats", "scipy.optimize")
+_LOADED = """
+import sys
+import quadray, quadray.cli
+print(*[m for m in {deferred} if m in sys.modules])
+from quadray import QuadraticMap, distortion_ratio
+distortion_ratio(QuadraticMap(0j), 0.5, 1e-4, 1, samples=4)
+print(*[m for m in {deferred} if m in sys.modules])
+"""
+
+
+def test_startup_defers_scipy_stats():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _LOADED.format(deferred=_DEFERRED)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    at_import, after_distortion = out.split("\n")[:2]
+    assert at_import == "", f"import quadray, quadray.cli loads {at_import}"
+    assert "scipy.stats" in after_distortion.split()

@@ -438,8 +438,11 @@ OMEGA = cmath.exp(2j * math.pi / 3.0)
 @pytest.mark.parametrize("zs_periods, message", [
     # f(1) = 1 lies within tolerance of both 1 and 1 + 1e-10
     ([(1.0 + 0j, 1), (1.0 + 1e-10 + 0j, 1)], "matches two points"),
-    # the 2-cycle of z^2 given without its mate omega^2
-    ([(0j, 1), (1.0 + 0j, 1), (OMEGA, 2)], "matches no enumerated point"),
+    # the 2-cycle of z^2 given without its mate omega^2; the query stops at
+    # the largest tolerance, but the error names the true nearest distance,
+    # |omega^2 - 0| = 1
+    ([(0j, 1), (1.0 + 0j, 1), (OMEGA, 2)],
+     r"matches no enumerated point \(min dist 1\.00e\+00\)"),
     # both points carry minimal period 3, but they form a 2-cycle
     ([(OMEGA, 3), (OMEGA ** 2, 3)], "cycle of length 2"),
     # f(-1) = f(1) = 1: not a permutation
