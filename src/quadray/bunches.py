@@ -22,18 +22,20 @@ inside one connected component of {rho_n < r}.  Components therefore never
 merge below the cut, and clustering each component on its own (with the
 same distances, in the same index order) gives the clusters of clustering
 all orbits at once.
+
+scipy (linkage, sparse components, the KD-tree) loads on first use, so
+importing the package stays cheap: the first clustering in a process pays
+for it.  The scipy functions then live on as module attributes
+(`bunches.linkage`, `bunches.fcluster`, ...), which can be patched.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .dynamics import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, orbit_with_derivative
 from .errors import EscapeError, QuadrayError
@@ -51,6 +53,34 @@ BYTES_PER_ROTATION_ENTRY = 3 * 16
 #: K orbits of period n hold K n^2 rotated points, and K grows like 2^n / n:
 #: searches that would pass this many bytes are refused before any is built.
 CLUSTER_BUDGET_BYTES = 2 ** 31
+#: rho_n is evaluated over the candidate triples of _close_pairs in chunks of
+#: this many bytes of gathered points, however many candidates there are.
+CHUNK_BYTES = 2 ** 20
+#: Peak bytes per entry of a component's K x K rho_n matrix: tracemalloc
+#: measures 41 bytes per entry while the matrix is built, linked and
+#: certified (K = 335, n = 12); six doubles bound it.
+BYTES_PER_DISTANCE_ENTRY = 6 * 8
+
+#: where each scipy name used here is imported from, on first use
+_SCIPY = {"linkage": "scipy.cluster.hierarchy", "fcluster": "scipy.cluster.hierarchy",
+          "coo_matrix": "scipy.sparse", "connected_components": "scipy.sparse.csgraph",
+          "cKDTree": "scipy.spatial"}
+
+
+def __getattr__(name: str):
+    """Import a scipy name of _SCIPY on first access and bind it here, so
+    later lookups (and patches) go through the module globals."""
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SCIPY[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _scipy(name: str):
+    """The scipy function `name` as this module binds it now, patched or
+    not; imported on first use."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -173,7 +203,8 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
 
     A is the (K, n) array of orbit points.  Candidates come from an
     L-infinity KD-tree query of every cyclic rotation against every base
-    vector; rho_n is then computed exactly for the candidates only.
+    vector; rho_n is then computed exactly for the candidates only, in
+    chunks of CHUNK_BYTES of gathered points.
     """
     K, n = A.shape
     shift = np.arange(n)
@@ -182,14 +213,18 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     def tree(Z):
         # at n = 14 (28 dimensions) leaves of 64 query 1.5-3x faster than
         # the default 16
-
-        return cKDTree(np.concatenate([Z.real, Z.imag], axis=1), leafsize=64)
+        return _scipy("cKDTree")(np.concatenate([Z.real, Z.imag], axis=1), leafsize=64)
 
     cand = tree(A).sparse_distance_matrix(tree(rotated), threshold, p=np.inf,
                                           output_type="ndarray")
     b, j = cand["i"].astype(np.intp), cand["j"].astype(np.intp)
+    del cand
     a = j // n
-    rho = np.abs(rotated[j] - A[b]).max(axis=1)
+    rho = np.empty(len(j))
+    step = max(1, CHUNK_BYTES // (16 * n))
+    for lo in range(0, len(j), step):
+        part = slice(lo, lo + step)
+        rho[part] = np.abs(rotated[j[part]] - A[b[part]]).max(axis=1)
     keep = (a != b) & (rho < threshold)
     return a[keep], b[keep]
 
@@ -200,6 +235,12 @@ def close_pair_bytes(K: int, n: int) -> int:
     return BYTES_PER_ROTATION_ENTRY * K * n * n
 
 
+def distance_matrix_bytes(k: int) -> int:
+    """Peak bytes of clustering one component of k orbits: its k x k rho_n
+    matrix and the temporaries that build it."""
+    return BYTES_PER_DISTANCE_ENTRY * k * k
+
+
 def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> BunchReport:
     """Cluster same-period orbits under rho_n.
 
@@ -207,7 +248,9 @@ def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> Bunc
     mode "BMS": param is the radius r itself.
     Every emitted cluster is re-certified pairwise; a violation means the
     clustering step is buggy and raises.  Raises QuadrayError when
-    close_pair_bytes exceeds CLUSTER_BUDGET_BYTES, before the search.
+    close_pair_bytes exceeds CLUSTER_BUDGET_BYTES, before the search, and
+    when distance_matrix_bytes of the largest component does, before any
+    distance matrix is built.
     """
     if mode not in (MODE_H, MODE_BMS):
         raise ValueError("mode must be 'H' or 'BMS'")
@@ -226,13 +269,20 @@ def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> Bunc
             f"{K} orbits of period {n} need about {close_pair_bytes(K, n) / 2 ** 30:.1f} GiB "
             f"for the close-pair search, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
     a, b = _close_pairs(np.array([o.points for o in orbits], dtype=complex), threshold)
-    graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(K, K))
-    _, comp_labels = connected_components(graph, directed=False)
+    graph = _scipy("coo_matrix")((np.ones(len(a), dtype=bool), (a, b)), shape=(K, K))
+    _, comp_labels = _scipy("connected_components")(graph, directed=False)
     sizes = np.bincount(comp_labels)
     comp_max = int(sizes.max())
 
+    if distance_matrix_bytes(comp_max) > CLUSTER_BUDGET_BYTES:
+        raise QuadrayError(
+            f"a component of {comp_max} orbits needs about "
+            f"{distance_matrix_bytes(comp_max) / 2 ** 30:.1f} GiB for its distance matrix, "
+            f"over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+
     cut = np.nextafter(threshold, 0.0)  # strict rho_n < threshold
     groups = []
+    linkage, fcluster = _scipy("linkage"), _scipy("fcluster")
     order = np.argsort(comp_labels, kind="stable")
     for members in np.split(order, np.cumsum(sizes)[:-1]):
         if len(members) == 1:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import PrecisionError, QuadrayError
@@ -165,6 +164,8 @@ def green_potential(qmap: QuadraticMap, z: complex, cfg: PrecisionConfig = DEFAU
 
 def _mp_preimage_tree(c: complex, z: complex, n: int, bits: int):
     """Software floating-point backward tree (leaves, path log-derivatives)."""
+    import mpmath as mp  # loaded on first use, off the start-up path
+
     with mp.workprec(bits):
         cc = mp.mpc(c)
         level = [(mp.mpc(z), mp.mpf(0))]

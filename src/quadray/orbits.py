@@ -9,16 +9,19 @@ tree(beta, n + 2) (it holds tree(beta, n)), alpha, beta and the critical orbit
 yet found, tree(beta, n + 3) and tree(alpha, n + 1).  Newton iterates only the
 seeds that still move.  Unsettled points near super-repelling chains are
 polished in software floating point, one per cluster near a multiple root.
-Dedup keeps the first of each close
-group in (re, im) order, solved over KD-tree pairs.  Parabolic collisions are
-merged and counted by winding number.  Levels whose seed rounds would pass
-ENUMERATION_BUDGET_BYTES are refused up front.
+Dedup keeps the first of each close group in (re, im) order, solved over the
+close pairs.  Parabolic collisions are merged and counted by winding number.
+Levels whose seed rounds would pass ENUMERATION_BUDGET_BYTES are refused up
+front.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
 cycles of that permutation are the periodic orbits.  `group_into_orbits`
-builds it with one KD-tree query and raises AmbiguousOrbitError when an image
-matches no point or two, when it is not a bijection, or when a cycle's length
-differs from the minimal period of its points.
+builds it from the points close to each image, and raises AmbiguousOrbitError
+when an image matches no point or two, when it is not a bijection, or when a
+cycle's length differs from the minimal period of its points.
+
+Both find close points with `_radius_pairs`, a binary search over the
+points sorted by their projection on a fixed direction.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dynamics import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
                        orbit_with_derivative, preimage_tree)
@@ -42,6 +43,16 @@ BYTES_PER_SEED = 12 * 16
 #: 2^n root finding is exponential work: levels whose seed rounds would pass
 #: this many bytes (n > 20) are refused before anything is allocated.
 ENUMERATION_BUDGET_BYTES = 2 ** 31
+
+#: Peak bytes per candidate pair of `_radius_pairs`: index arrays, gathered
+#: points, differences and distances.  tracemalloc measures 64.2 bytes per
+#: candidate once candidates outnumber points (4.1 M over 16,384 points at
+#: c = -1.749); nine 8-byte words bound it.
+BYTES_PER_CANDIDATE = 9 * 8
+#: Projection direction of `_radius_pairs`.  A generic one: along the real
+#: axis, a point and its conjugate (a pair whenever c is real) would always
+#: share a window.
+PROJECTION = cmath.exp(1j)
 
 #: |multiplier - 1| below this marks a candidate multiple root of g_n.
 PARABOLIC_GATE = 1e-3
@@ -110,6 +121,8 @@ def _critical_orbit_tail(qmap: QuadraticMap, keep: int = 256, total: int = 1200)
 
 
 def _mp_polish_root(c: complex, z0: complex, n: int, bits: int = 120, iters: int = 80) -> complex:
+    import mpmath as mp  # loaded on first use, off the start-up path
+
     with mp.workprec(bits):
         cc = mp.mpc(c)
         z = mp.mpc(z0)
@@ -184,30 +197,81 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
     return z[keep]
 
 
+def _radius_pairs(z: np.ndarray, radius: np.ndarray,
+                  w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs within a radius, distances taken with np.hypot.
+
+    Without w: the pairs i < j with |z_i - z_j| <= radius[j].  With w: the
+    pairs (i, j) with |w_i - z_j| <= radius[i].
+
+    A pair within r projects onto the unit vector PROJECTION within r, so
+    each point's candidates are the points whose sorted projections lie
+    within max(radius), plus the projections' rounding error, of its own; a
+    binary search finds that window.  QuadrayError is raised before the
+    candidates are gathered when they would pass ENUMERATION_BUDGET_BYTES.
+    """
+    if len(z) == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    queries = z if w is None else w
+
+    def project(u):
+        return u.real * PROJECTION.real + u.imag * PROJECTION.imag
+
+    proj = project(z)
+    order = np.argsort(proj)
+    key = proj[order]
+    # each rounded projection is off by at most 2 eps (|Re u| + |Im u|)
+    scale = max(float(np.max(np.abs(u.real) + np.abs(u.imag))) for u in (z, queries))
+    reach = float(radius.max()) * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * scale
+    if w is None:
+        lo = np.arange(1, len(z) + 1)  # sorted positions after each point's own
+        hi = np.searchsorted(key, key + reach, side="right")
+    else:
+        at = project(w)
+        lo = np.searchsorted(key, at - reach, side="left")
+        hi = np.searchsorted(key, at + reach, side="right")
+    count = hi - lo
+    total = int(count.sum())
+    if total * BYTES_PER_CANDIDATE > ENUMERATION_BUDGET_BYTES:
+        raise QuadrayError(
+            f"{total} candidate pairs within {reach:.2e} need about "
+            f"{total * BYTES_PER_CANDIDATE / 2 ** 30:.1f} GiB, over the "
+            f"{ENUMERATION_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+    first = np.repeat(np.arange(len(lo)), count)
+    j = order[np.arange(total) - np.repeat(np.cumsum(count) - count - lo, count)]
+    if w is None:
+        i = order[first]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        near = radius[j]
+    else:
+        i = first
+        near = radius[i]
+    gap = queries[i] - z[j]
+    close = np.hypot(gap.real, gap.imag) <= near
+    return i[close], j[close]
+
+
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     """Merge points within tol * max(1, |z|) as a sweep over the (re, im)
     sorted list does: z_j is dropped when some kept z_i, i < j, has
     |z_i - z_j| <= tol * max(1, |z_j|).
 
     Bit-identical copies collapse first (Newton sends many seeds to the same
-    float), then a KD-tree lists the close pairs.  The rule runs over a DAG in
-    index order, so it has one fixed point, the sweep's result; iterating it
-    from "all kept" reaches it after at most the longest path's length + 1.
+    float), then `_radius_pairs` lists the close pairs.  The rule runs over a
+    DAG in index order, so it has one fixed point, the sweep's result;
+    iterating it from "all kept" reaches it after at most the longest path's
+    length + 1.
     """
     if len(points) == 0:
         return points
     pts = points[np.lexsort((points.imag, points.real))]
     pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
     # np.hypot rounds |z| as Python's abs does; np.abs can differ by an ulp
-    radius = tol * np.maximum(1.0, np.hypot(pts.real, pts.imag))
-    i, j = cKDTree(np.column_stack([pts.real, pts.imag])).query_pairs(
-        float(radius.max()) * (1.0 + 1e-9), output_type="ndarray").T  # i < j
-    diff = pts[i] - pts[j]
-    close = np.hypot(diff.real, diff.imag) <= radius[j]
+    i, j = _radius_pairs(pts, tol * np.maximum(1.0, np.hypot(pts.real, pts.imag)))
     kept = np.ones(len(pts), dtype=bool)
     while True:
         new = np.ones(len(pts), dtype=bool)
-        new[j[close & kept[i]]] = False
+        new[j[kept[i]]] = False
         if np.array_equal(new, kept):
             return pts[kept]
         kept = new
@@ -351,12 +415,13 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
     """Partition Fix(f^n) into cycles; each orbit carries its minimal period,
     multiplier and stability class.
 
-    pi(i) is the enumerated point nearest to f(z_i), from one k = 2 KD-tree
-    query bounded by the largest tolerance, matched within 10 dedup_tol
-    max(1, |f(z_i)|), or 1e-6 max(1, |f(z_i)|) when z_i is a multiple root.
-    AmbiguousOrbitError is raised when f(z_i) matches no point, when it
-    matches two, when pi is not a bijection, or when a cycle's length differs
-    from its points' minimal period.  Each cycle of pi is one orbit, listed
+    pi(i) is the one enumerated point within 10 dedup_tol max(1, |f(z_i)|) of
+    f(z_i), or within 1e-6 max(1, |f(z_i)|) when z_i is a multiple root; the
+    points within tolerance of every image come from one `_radius_pairs`
+    search.  AmbiguousOrbitError is raised when f(z_i) matches no point (the
+    message gives the distance to the nearest one), when it matches two, when
+    pi is not a bijection, or when a cycle's length differs from its points'
+    minimal period.  Each cycle of pi is one orbit, listed
     from its lexicographically smallest point; the multiplier is the product
     of 2 z along it.  Cycle lengths and heads come from n vectorized steps of
     pi in O(N) memory, so Python loops once per orbit, not once per point.
@@ -370,25 +435,21 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
     # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed
     # collision, so their images match at a coarser tolerance.
     tol = np.where(mult > 1, 1e-6, 10.0 * cfg.dedup_tol) * np.maximum(1.0, np.abs(image))
-    tree = cKDTree(np.column_stack([z.real, z.imag]))
-    images = np.column_stack([image.real, image.imag])
-    # A neighbour past every tolerance can only raise, so the search stops
-    # there; a missing neighbour reads as distance inf, index len(z).
-    dist, idx = tree.query(images, k=2,
-                           distance_upper_bound=float(tol.max()) * (1.0 + 1e-9))
-    unmatched = np.flatnonzero(dist[:, 0] > tol)
+    i, j = _radius_pairs(z, tol, image)
+    hits = np.bincount(i, minlength=len(z))
+    unmatched = np.flatnonzero(hits == 0)
     if len(unmatched):
-        i = unmatched[0]
-        nearest, _ = tree.query(images[i])
+        gap = image[unmatched[0]] - z
         raise AmbiguousOrbitError(
-            f"orbit image {complex(image[i])!r} matches no enumerated point "
-            f"(min dist {nearest:.2e})")
-    doubled = np.flatnonzero(dist[:, 1] <= tol)
+            f"orbit image {complex(image[unmatched[0]])!r} matches no enumerated point "
+            f"(min dist {np.hypot(gap.real, gap.imag).min():.2e})")
+    doubled = np.flatnonzero(hits > 1)
     if len(doubled):
         raise AmbiguousOrbitError(
             f"orbit image {complex(image[doubled[0]])!r} matches two points "
             "within tolerance; raise precision")
-    pi = idx[:, 0]
+    pi = np.empty(len(z), dtype=np.intp)
+    pi[i] = j
     if np.any(np.bincount(pi, minlength=len(z)) != 1):
         raise AmbiguousOrbitError("cycle overlap: two orbits share a point")
 

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .angles import Angle
 from .dynamics import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, preimage_tree
@@ -97,9 +96,30 @@ def _tree_log_derivatives(qmap: QuadraticMap, z: complex, n: int,
     return log_derivs
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a), as scipy.special.logsumexp (scipy 1.17) computes it for
+    a real array: the m ties at the maximum a_max are taken out of the sum s
+    of exp(a - a_max) over the rest, the result is log1p(s / m) + log m +
+    a_max, and log sum exp(a) where that is not finite."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        ties = a == a_max
+        m = np.sum(ties, dtype=float)
+        s = np.sum(np.exp(np.where(ties, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def _estimate(log_derivs: np.ndarray, t: float, n: int, mode: str,
               basepoint: complex | None = None) -> PressureEstimate:
-    log_sum = float(logsumexp(-t * log_derivs))
+    log_sum = _logsumexp(-t * log_derivs)
     return PressureEstimate(t=t, n=n, log_sum=log_sum, value=log_sum / n,
                             mode=mode, basepoint=basepoint)
 

@@ -183,6 +183,36 @@ def test_cluster_budget_refuses_before_searching(basilica, monkeypatch):
         verify_hypothesis_h(basilica, 8, 0.1, orbits=orbits)
 
 
+def test_wide_threshold_search_stays_small(squaring):
+    # at r = 2.5 every (orbit, orbit, shift) triple of z^2 is a candidate
+    # (378,510 at n = 11); rho_n over them once took a 136.8 MiB gather
+    orbits = julia_orbits(squaring, 11)
+    tracemalloc.start()
+    try:
+        rep = bunch_clusters(orbits, "BMS", 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 136.8 * 2 ** 20 / 3, peak
+    assert rep.clusters == _dense_reference(orbits, 2.5)[0]
+
+
+def test_distance_matrix_budget_refuses_before_building(squaring, monkeypatch):
+    # at r = 2.5 the K = 186 orbits of z^2 at n = 11 form one component,
+    # whose 186 x 186 matrix outweighs the close-pair search
+    orbits = julia_orbits(squaring, 11)
+    K = len(orbits)
+    assert bunches.distance_matrix_bytes(K) > bunches.close_pair_bytes(K, 11)
+
+    def build(*_):
+        raise AssertionError("distance matrix built past the budget")
+
+    monkeypatch.setattr(bunches, "_orbit_distance_matrix", build)
+    monkeypatch.setattr(bunches, "CLUSTER_BUDGET_BYTES", bunches.distance_matrix_bytes(K) - 1)
+    with pytest.raises(QuadrayError, match="budget"):
+        bunch_clusters(orbits, "BMS", 2.5)
+
+
 def test_bunches_bms_mode(squaring):
     orbits = julia_orbits(squaring, 4)
     report = bunch_clusters(orbits, "BMS", 0.05)

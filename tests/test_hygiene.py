@@ -79,24 +79,45 @@ def test_every_parameter_is_read(path):
     assert not unread, f"{path.name} has parameters its functions never read: {unread}"
 
 
-# scipy.stats (and the scipy.optimize it pulls in) is about half of a cold
-# start; only distortion_ratio's Halton sampler needs it.
-_DEFERRED = ("scipy.stats", "scipy.optimize")
+# Importing the package, and the orbits, pressure, portrait and render
+# commands, load numpy and nothing heavier: scipy takes 0.5-1 s to import
+# and mpmath about 0.1 s.  scipy loads when bunches first clusters, and
+# scipy.stats (with the scipy.optimize it pulls in) only for the sampler of
+# distortion_ratio.
 _LOADED = """
 import sys
 import quadray, quadray.cli
-print(*[m for m in {deferred} if m in sys.modules])
 from quadray import QuadraticMap, distortion_ratio
+
+def heavy():
+    print(*sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
+
+def run(*argv):
+    assert quadray.cli.run_command([*argv, "--output-dir", {out!r}]) == 0, argv
+
+heavy()
+run("orbits", "--c", "0,0", "--n", "4")
+run("pressure", "--c", "0,0", "--t", "0:1:1", "--n", "4")
+run("portrait", "--c", "0,0", "--period", "2")
+run("render", "--c", "0,0", "--layers", "julia,rays", "--angles", "1/3",
+    "--points", "100", "--g-min", "1e-3")
+heavy()
+run("bunches", "--c", "-1,0", "--n", "6", "--delta", "0.1,0.3")
+heavy()
 distortion_ratio(QuadraticMap(0j), 0.5, 1e-4, 1, samples=4)
-print(*[m for m in {deferred} if m in sys.modules])
+heavy()
 """
 
 
-def test_startup_defers_scipy_stats():
+def test_startup_defers_scipy_stats(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _LOADED.format(deferred=_DEFERRED)],
+    out = subprocess.run([sys.executable, "-c", _LOADED.format(out=str(tmp_path))],
                          env=env, capture_output=True, text=True, check=True).stdout
-    at_import, after_distortion = out.split("\n")[:2]
-    assert at_import == "", f"import quadray, quadray.cli loads {at_import}"
-    assert "scipy.stats" in after_distortion.split()
+    at_import, after_commands, after_bunches, after_distortion = (
+        line.split() for line in out.split("\n")[:4])
+    assert at_import == [], f"import quadray, quadray.cli loads {at_import}"
+    assert after_commands == [], f"orbits, pressure, portrait and render load {after_commands}"
+    assert "scipy.cluster.hierarchy" in after_bunches
+    assert "scipy.stats" not in after_bunches
+    assert "scipy.stats" in after_distortion

@@ -366,6 +366,65 @@ def test_dedup_equals_sweep(points_tol):
     assert np.array_equal(got, want)
 
 
+def _brute_radius_pairs(z, radius, w=None):
+    """Reference for _radius_pairs: every pair measured with np.hypot."""
+    queries = z if w is None else w
+    gap = queries[:, None] - z[None, :]
+    dist = np.hypot(gap.real, gap.imag)
+    if w is None:
+        return np.nonzero(np.triu(dist <= radius[None, :], 1))  # radius of j
+    return np.nonzero(dist <= radius[:, None])  # radius of the query i
+
+
+def _hypot(gap):
+    return float(np.hypot(gap.real, gap.imag))
+
+
+@st.composite
+def radius_pair_inputs(draw):
+    """(z, radius, w or None): conjugate pairs, runs of points along the
+    projection direction, repeated points, and radii drawn from the
+    distances of neighbours on those runs (or of each w to the point it
+    was placed near), so that many pairs lie exactly at their radius."""
+    z, exact = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        p = complex(draw(coords), draw(coords))
+        shape = draw(st.sampled_from(["point", "conjugates", "line", "copies"]))
+        if shape == "conjugates":
+            z += [p, p.conjugate()]
+        elif shape == "line":
+            step = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.05]))
+            z += [p + k * step * orbits_mod.PROJECTION for k in range(draw(st.integers(2, 6)))]
+            exact.append(_hypot(z[-1] - z[-2]))
+        elif shape == "copies":
+            z += [p] * draw(st.integers(2, 4))
+        else:
+            z.append(p)
+    z = np.array(z, dtype=complex)
+    w = None
+    if draw(st.booleans()):
+        w, exact = [], []
+        for k in draw(st.lists(st.integers(0, len(z) - 1), min_size=1, max_size=12)):
+            near = z[k].conjugate() if draw(st.booleans()) else z[k]
+            w.append(near + draw(st.sampled_from([0.0, 1e-9, -1e-3, 0.05, 0.05j]))
+                     * orbits_mod.PROJECTION)
+            exact.append(_hypot(w[-1] - z[k]))
+        w = np.array(w)
+    levels = st.sampled_from([1e-9, 1e-3, 0.05, 0.5] + exact)
+    radius = np.array([draw(levels) for _ in range(len(z) if w is None else len(w))])
+    return z, radius, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(radius_pair_inputs())
+def test_radius_pairs_match_brute_force(z_radius_w):
+    z, radius, w = z_radius_w
+    i, j = orbits_mod._radius_pairs(z, radius, w)
+    want = set(zip(*(k.tolist() for k in _brute_radius_pairs(z, radius, w))))
+    assert len(i) == len(want)
+    assert set(zip(i.tolist(), j.tolist())) == want
+
+
 def test_count_identity_with_multiplicity(basilica, airplane_root):
     # levels account for the full degree 2^n once multiplicities are counted
     for qmap, n in ((basilica, 6), (airplane_root, 3), (airplane_root, 6)):

@@ -3,12 +3,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from quadray import (BranchPointError, PrecisionConfig, QuadraticMap,
                      default_tree_basepoint, julia_orbits,
                      periodic_pressure_estimate, pressure_comparison,
                      tree_pressure_estimate)
-from quadray.pressure import _julia_log_derivatives
+from quadray.pressure import _julia_log_derivatives, _logsumexp
 
 TIGHT = PrecisionConfig(newton_tol=1e-12, dedup_tol=2e-11)
 
@@ -189,3 +192,26 @@ def test_basilica_sums_match_independent_references(basilica):
     fast = tree_pressure_estimate(basilica, z, 1.0, 10)
     wide = tree_pressure_estimate(basilica, z, 1.0, 10, PrecisionConfig(mantissa_bits=120))
     assert fast.value == pytest.approx(wide.value, abs=1e-12)
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    """Arrays of one to forty entries: finite values on a drawn scale (up to
+    far past exp's overflow), the maximum repeated, and -inf entries."""
+    scale = draw(st.sampled_from([1e-12, 1.0, 30.0, 710.0, 1e5, 1e300]))
+    values = draw(st.lists(st.floats(-scale, scale, allow_subnormal=False),
+                           min_size=1, max_size=30))
+    values += [max(values)] * draw(st.integers(0, 4))
+    values += [-math.inf] * draw(st.integers(0, 5))
+    return np.array(draw(st.permutations(values)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(logsumexp_inputs())
+@example(np.array([0.5]))
+@example(np.array([-math.inf]))
+@example(np.array([-math.inf, -math.inf]))
+@example(np.array([3.0, 3.0, 3.0]))
+def test_logsumexp_matches_scipy_bit_for_bit(a):
+    got, want = _logsumexp(a), logsumexp(a)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, got, want)
