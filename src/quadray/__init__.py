@@ -19,7 +19,7 @@ from .dynamics import (DEFAULT_CONFIG, OrbitSegment, PrecisionConfig,
 from .errors import (AmbiguousOrbitError, BranchPointError, EscapeError,
                      IncompleteEnumerationError, PortraitError, PrecisionError,
                      QuadrayError)
-from .orbits import (FixedPoints, PeriodicOrbit, PeriodicPoint,
+from .orbits import (FixedPoints, IterateRoots, PeriodicOrbit,
                      alpha_beta_fixed_points, classify_orbit,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
 from .pressure import (PressureCurve, PressureEstimate,

@@ -182,10 +182,18 @@ def orbit_metric(qmap: QuadraticMap, x: complex, y: complex, n: int) -> float:
     return best
 
 
-def _orbit_distance_matrix(orbits: list[PeriodicOrbit], n: int) -> np.ndarray:
-    """Pairwise rho_n between orbits, minimized over cyclic base alignment."""
-    K = len(orbits)
-    A = np.array([o.points for o in orbits], dtype=complex)  # (K, n)
+def _orbit_array(orbits: list[PeriodicOrbit], n: int) -> np.ndarray:
+    """The (K, n) array of K orbits' points in cycle order, (0, n) for none;
+    raises QuadrayError when an orbit's minimal period is not n."""
+    if any(o.minimal_period != n for o in orbits):
+        raise QuadrayError(f"all orbits must have minimal period {n}")
+    return np.array([o.points for o in orbits], dtype=complex).reshape(len(orbits), n)
+
+
+def _orbit_distance_matrix(A: np.ndarray) -> np.ndarray:
+    """Pairwise rho_n between the rows of the (K, n) orbit array A, minimized
+    over cyclic base alignment."""
+    K, n = A.shape
     D = np.full((K, K), np.inf)
     for rot in range(n):
         rolled = np.roll(A, -rot, axis=1)
@@ -258,8 +266,7 @@ def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> Bunc
         return BunchReport(n=0, mode=mode, threshold=0.0, clusters=(),
                            max_cluster=0, bound=0.0, hard_bound=0, passed=True)
     n = orbits[0].minimal_period
-    if any(o.minimal_period != n for o in orbits):
-        raise QuadrayError("all orbits must share one minimal period")
+    A = _orbit_array(orbits, n)
     threshold = math.exp(-param * n) if mode == MODE_H else float(param)
     bound = math.exp(param * n) if mode == MODE_H else float(2 * n)
 
@@ -268,7 +275,7 @@ def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> Bunc
         raise QuadrayError(
             f"{K} orbits of period {n} need about {close_pair_bytes(K, n) / 2 ** 30:.1f} GiB "
             f"for the close-pair search, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
-    a, b = _close_pairs(np.array([o.points for o in orbits], dtype=complex), threshold)
+    a, b = _close_pairs(A, threshold)
     graph = _scipy("coo_matrix")((np.ones(len(a), dtype=bool), (a, b)), shape=(K, K))
     _, comp_labels = _scipy("connected_components")(graph, directed=False)
     sizes = np.bincount(comp_labels)
@@ -288,7 +295,7 @@ def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> Bunc
         if len(members) == 1:
             groups.append(members.tolist())
             continue
-        D = _orbit_distance_matrix([orbits[i] for i in members], n)
+        D = _orbit_distance_matrix(A[members])
         condensed = D[np.triu_indices(len(members), 1)]
         labels = fcluster(linkage(condensed, method="complete"), t=cut,
                           criterion="distance")
@@ -355,50 +362,43 @@ def count_orbits_near_point(qmap: QuadraticMap, z0: complex, p: int, n: int,
         radii.append(r_n * abs(deriv))
         deriv *= 2.0 * z
         z = z * z + qmap.c
-    centers_arr = np.array(centers)
-    radii_arr = np.array(radii)
 
     level = n * p
     if orbits is None:
         orbits = julia_orbits(qmap, level, cfg, minimal_only=True)
-
-    count = 0
-    for orbit in orbits:
-        pts = np.array(orbit.points)
+    A = _orbit_array(orbits, level)
+    inside = np.zeros(A.shape, dtype=bool)
+    near_base = np.zeros(len(A), dtype=bool)
+    for ctr, rad in zip(centers, radii):
+        dist = np.abs(A - ctr)
+        inside |= dist < rad
         # The base orbit can only appear in the census when level == p.
-        if level == p and np.min(np.abs(pts[:, None] - centers_arr[None, :])) < 1e-7:
-            continue
-        inside = np.abs(pts[:, None] - centers_arr[None, :]) < radii_arr[None, :]
-        if bool(inside.any(axis=1).all()):
-            count += 1
-    return count
+        if level == p:
+            near_base |= (dist < 1e-7).any(axis=1)
+    return int((inside.all(axis=1) & ~near_base).sum())
 
 
 def count_orbits_in_disc_pattern(qmap: QuadraticMap, pattern: DiscPattern,
                                  cfg: PrecisionConfig = DEFAULT_CONFIG,
                                  orbits: list[PeriodicOrbit] | None = None) -> PatternCountReport:
     """Points x in B_0 of minimal period n*p whose orbit follows the pattern:
-    f^(kp+i)(x) in B_i for all k < n, i < p.  At most p such points exist."""
+    f^(kp+i)(x) in B_i for all k < n, i < p.  At most p such points exist.
+    Point s follows it when points s + i, s + i + p, ... lie in B_i for each
+    i; that depends on s mod p only, so each class counts n times."""
     p, n = pattern.p, pattern.n
     level = n * p
     if orbits is None:
         orbits = julia_orbits(qmap, level, cfg, minimal_only=True)
-    centers = np.array(pattern.centers)
-    radii = np.array(pattern.radii)
-    count = 0
-    for orbit in orbits:
-        for start in range(level):
-            x = orbit.points[start]
-            if abs(x - centers[0]) >= radii[0]:
-                continue
-            ok = True
-            for j in range(level):
-                b = centers[j % p], radii[j % p]
-                if abs(orbit.points[(start + j) % level] - b[0]) >= b[1]:
-                    ok = False
-                    break
-            if ok:
-                count += 1
+    A = _orbit_array(orbits, level)
+    K = len(A)
+    follows = np.ones((K, p), dtype=bool)  # [k, s]: starts s, s + p, ... of orbit k
+    for i, (ctr, rad) in enumerate(zip(pattern.centers, pattern.radii)):
+        # [k, a]: points a, a + p, ... of orbit k lie in B_i.  np.hypot rounds
+        # as abs() of a complex scalar does; np.abs can differ by an ulp.
+        gap = A - ctr
+        in_disc = (np.hypot(gap.real, gap.imag) < rad).reshape(K, n, p).all(axis=1)
+        follows &= np.roll(in_disc, -i, axis=1)
+    count = n * int(follows.sum())
     return PatternCountReport(count=count, bound=p, passed=count <= p)
 
 

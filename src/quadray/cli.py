@@ -296,6 +296,16 @@ def _resolve_point(token, qmap: QuadraticMap) -> complex:
     return complex(*token) if isinstance(token, (list, tuple)) else complex(token)
 
 
+def _select_orbit(orbits: list[PeriodicOrbit], period: int, params: dict) -> PeriodicOrbit:
+    """orbits[orbit_index]; a usage error unless 0 <= orbit_index < len(orbits)."""
+    if not orbits:
+        raise QuadrayError(f"no minimal-period-{period} orbit on the Julia set")
+    idx = int(params["orbit_index"])
+    if not 0 <= idx < len(orbits):
+        raise UsageError(f"orbit_index {idx} out of range ({len(orbits)} orbits)")
+    return orbits[idx]
+
+
 # --------------------------------------------------------------------------
 # command implementations; each returns the list of output file names
 
@@ -303,9 +313,7 @@ def cmd_orbits(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("orbits", params, ENUMERATION_KEYS)
     n = int(params["n"])
-    points = fixed_points_of_iterate(qmap, n, cfg)
-    orbits = group_into_orbits(points, qmap, n, cfg)
-    write_orbits(outdir, orbits)
+    write_orbits(outdir, group_into_orbits(fixed_points_of_iterate(qmap, n, cfg), qmap, n, cfg))
     return ["orbits.csv", "orbits.jsonl"]
 
 
@@ -329,15 +337,10 @@ def cmd_portrait(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("portrait", params, ENUMERATION_KEYS)
     n = int(params["period"])
-    orbits = [o for o in julia_orbits(qmap, n, cfg) if o.minimal_period == n]
-    if not orbits:
-        raise QuadrayError(f"no minimal-period-{n} orbit on the Julia set")
-    idx = int(params["orbit_index"])
-    if idx >= len(orbits):
-        raise UsageError(f"orbit_index {idx} out of range ({len(orbits)} orbits)")
+    orbit = _select_orbit(julia_orbits(qmap, n, cfg), n, params)
     cap = params.get("ray_period_cap")
     portrait = portrait_at_orbit(
-        qmap, orbits[idx], n,
+        qmap, orbit, n,
         match_tol=float(params["match_tol"]),
         ray_period_cap=int(cap) if cap else None)
     cls = classify_portrait(portrait)
@@ -424,12 +427,8 @@ def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
     n = int(params["n"])
     delta = float(params["delta"])
     r0 = float(params["r0"])
-    orbits = julia_orbits(qmap, p, cfg, minimal_only=True)
-    if not orbits:
-        raise QuadrayError(f"no minimal-period-{p} orbit on the Julia set")
-    idx = int(params["orbit_index"])
-    pattern = DiscPattern.around_orbit(orbits[idx], n, delta, r0,
-                                       C=float(params["C"]))
+    orbit = _select_orbit(julia_orbits(qmap, p, cfg), p, params)
+    pattern = DiscPattern.around_orbit(orbit, n, delta, r0, C=float(params["C"]))
     if not pattern.separation_ok(r0, delta):
         raise QuadrayError("pattern violates the separation inequality")
     report = count_orbits_in_disc_pattern(qmap, pattern, cfg)

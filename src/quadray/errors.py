@@ -27,7 +27,7 @@ class PrecisionError(QuadrayError):
 class IncompleteEnumerationError(QuadrayError):
     """Root finding terminated with fewer roots than the degree demands.
 
-    The partial result is attached so callers can inspect what was found.
+    ``found`` holds the partial `IterateRoots` so callers can inspect it.
     """
 
     def __init__(self, message, found=None):

@@ -12,7 +12,7 @@ polished in software floating point, one per cluster near a multiple root.
 Dedup keeps the first of each close group in (re, im) order, solved over the
 close pairs.  Parabolic collisions are merged and counted by winding number.
 Levels whose seed rounds would pass ENUMERATION_BUDGET_BYTES are refused up
-front.
+front.  The roots leave enumeration as `IterateRoots`, three aligned arrays.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
 cycles of that permutation are the periodic orbits.  `group_into_orbits`
@@ -78,13 +78,17 @@ class FixedPoints:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
-    z: complex
-    period_tested: int
-    minimal_period: int
-    residual: float
-    multiplicity: int = 1
+@dataclass(frozen=True, eq=False)
+class IterateRoots:
+    """The distinct roots of f^n(z) = z as aligned columns: the points z,
+    their minimal periods and their root multiplicities."""
+
+    z: np.ndarray
+    minimal_period: np.ndarray
+    multiplicity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.z)
 
 
 @dataclass(frozen=True)
@@ -293,8 +297,8 @@ def _winding_multiplicity(qmap: QuadraticMap, n: int, z0: complex,
 def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
                      cfg: PrecisionConfig):
     """Collapse near-unit-multiplier clusters and assign winding multiplicities;
-    returns (points, multiplicities, f^n(points), (f^n)'(points))."""
-    w, d = orbit_with_derivative(qmap, found, n)
+    returns (points, multiplicities)."""
+    _, d = orbit_with_derivative(qmap, found, n)
     near_one = np.abs(d - 1.0) < PARABOLIC_GATE
     if near_one.any():
         merged = _dedup(found[near_one], PARABOLIC_MERGE_TOL)
@@ -306,7 +310,7 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
                 step = np.where(np.abs(gp) > 1e-30, 2.0 * (w2 - merged) / gp, 0.0)
                 merged = merged - np.where(np.isfinite(step), step, 0.0)
         found = _dedup(np.concatenate([found[~near_one], merged]), cfg.dedup_tol)
-        w, d = orbit_with_derivative(qmap, found, n)
+        _, d = orbit_with_derivative(qmap, found, n)
         near_one = np.abs(d - 1.0) < PARABOLIC_GATE
 
     mult = np.ones(len(found), dtype=int)
@@ -315,7 +319,7 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
         radius = min(PARABOLIC_MERGE_TOL, 0.45 * float(gap))
         if radius > 1e-12:
             mult[idx] = max(1, _winding_multiplicity(qmap, n, complex(found[idx]), radius))
-    return found, mult, w, d
+    return found, mult
 
 
 def enumeration_bytes(n: int) -> int:
@@ -325,12 +329,13 @@ def enumeration_bytes(n: int) -> int:
 
 
 def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
-                            cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[PeriodicPoint]:
-    """All roots of f^n(z) = z, deduplicated, with multiplicity summing to 2^n.
+                            cfg: PrecisionConfig = DEFAULT_CONFIG) -> IterateRoots:
+    """All roots of f^n(z) = z, deduplicated, with multiplicity summing to 2^n,
+    as the aligned columns of an IterateRoots.
 
     Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
-    IncompleteEnumerationError (carrying the partial set) when the
-    seed-escalation rounds fail to account for the full degree.
+    IncompleteEnumerationError, whose `found` holds the partial IterateRoots,
+    when the seed-escalation rounds fail to account for the full degree.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -351,26 +356,25 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
 
     found = np.array([], dtype=complex)
     for build in rounds:
-        roots = _newton_roots(qmap, n, build(), cfg)
-        found = _dedup(np.concatenate([found, roots]), cfg.dedup_tol)
-        found, mult, w, d = _merge_parabolic(qmap, n, found, cfg)
+        newton = _newton_roots(qmap, n, build(), cfg)
+        found = _dedup(np.concatenate([found, newton]), cfg.dedup_tol)
+        found, mult = _merge_parabolic(qmap, n, found, cfg)
         if int(mult.sum()) == 2 ** n:
             break
     total = int(mult.sum())
-    points = _attach_periods(qmap, n, found, mult, w, d, cfg)
+    roots = IterateRoots(z=found, minimal_period=_minimal_periods(qmap, n, found, cfg),
+                         multiplicity=mult)
     if total != 2 ** n:
         raise IncompleteEnumerationError(
             f"found {total} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}",
-            found=points)
-    return points
+            found=roots)
+    return roots
 
 
-def _attach_periods(qmap, n, found, mult, w, d, cfg) -> list[PeriodicPoint]:
-    """Residuals from (w, d) = (f^n, (f^n)') at the roots, and minimal
-    periods: the minimal period of z is the smallest divisor d of n with
-    |f^d(z) - z| <= 10 dedup_tol max(1, |z|), found in one pass that iterates
-    every root n - 1 times."""
-    res = np.abs(w - found) / np.maximum(np.abs(d - 1.0), 1.0)
+def _minimal_periods(qmap, n, found, cfg) -> np.ndarray:
+    """The minimal period of each root z of f^n: the smallest divisor d of n
+    with |f^d(z) - z| <= 10 dedup_tol max(1, |z|), found in one pass that
+    iterates every root n - 1 times."""
     period = np.full(len(found), n)
     unset = np.ones(len(found), dtype=bool)
     tol = 10.0 * cfg.dedup_tol * np.maximum(1.0, np.abs(found))
@@ -382,10 +386,7 @@ def _attach_periods(qmap, n, found, mult, w, d, cfg) -> list[PeriodicPoint]:
                 hit = unset & (np.abs(fd - found) <= tol)
                 period[hit] = step
                 unset &= ~hit
-    return [PeriodicPoint(z=z, period_tested=n, minimal_period=p, residual=r,
-                          multiplicity=m)
-            for z, p, r, m in zip(found.tolist(), period.tolist(), res.tolist(),
-                                  mult.tolist())]
+    return period
 
 
 def _classify_multiplier(lam: complex, tol_class: float) -> str:
@@ -409,11 +410,12 @@ def classify_orbit(orbit: PeriodicOrbit, tol_class: float = DEFAULT_CLASS_TOL) -
     return _classify_multiplier(orbit.multiplier, tol_class)
 
 
-def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
+def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,
                       cfg: PrecisionConfig = DEFAULT_CONFIG,
                       tol_class: float = DEFAULT_CLASS_TOL) -> list[PeriodicOrbit]:
-    """Partition Fix(f^n) into cycles; each orbit carries its minimal period,
-    multiplier and stability class.
+    """Partition Fix(f^n), given as the columns of `roots` in any order, into
+    cycles; each orbit carries its minimal period, multiplier, stability
+    class and multiplicity (the largest of its points').
 
     pi(i) is the one enumerated point within 10 dedup_tol max(1, |f(z_i)|) of
     f(z_i), or within 1e-6 max(1, |f(z_i)|) when z_i is a multiple root; the
@@ -426,11 +428,8 @@ def group_into_orbits(points: list[PeriodicPoint], qmap: QuadraticMap, n: int,
     of 2 z along it.  Cycle lengths and heads come from n vectorized steps of
     pi in O(N) memory, so Python loops once per orbit, not once per point.
     """
-    z = np.array([p.z for p in points], dtype=complex)
-    period = np.array([p.minimal_period for p in points])
-    mult = np.array([p.multiplicity for p in points])
-    order = np.lexsort((z.imag, z.real))
-    z, period, mult = z[order], period[order], mult[order]
+    order = np.lexsort((roots.z.imag, roots.z.real))
+    z, period, mult = roots.z[order], roots.minimal_period[order], roots.multiplicity[order]
     image = z * z + qmap.c
     # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed
     # collision, so their images match at a coarser tolerance.
@@ -498,8 +497,7 @@ def julia_orbits(qmap: QuadraticMap, n: int, cfg: PrecisionConfig = DEFAULT_CONF
                  minimal_only: bool = True) -> list[PeriodicOrbit]:
     """Orbits at level n restricted to the Julia set: attracting cycles are
     dropped, indifferent candidates kept (flagged by their stability class)."""
-    points = fixed_points_of_iterate(qmap, n, cfg)
-    orbits = group_into_orbits(points, qmap, n, cfg)
+    orbits = group_into_orbits(fixed_points_of_iterate(qmap, n, cfg), qmap, n, cfg)
     kept = [o for o in orbits if o.stability != ATTRACTING]
     if minimal_only:
         kept = [o for o in kept if o.minimal_period == n]

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.sparse.csgraph import connected_components
 
@@ -14,7 +16,7 @@ from quadray import (DiscPattern, EscapeError, QuadraticMap, QuadrayError,
                      count_orbits_near_point, distortion_ratio,
                      good_bad_partition, julia_orbits, orbit_metric,
                      verify_hypothesis_h)
-from quadray.bunches import _orbit_distance_matrix
+from quadray.bunches import _orbit_array, _orbit_distance_matrix
 from quadray.orbits import PeriodicOrbit
 from tests.conftest import GOLDEN_ALPHA, GOLDEN_C
 from tests.test_acceptance import SUITE_PARAMS, minimal_orbits
@@ -97,7 +99,7 @@ def test_bunches_duplicate_orbit_degenerate(basilica):
 
 def test_bunches_strict_cut_boundary(squaring):
     pair = julia_orbits(squaring, 4)[:2]
-    rho = _orbit_distance_matrix(pair, 4)[0, 1]
+    rho = _orbit_distance_matrix(_orbit_array(pair, 4))[0, 1]
     apart = bunch_clusters(pair, "BMS", rho)
     assert apart.clusters == ((0,), (1,))
     assert apart.component_max == 1
@@ -108,7 +110,7 @@ def test_bunches_strict_cut_boundary(squaring):
 
 def _dense_reference(orbits, threshold):
     """Complete linkage and components over the full rho_n matrix."""
-    D = _orbit_distance_matrix(orbits, orbits[0].minimal_period)
+    D = _orbit_distance_matrix(_orbit_array(orbits, orbits[0].minimal_period))
     K = len(orbits)
     labels = (fcluster(linkage(D[np.triu_indices(K, 1)], method="complete"),
                        t=np.nextafter(threshold, 0.0), criterion="distance")
@@ -355,3 +357,146 @@ def test_cluster_pairwise_certificate(squaring):
     for delta in (0.05, 0.2, 0.5):
         report = bunch_clusters(orbits, "H", delta)
         assert report.passed or report.max_cluster <= 2 * 6
+
+
+def _brute_near_point(z0, p, n, delta, r0, qmap, orbits):
+    """Reference count_orbits_near_point once the orbits are given: one
+    broadcast per orbit against the p discs."""
+    r_n = r0 * math.exp(-delta * n * p)
+    centers, radii = [], []
+    z, deriv = complex(z0), 1.0 + 0.0j
+    for _ in range(p):
+        centers.append(z)
+        radii.append(r_n * abs(deriv))
+        deriv *= 2.0 * z
+        z = z * z + qmap.c
+    centers_arr, radii_arr = np.array(centers), np.array(radii)
+    level = n * p
+    count = 0
+    for orbit in orbits:
+        pts = np.array(orbit.points)
+        if level == p and np.min(np.abs(pts[:, None] - centers_arr[None, :])) < 1e-7:
+            continue
+        inside = np.abs(pts[:, None] - centers_arr[None, :]) < radii_arr[None, :]
+        if bool(inside.any(axis=1).all()):
+            count += 1
+    return count, centers, radii
+
+
+def _brute_disc_pattern(pattern, orbits):
+    """Reference count_orbits_in_disc_pattern: every start of every orbit,
+    followed point by point."""
+    p, n = pattern.p, pattern.n
+    level = n * p
+    centers, radii = np.array(pattern.centers), np.array(pattern.radii)
+    count = 0
+    for orbit in orbits:
+        for start in range(level):
+            if abs(orbit.points[start] - centers[0]) >= radii[0]:
+                continue
+            if all(abs(orbit.points[(start + j) % level] - centers[j % p]) < radii[j % p]
+                   for j in range(level)):
+                count += 1
+    return count
+
+
+def _orbit(points):
+    return PeriodicOrbit(points=tuple(points), minimal_period=len(points),
+                         multiplier=0j, stability="repelling")
+
+
+#: offsets from a disc center in units of its radius: inside, on the rim,
+#: just outside and far out
+DISC_FRACTIONS = st.sampled_from([0.0, 0.3, 0.99, 1.0, 1.01, 3.0]) | st.floats(0.0, 1.2)
+
+
+@st.composite
+def near_disc_orbits(draw, centers, radii, level):
+    """Synthetic orbits of `level` points, each placed near one of the discs
+    B(centers[i], radii[i]): the one its index says (most of the time) or
+    any other; some points sit within 1e-7 of a center, as the base orbit's
+    do."""
+    orbits = []
+    for _ in range(draw(st.integers(0, 6))):
+        shift = draw(st.integers(0, len(centers) - 1))
+        follow = draw(st.booleans())
+        points = []
+        for j in range(level):
+            i = (j + shift) % len(centers) if follow else draw(
+                st.integers(0, len(centers) - 1))
+            angle = draw(st.floats(0.0, 2.0 * math.pi))
+            if draw(st.integers(0, 5)) == 0:
+                gap = draw(st.sampled_from([0.0, 5e-8, 2e-7]))
+            else:
+                gap = draw(DISC_FRACTIONS) * radii[i]
+            points.append(complex(centers[i] + gap * cmath.exp(1j * angle)))
+        orbits.append(_orbit(points))
+    return orbits
+
+
+#: (c, z0, p): beta of z^2, the superattracting 2-cycle of the basilica, the
+#: 2-cycle {omega, omega^2} of z^2 and beta of the basilica
+NEAR_POINT_BASES = [(0j, 1.0, 1), (-1 + 0j, 0.0, 2),
+                    (0j, cmath.exp(2j * math.pi / 3.0), 2),
+                    (-1 + 0j, (1 + math.sqrt(5.0)) / 2.0, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_near_point_count_matches_brute_force(data):
+    c, z0, p = data.draw(st.sampled_from(NEAR_POINT_BASES))
+    n = data.draw(st.integers(1, 4))
+    delta = data.draw(st.sampled_from([0.01, 0.3]))
+    r0 = data.draw(st.sampled_from([0.05, 0.5, 5.0]))
+    qmap = QuadraticMap(c)
+    _, centers, radii = _brute_near_point(z0, p, n, delta, r0, qmap, [])
+    orbits = data.draw(near_disc_orbits(centers, radii, n * p))
+    want = _brute_near_point(z0, p, n, delta, r0, qmap, orbits)[0]
+    assert count_orbits_near_point(qmap, z0, p, n, delta, r0, orbits=orbits) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_disc_pattern_count_matches_brute_force(data):
+    p = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    # unit-spaced centers with radii up to 0.2: the 2-scaled discs are disjoint
+    centers = tuple(complex(k, data.draw(st.floats(-0.5, 0.5))) for k in range(p))
+    radii = tuple(data.draw(st.floats(0.01, 0.2)) for _ in range(p))
+    pattern = DiscPattern(centers=centers, radii=radii, p=p, n=n, C=2.0)
+    orbits = data.draw(near_disc_orbits(centers, radii, n * p))
+    report = count_orbits_in_disc_pattern(QuadraticMap(0j), pattern, orbits=orbits)
+    assert report.count == _brute_disc_pattern(pattern, orbits)
+    assert report.passed == (report.count <= p)
+
+
+def test_counts_of_known_orbit_sets():
+    # nonzero counts, fixed by hand, and the level == p base-orbit exclusion
+    squaring = QuadraticMap(0j)
+    omega = cmath.exp(2j * math.pi / 3.0)
+    r = 0.5 * math.exp(-0.3 * 2)  # r_1 at p = 2, n = 1; |2 omega| = 2 doubles it
+    inner = _orbit([omega + 0.5 * r, omega ** 2 - r])       # in B_0, then B_1
+    swapped = _orbit([omega ** 2 + 0.1 * r, omega - 0.1j * r])
+    base = _orbit([omega, omega ** 2 + 1e-8])               # the base 2-cycle
+    outside = _orbit([omega + 1.5 * r, omega ** 2])
+    orbits = [inner, swapped, base, outside]
+    assert count_orbits_near_point(squaring, omega, 2, 1, 0.3, 0.5, orbits=orbits) == 2
+    assert count_orbits_near_point(squaring, omega, 2, 1, 0.3, 0.5, orbits=[]) == 0
+
+    pattern = DiscPattern(centers=(0j, 1 + 0j), radii=(0.1, 0.1), p=2, n=2, C=2.0)
+    # points 0 and 2 in B_0, 1 and 3 in B_1: starts 0 and 2 follow the pattern
+    follows = _orbit([0.05j, 1.05, -0.05, 1 - 0.05j])
+    shifted = _orbit([1.05, 0.05j, 1 - 0.05j, -0.05])        # starts 1 and 3
+    broken = _orbit([0.05j, 1.05, -0.05, 0.5 + 0j])
+    report = count_orbits_in_disc_pattern(squaring, pattern, orbits=[follows, shifted, broken])
+    assert report.count == 4
+    assert report.count == _brute_disc_pattern(pattern, [follows, shifted, broken])
+    assert not report.passed
+    assert count_orbits_in_disc_pattern(squaring, pattern, orbits=[]).count == 0
+    # on the rim of B_1 by abs(), one ulp inside by np.abs: not in B_1
+    rim = DiscPattern(centers=(0j, 1 + 0j), radii=(0.125, 0.011417297568355678),
+                      p=2, n=3, C=2.0)
+    orbit = _orbit([0.9965801368281407 + 0.010893081274375084j, 0j, 1 + 0j, 0j, 1 + 0j, 0j])
+    assert np.abs(orbit.points[0] - 1) < rim.radii[1] <= abs(orbit.points[0] - 1)
+    assert count_orbits_in_disc_pattern(squaring, rim, orbits=[orbit]).count == 0
+    assert _brute_disc_pattern(rim, [orbit]) == 0

@@ -166,6 +166,19 @@ def test_disc_pattern_command(tmp_path):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("command", ["portrait", "disc-pattern"])
+@pytest.mark.parametrize("index", ["2", "5", "-1"])
+def test_orbit_index_out_of_range_is_a_usage_error(tmp_path, capsys, command, index):
+    # z^2 has K = 2 orbits of minimal period 3: indices 0 and 1 only
+    argv = [command, "--c", "0,0", "--period", "3", "--orbit-index", index]
+    if command == "disc-pattern":
+        argv += ["--n", "2"]
+    rc = run_command(argv + ["--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"orbit_index {index} out of range (2 orbits)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_manifest_records_every_resolved_parameter(tmp_path):
     from quadray.cli import COMMAND_PARAMS, COMMON_PARAMS
     rc = run_command(["bryuno", "--alpha", "silver", "--terms", "10",

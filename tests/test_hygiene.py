@@ -79,8 +79,9 @@ def test_every_parameter_is_read(path):
     assert not unread, f"{path.name} has parameters its functions never read: {unread}"
 
 
-# Importing the package, and the orbits, pressure, portrait and render
-# commands, load numpy and nothing heavier: scipy takes 0.5-1 s to import
+# Importing the package, and the orbits, pressure, portrait, render,
+# near-point and disc-pattern commands, load numpy and nothing heavier: the
+# orbit-set counts run on numpy arrays alone.  scipy takes 0.5-1 s to import
 # and mpmath about 0.1 s.  scipy loads when bunches first clusters, and
 # scipy.stats (with the scipy.optimize it pulls in) only for the sampler of
 # distortion_ratio.
@@ -101,6 +102,8 @@ run("pressure", "--c", "0,0", "--t", "0:1:1", "--n", "4")
 run("portrait", "--c", "0,0", "--period", "2")
 run("render", "--c", "0,0", "--layers", "julia,rays", "--angles", "1/3",
     "--points", "100", "--g-min", "1e-3")
+run("near-point", "--c", "-1,0", "--z0", "beta", "--n", "4")
+run("disc-pattern", "--c", "0,0", "--period", "2", "--n", "2")
 heavy()
 run("bunches", "--c", "-1,0", "--n", "6", "--delta", "0.1,0.3")
 heavy()
@@ -117,7 +120,8 @@ def test_startup_defers_scipy_stats(tmp_path):
     at_import, after_commands, after_bunches, after_distortion = (
         line.split() for line in out.split("\n")[:4])
     assert at_import == [], f"import quadray, quadray.cli loads {at_import}"
-    assert after_commands == [], f"orbits, pressure, portrait and render load {after_commands}"
+    assert after_commands == [], (
+        f"orbits, pressure, portrait, render, near-point and disc-pattern load {after_commands}")
     assert "scipy.cluster.hierarchy" in after_bunches
     assert "scipy.stats" not in after_bunches
     assert "scipy.stats" in after_distortion

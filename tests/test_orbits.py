@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadray import orbits as orbits_mod
-from quadray import (DEFAULT_CONFIG, AmbiguousOrbitError, PeriodicOrbit,
-                     PeriodicPoint, PrecisionConfig, QuadraticMap,
+from quadray import (DEFAULT_CONFIG, AmbiguousOrbitError,
+                     IncompleteEnumerationError, IterateRoots, PeriodicOrbit,
+                     PrecisionConfig, QuadraticMap,
                      alpha_beta_fixed_points, classify_orbit,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
 from quadray.cli import run_command
@@ -39,7 +40,7 @@ def mobius_count(n):
 def test_fixed_points_squaring_level3(squaring):
     pts = fixed_points_of_iterate(squaring, 3)
     assert len(pts) == 8
-    zs = sorted((p.z for p in pts), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    zs = sorted(pts.z.tolist(), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     expected = sorted([0j] + [cmath.exp(2j * math.pi * k / 7.0) for k in range(7)],
                       key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     for a, b in zip(zs, expected):
@@ -48,7 +49,7 @@ def test_fixed_points_squaring_level3(squaring):
 
 def test_fixed_points_chebyshev_level2(chebyshev):
     pts = fixed_points_of_iterate(chebyshev, 2)
-    zs = sorted(p.z.real for p in pts)
+    zs = sorted(pts.z.real)
     s5 = math.sqrt(5.0)
     assert zs == pytest.approx(
         sorted([-1.0, (-1.0 - s5) / 2.0, (-1.0 + s5) / 2.0, 2.0]))
@@ -56,7 +57,7 @@ def test_fixed_points_chebyshev_level2(chebyshev):
 
 def test_fixed_points_level1(squaring):
     pts = fixed_points_of_iterate(squaring, 1)
-    assert sorted(p.z.real for p in pts) == pytest.approx([0.0, 1.0])
+    assert sorted(pts.z.real) == pytest.approx([0.0, 1.0])
 
 
 def test_coefficient_oracle_small_levels(basilica):
@@ -71,7 +72,7 @@ def test_coefficient_oracle_small_levels(basilica):
         minus_z[-2] -= 1.0
         roots = np.roots(minus_z)
         pts = fixed_points_of_iterate(basilica, n)
-        got = np.array(sorted((p.z for p in pts for _ in range(p.multiplicity)),
+        got = np.array(sorted(np.repeat(pts.z, pts.multiplicity),
                               key=lambda z: (round(z.real, 7), round(z.imag, 7))))
         want = np.array(sorted(roots, key=lambda z: (round(z.real, 7), round(z.imag, 7))))
         assert len(got) == len(want) == 2 ** n
@@ -170,7 +171,7 @@ def test_parabolic_total_count(airplane_root):
     # level 3 at the parabolic parameter: alpha, beta simple, three double
     # roots; multiplicities account for the full degree 8
     pts = fixed_points_of_iterate(airplane_root, 3)
-    assert sum(p.multiplicity for p in pts) == 8
+    assert pts.multiplicity.sum() == 8
     assert len(pts) == 5
 
 
@@ -299,9 +300,30 @@ def test_budget_refuses_before_allocating(squaring, monkeypatch):
     with pytest.raises(QuadrayError, match="budget"):
         fixed_points_of_iterate(squaring, 28, PrecisionConfig(mantissa_bits=120))
     monkeypatch.setattr(orbits_mod, "ENUMERATION_BUDGET_BYTES", orbits_mod.enumeration_bytes(5))
-    assert sum(p.multiplicity for p in fixed_points_of_iterate(squaring, 5)) == 32
+    assert fixed_points_of_iterate(squaring, 5).multiplicity.sum() == 32
     with pytest.raises(QuadrayError, match="budget"):
         fixed_points_of_iterate(squaring, 6)
+
+
+def test_incomplete_enumeration_carries_partial_columns(squaring, monkeypatch):
+    # Newton loses the roots of z^8 = z with Re z >= 0.1 in every seed
+    # round, so the level stays incomplete
+    newton = orbits_mod._newton_roots
+
+    def lossy(*args, **kwargs):
+        roots = newton(*args, **kwargs)
+        return roots[roots.real < 0.1]
+
+    monkeypatch.setattr(orbits_mod, "_newton_roots", lossy)
+    with pytest.raises(IncompleteEnumerationError) as info:
+        fixed_points_of_iterate(squaring, 3)
+    found = info.value.found
+    assert isinstance(found, IterateRoots)
+    # 0 and the 7th roots of unity e^(2 pi i k / 7), k = 2..5
+    assert len(found) == len(found.minimal_period) == len(found.multiplicity) == 5
+    assert np.all(found.z.real < 0.1)
+    assert sorted(found.minimal_period.tolist()) == [1, 3, 3, 3, 3]
+    assert f"found {found.multiplicity.sum()} of 8 roots" in str(info.value)
 
 
 def _sweep_dedup(points, tol):
@@ -452,7 +474,7 @@ def _quadratic_orbits(pts, qmap):
     """Reference grouping: from every point, follow the nearest point to its
     image (a full scan each step) until the walk returns; the cycle is listed
     from its lexicographically smallest point."""
-    zs = np.array([p.z for p in pts])
+    zs = pts.z
     cycles = set()
     for i in range(len(zs)):
         cycle = [i]
@@ -477,12 +499,14 @@ def test_grouping_matches_quadratic_walk(name, request):
         orbits = group_into_orbits(pts, qmap, n, cfg)
         assert {o.points for o in orbits} == _quadratic_orbits(pts, qmap), (name, n)
         # the input order does not matter
-        shuffled = random.Random(n).sample(pts, len(pts))
+        perm = random.Random(n).sample(range(len(pts)), len(pts))
+        shuffled = IterateRoots(z=pts.z[perm], minimal_period=pts.minimal_period[perm],
+                                multiplicity=pts.multiplicity[perm])
         assert group_into_orbits(shuffled, qmap, n, cfg) == orbits, (name, n)
         # the orbits partition the points
         assert (sorted((z for o in orbits for z in o.points), key=lex)
-                == sorted((p.z for p in pts), key=lex))
-        mult = {p.z: p.multiplicity for p in pts}
+                == sorted(pts.z.tolist(), key=lex))
+        mult = dict(zip(pts.z.tolist(), pts.multiplicity.tolist()))
         for o in orbits:
             assert len(o.points) == o.minimal_period
             # every orbit closes under f within the match tolerance
@@ -508,7 +532,8 @@ OMEGA = cmath.exp(2j * math.pi / 3.0)
     ([(-1.0 + 0j, 1), (1.0 + 0j, 1)], "cycle overlap"),
 ], ids=["two_matches", "missing_mate", "period_mismatch", "not_bijective"])
 def test_grouping_rejects_ambiguous_points(squaring, zs_periods, message):
-    pts = [PeriodicPoint(z=z, period_tested=6, minimal_period=m, residual=0.0)
-           for z, m in zs_periods]
+    zs, periods = zip(*zs_periods)
+    pts = IterateRoots(z=np.array(zs, dtype=complex), minimal_period=np.array(periods),
+                       multiplicity=np.ones(len(zs), dtype=int))
     with pytest.raises(AmbiguousOrbitError, match=message):
         group_into_orbits(pts, squaring, 6)
