@@ -206,7 +206,9 @@ def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
     Returns (leaves, log_derivatives) where leaves[i] enumerates the 2^n
     preimages (with multiplicity at a branch-point hit) and
     log_derivatives[i] = log|(f^n)'(leaves[i])| accumulated along the path.
-    Leaves are refined by one vectorized Newton pass against f^n.
+    In binary64 the leaves are the plain square-root expansion, unrefined:
+    enumeration uses them only as Newton seeds and pressure reads only the
+    log-derivatives; `preimages` refines them against f^n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -214,10 +216,7 @@ def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
     _require_finite(z, "z")
     if cfg.mantissa_bits > 53:
         return _mp_preimage_tree(qmap.c, z, n, cfg.mantissa_bits)
-    leaves, logd = _expand_tree(qmap.c, z, n)
-    if n >= 1:
-        leaves = _refine_preimages(qmap, z, n, leaves)
-    return leaves, logd
+    return _expand_tree(qmap.c, z, n)
 
 
 def _refine_preimages(qmap, z, n, leaves):
@@ -237,11 +236,13 @@ def preimages(qmap: QuadraticMap, z: complex, n: int,
     """All 2^n solutions of f^n(x) = z, with multiplicity, sorted by (re, im).
 
     A branch-point hit (some tree node equal to c) produces the double root 0
-    twice.  Raises PrecisionError when the refined leaves fail the residual
-    contract.
+    twice.  In binary64 the leaves of `preimage_tree` are refined by two
+    vectorized Newton corrections against f^n; PrecisionError is raised when
+    they fail the residual contract.
     """
     leaves, _ = preimage_tree(qmap, z, n, cfg)
     if n >= 1 and cfg.mantissa_bits == 53:
+        leaves = _refine_preimages(qmap, z, n, leaves)
         w, d = orbit_with_derivative(qmap, leaves, n)
         err = np.abs(w - z) / np.maximum(1.0, np.abs(d))
         if not np.all(np.isfinite(leaves)) or float(np.max(err)) > cfg.newton_tol:

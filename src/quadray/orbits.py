@@ -6,13 +6,27 @@ polynomial coefficients (those overflow binary64 past n ~ 12).  Seeds come
 from backward trees, which accumulate on the Julia set: first
 tree(beta, n + 2) (it holds tree(beta, n)), alpha, beta and the critical orbit
 (interior attracting cycles, Siegel boundaries); then, if 2^n roots are not
-yet found, tree(beta, n + 3) and tree(alpha, n + 1).  Newton iterates only the
-seeds that still move.  Unsettled points near super-repelling chains are
-polished in software floating point, one per cluster near a multiple root.
-Dedup keeps the first of each close group in (re, im) order, solved over the
-close pairs.  Parabolic collisions are merged and counted by winding number.
-Levels whose seed rounds would pass ENUMERATION_BUDGET_BYTES are refused up
-front.  The roots leave enumeration as `IterateRoots`, three aligned arrays.
+yet found, tree(beta, n + 3) and tree(alpha, n + 1).
+
+Each seed round runs Newton in passes, and the root count is checked after
+each.  The first pass takes FIRST_PASS_STEPS steps and keeps only the seeds
+that settled (their last step fell below 1e-13 (1 + |z|)); on a level with
+simple roots they already account for all 2^n roots, and the count stops the
+enumeration there.  Otherwise a second pass continues the seeds still moving
+for the rest of NEWTON_STEPS.  Newton iterates only the seeds that still
+move.  Unsettled points near super-repelling chains are polished in software
+floating point, one per cluster near a multiple root.
+
+Within a pass, dedup keeps the first of each close group in (re, im) order,
+solved over the close pairs.  Earlier roots win the merge: a pass's roots
+join the found ones only where no found root lies within dedup_tol, and the
+roots of seeds that never settled join after those of the settled ones, so
+a plausible but unconverged copy never replaces a converged root.
+Parabolic collisions are merged and counted by winding number.  Once the
+count holds, a UserWarning names any two roots within RESOLUTION_MARGIN
+dedup_tol of each other.  Levels whose seed rounds would pass
+ENUMERATION_BUDGET_BYTES are refused up front.  The roots leave enumeration
+as `IterateRoots`, three aligned arrays.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
 cycles of that permutation are the periodic orbits.  `group_into_orbits`
@@ -28,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +51,15 @@ import numpy as np
 from .dynamics import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
                        orbit_with_derivative, preimage_tree)
 from .errors import AmbiguousOrbitError, IncompleteEnumerationError, QuadrayError
+
+#: Newton steps a seed may take in one seed round, over both passes.
+NEWTON_STEPS = 140
+#: Steps of a round's first pass.  Converged seeds already account for all
+#: 2^n roots after 5-10 steps on the census cells; 16 closed all twelve.
+FIRST_PASS_STEPS = 16
+#: Roots closer than this many dedup_tol * max(1, |z|) are warned about:
+#: the level is near the resolution of the tolerances.
+RESOLUTION_MARGIN = 10.0
 
 #: Peak bytes per seed of the largest round: Newton's first pass holds 9.6-10.7
 #: complex arrays of the seeds' size (tracemalloc, n = 8..13); twelve bound it.
@@ -146,15 +170,20 @@ def _mp_polish_root(c: complex, z0: complex, n: int, bits: int = 120, iters: int
         return complex(z)
 
 
-def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
-                  cfg: PrecisionConfig, maxit: int = 140) -> np.ndarray:
-    """Vectorized Newton on f^n(z) - z; returns plausible roots only.
+def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray, cfg: PrecisionConfig,
+                  maxit: int, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton pass on f^n(z) - z of at most `maxit` steps; returns
+    (roots, rest), the plausible roots of the seeds that settled and the rest.
 
-    Only the active seeds are iterated: a seed leaves the active set once its
-    step is below 1e-13 (1 + |z|) or its update is not finite.  Points whose
-    final Newton step cannot certify dedup resolution (noise floor near
+    Only the active seeds are iterated: a seed settles, leaving the active
+    set, once its step is below 1e-13 (1 + |z|) or its update is not finite.
+    A first pass tests only the settled seeds; the rest are the seeds still
+    moving, at the points they reached, for the last pass to continue.  The
+    last pass tests every seed, and the rest are the plausible roots of the
+    seeds that never settled, to be merged after the settled ones.  Points
+    whose final Newton step cannot certify dedup resolution (noise floor near
     super-repelling chains) are re-polished in extended precision; near a
-    multiple root, one per cluster.
+    multiple root, one per cluster, which counts with the rest.
     """
     z = np.array(seeds, dtype=complex)
     active = np.arange(len(z))
@@ -171,13 +200,19 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
             fin = np.isfinite(za)
             z[active[fin]] = za[fin]
             active = active[fin & (np.abs(step) >= 1e-13 * (1.0 + np.abs(za)))]
+    moving = np.zeros(len(z), dtype=bool)
+    moving[active] = True
+    if not last:
+        stragglers = z[moving]
+        z, moving = z[~moving], moving[~moving]
+    with np.errstate(all="ignore"):
         w, d = orbit_with_derivative(qmap, z, n)
         g = np.abs(w - z)
         gp = np.abs(d - 1.0)
         last_step = g / np.maximum(gp, 1e-30)
         plausible = (np.isfinite(z) & np.isfinite(g) & np.isfinite(gp)
                      & (g < 1e-3) & ((g < cfg.newton_tol) | (last_step < 1e-6)))
-    z = z[plausible]
+    z, moving = z[plausible], moving[plausible]
     last_step = last_step[plausible]
 
     unsettled = last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z))
@@ -189,6 +224,7 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
     near = unsettled & (gp[plausible] < PARABOLIC_GATE)
     clusters = _dedup(z[near], PARABOLIC_MERGE_TOL)
     z = np.concatenate([z[~near], clusters])
+    moving = np.concatenate([moving[~near], np.ones(len(clusters), dtype=bool)])
     polish = np.concatenate([unsettled[~near], np.ones(len(clusters), dtype=bool)])
     for i in np.flatnonzero(polish):
         z[i] = _mp_polish_root(qmap.c, z[i], n)
@@ -198,7 +234,10 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray,
         g = np.abs(w - z)
         err = g / np.maximum(np.abs(d - 1.0), 1.0)
         keep = np.isfinite(z) & np.isfinite(g) & (g < 1e-3) & (err < cfg.newton_tol)
-    return z[keep]
+    z, moving = z[keep], moving[keep]
+    if last:
+        return z[~moving], z[moving]
+    return z, stragglers
 
 
 def _radius_pairs(z: np.ndarray, radius: np.ndarray,
@@ -281,6 +320,16 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
         kept = new
 
 
+def _unseen(found: np.ndarray, new: np.ndarray, tol: float) -> np.ndarray:
+    """The points of `new` farther than tol * max(1, |z|) from every root in
+    `found`, deduplicated among themselves: a root found earlier wins the
+    merge over every later copy."""
+    if len(found) and len(new):
+        i, _ = _radius_pairs(found, tol * np.maximum(1.0, np.hypot(new.real, new.imag)), new)
+        new = np.delete(new, i)
+    return _dedup(new, tol)
+
+
 def _winding_multiplicity(qmap: QuadraticMap, n: int, z0: complex,
                           radius: float, samples: int = 512) -> int:
     """Root multiplicity of g_n at z0 as the winding number of g_n around a
@@ -324,7 +373,8 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
 
 def enumeration_bytes(n: int) -> int:
     """Peak bytes of the seed rounds at level n: the last round's 2^(n+3) +
-    2^(n+1) seeds and the temporaries of Newton's first pass over them all."""
+    2^(n+1) seeds and the temporaries of its first Newton pass, which
+    iterates them all (the straggler pass iterates fewer)."""
     return BYTES_PER_SEED * (2 ** (n + 3) + 2 ** (n + 1))
 
 
@@ -332,6 +382,14 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
                             cfg: PrecisionConfig = DEFAULT_CONFIG) -> IterateRoots:
     """All roots of f^n(z) = z, deduplicated, with multiplicity summing to 2^n,
     as the aligned columns of an IterateRoots.
+
+    Each seed round runs a first Newton pass of FIRST_PASS_STEPS and, only
+    when its settled roots leave the count short of 2^n, a second pass that
+    continues its stragglers for the rest of NEWTON_STEPS.  A pass's roots
+    join the found ones through `_unseen`, those of never-settled seeds
+    last, then the parabolic merge; the count is checked after every pass.
+    A UserWarning names the closest two roots when they lie within
+    RESOLUTION_MARGIN dedup_tol max(1, |z|).
 
     Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
     IncompleteEnumerationError, whose `found` holds the partial IterateRoots,
@@ -354,12 +412,20 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
         lambda: np.concatenate([tree(fp.beta, n + 3), tree(fp.alpha, n + 1)]),
     ]
 
+    def passes():
+        for build in rounds:
+            roots, stragglers = _newton_roots(qmap, n, build(), cfg, FIRST_PASS_STEPS)
+            yield (roots,)
+            yield _newton_roots(qmap, n, stragglers, cfg, NEWTON_STEPS - FIRST_PASS_STEPS,
+                                last=True)
+
     found = np.array([], dtype=complex)
-    for build in rounds:
-        newton = _newton_roots(qmap, n, build(), cfg)
-        found = _dedup(np.concatenate([found, newton]), cfg.dedup_tol)
+    for groups in passes():
+        for roots in groups:
+            found = np.concatenate([found, _unseen(found, roots, cfg.dedup_tol)])
         found, mult = _merge_parabolic(qmap, n, found, cfg)
         if int(mult.sum()) == 2 ** n:
+            _warn_unresolved(found, n, cfg)
             break
     total = int(mult.sum())
     roots = IterateRoots(z=found, minimal_period=_minimal_periods(qmap, n, found, cfg),
@@ -369,6 +435,22 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
             f"found {total} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}",
             found=roots)
     return roots
+
+
+def _warn_unresolved(found: np.ndarray, n: int, cfg: PrecisionConfig) -> None:
+    """Warn when two roots lie within RESOLUTION_MARGIN dedup_tol max(1, |z|):
+    a merge, image match or period test at that distance is decided by the
+    tolerance, not by the roots."""
+    tol = cfg.dedup_tol * np.maximum(1.0, np.hypot(found.real, found.imag))
+    i, j = _radius_pairs(found, RESOLUTION_MARGIN * tol)
+    if len(i):
+        gap = found[i] - found[j]
+        ratio = np.hypot(gap.real, gap.imag) / tol[j]
+        k = int(np.argmin(ratio))
+        warnings.warn(
+            f"roots {complex(found[i[k]])!r} and {complex(found[j[k]])!r} of f^{n}(z) = z "
+            f"lie {ratio[k]:.1f} dedup_tol apart; level {n} is near the resolution "
+            "limit, lower dedup_tol", stacklevel=3)
 
 
 def _minimal_periods(qmap, n, found, cfg) -> np.ndarray:

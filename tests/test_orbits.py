@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -175,9 +176,11 @@ def test_parabolic_total_count(airplane_root):
     assert len(pts) == 5
 
 
-def ref_newton_roots(qmap, n, seeds, cfg, maxit=140):
+def ref_newton_roots(qmap, n, seeds, cfg, maxit, last=False):
     """_newton_roots polishing every unsettled point on its own, near a
-    multiple root or not."""
+    multiple root or not.  The pass contract is _newton_roots': a first pass
+    tests the settled seeds and hands back the moving ones, the last pass
+    tests them all and returns the roots of the never-settled ones apart."""
     z = np.array(seeds, dtype=complex)
     active = np.arange(len(z))
     with np.errstate(all="ignore"):
@@ -193,13 +196,19 @@ def ref_newton_roots(qmap, n, seeds, cfg, maxit=140):
             fin = np.isfinite(za)
             z[active[fin]] = za[fin]
             active = active[fin & (np.abs(step) >= 1e-13 * (1.0 + np.abs(za)))]
+    moving = np.zeros(len(z), dtype=bool)
+    moving[active] = True
+    if not last:
+        stragglers = z[moving]
+        z, moving = z[~moving], moving[~moving]
+    with np.errstate(all="ignore"):
         w, d = orbit_with_derivative(qmap, z, n)
         g = np.abs(w - z)
         gp = np.abs(d - 1.0)
         last_step = g / np.maximum(gp, 1e-30)
         plausible = (np.isfinite(z) & np.isfinite(g) & np.isfinite(gp)
                      & (g < 1e-3) & ((g < cfg.newton_tol) | (last_step < 1e-6)))
-    z = z[plausible]
+    z, moving = z[plausible], moving[plausible]
     last_step = last_step[plausible]
     for i in np.where(last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z)))[0]:
         z[i] = orbits_mod._mp_polish_root(qmap.c, z[i], n)
@@ -208,7 +217,10 @@ def ref_newton_roots(qmap, n, seeds, cfg, maxit=140):
         g = np.abs(w - z)
         err = g / np.maximum(np.abs(d - 1.0), 1.0)
         keep = np.isfinite(z) & np.isfinite(g) & (g < 1e-3) & (err < cfg.newton_tol)
-    return z[keep]
+    z, moving = z[keep], moving[keep]
+    if last:
+        return z[~moving], z[moving]
+    return z, stragglers
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -267,7 +279,8 @@ def test_enumeration_bytes_bounds_the_largest_round(basilica):
         try:
             seeds = np.concatenate([preimage_tree(basilica, fp.beta, n + 3)[0],
                                     preimage_tree(basilica, fp.alpha, n + 1)[0]])
-            orbits_mod._newton_roots(basilica, n, seeds, DEFAULT_CONFIG)
+            orbits_mod._newton_roots(basilica, n, seeds, DEFAULT_CONFIG,
+                                     orbits_mod.FIRST_PASS_STEPS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -306,13 +319,15 @@ def test_budget_refuses_before_allocating(squaring, monkeypatch):
 
 
 def test_incomplete_enumeration_carries_partial_columns(squaring, monkeypatch):
-    # Newton loses the roots of z^8 = z with Re z >= 0.1 in every seed
-    # round, so the level stays incomplete
+    # Newton loses the roots of z^8 = z with Re z >= 0.1 in every pass of
+    # every seed round, so the level stays incomplete
     newton = orbits_mod._newton_roots
 
     def lossy(*args, **kwargs):
-        roots = newton(*args, **kwargs)
-        return roots[roots.real < 0.1]
+        roots, rest = newton(*args, **kwargs)
+        if kwargs.get("last"):  # the roots of the never-settled seeds
+            rest = rest[rest.real < 0.1]
+        return roots[roots.real < 0.1], rest
 
     monkeypatch.setattr(orbits_mod, "_newton_roots", lossy)
     with pytest.raises(IncompleteEnumerationError) as info:
@@ -324,6 +339,75 @@ def test_incomplete_enumeration_carries_partial_columns(squaring, monkeypatch):
     assert np.all(found.z.real < 0.1)
     assert sorted(found.minimal_period.tolist()) == [1, 3, 3, 3, 3]
     assert f"found {found.multiplicity.sum()} of 8 roots" in str(info.value)
+
+
+TIGHT = PrecisionConfig(newton_tol=1e-12, dedup_tol=2e-11)
+#: the census parameters, c = -1.749 with the acceptance suite's tolerances
+CENSUS = [(0j, DEFAULT_CONFIG), (-1 + 0j, DEFAULT_CONFIG), (GOLDEN_C, DEFAULT_CONFIG),
+          (-1.749 + 0j, TIGHT)]
+
+
+def _worst_newton_error(qmap, roots, n):
+    """The largest Newton error estimate |f^n(z) - z| / |(f^n)'(z) - 1| over
+    the simple roots, relative to max(1, |z|)."""
+    z = roots.z[roots.multiplicity == 1]
+    w, d = orbit_with_derivative(qmap, z, n)
+    return float(np.max(np.abs(w - z) / np.abs(d - 1.0) / np.maximum(1.0, np.abs(z))))
+
+
+@pytest.mark.parametrize("c, cfg", CENSUS, ids=["0", "-1", "golden", "-1.749"])
+def test_simple_roots_are_newton_accurate(c, cfg):
+    # a plausible but unconverged copy of a root must never stand in for the
+    # converged one; keeping the first in (re, im) order instead leaves roots
+    # 2.4e-13 off at c = -1, n = 12 and up to 5.0e-11 off at golden Siegel,
+    # n = 10 and 11
+    qmap = QuadraticMap(c)
+    for n in range(1, 13):
+        roots = fixed_points_of_iterate(qmap, n, cfg)
+        assert _worst_newton_error(qmap, roots, n) <= 1e-13, n
+
+
+@pytest.mark.parametrize("name", ["basilica", "golden_siegel"])
+def test_straggler_passes_give_the_default_roots(name, request, monkeypatch):
+    # with a one-step first pass every level from n = 3 on needs the straggler
+    # passes; the roots must be those of the default passes
+    qmap = request.getfixturevalue(name)
+    default = {n: fixed_points_of_iterate(qmap, n) for n in range(1, 11)}
+    passes = []
+    newton = orbits_mod._newton_roots
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(orbits_mod, "_newton_roots", counted)
+    monkeypatch.setattr(orbits_mod, "FIRST_PASS_STEPS", 1)
+    for n, want in default.items():
+        passes.clear()
+        got = fixed_points_of_iterate(qmap, n)
+        assert n < 3 or len(passes) > 1, n
+        gap = np.abs(got.z[:, None] - want.z[None, :])
+        match = gap.argmin(axis=1)
+        assert sorted(match.tolist()) == list(range(len(want))), n
+        assert np.all(gap.min(axis=1) <= compare_orbits.RTOL * np.maximum(1.0, np.abs(got.z))), n
+        assert np.array_equal(got.multiplicity, want.multiplicity[match]), n
+        assert np.array_equal(got.minimal_period, want.minimal_period[match]), n
+        assert _worst_newton_error(qmap, got, n) <= 1e-13, n
+
+
+def test_warns_near_the_resolution_limit(chebyshev):
+    # at c = -2 two roots of f^11(z) = z lie 2.3 dedup_tol apart near -2
+    with pytest.warns(UserWarning, match=r"lie 2\.3 dedup_tol apart; level 11"):
+        fixed_points_of_iterate(chebyshev, 11)
+
+
+def test_resolved_levels_do_not_warn(chebyshev):
+    # the closest pair at c = -2, n = 10 lies 18 dedup_tol apart
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fixed_points_of_iterate(chebyshev, 10)
+        for c, cfg in CENSUS:
+            fixed_points_of_iterate(QuadraticMap(c), 12, cfg)
 
 
 def _sweep_dedup(points, tol):
