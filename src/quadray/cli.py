@@ -4,8 +4,8 @@ Every run writes its outputs plus a manifest.json recording the fully
 resolved configuration, tool version and wall time; re-running a command
 from its manifest reproduces the output files byte for byte (the manifest
 itself carries the non-deterministic wall time and is not compared).
-Each command names the precision keys it reads; setting any other away from
-its default is a usage error.
+Each command names the common keys it reads (the map, the seed, the
+precision keys); setting any other away from its default is a usage error.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -258,22 +258,25 @@ def resolve_map(params: dict) -> QuadraticMap:
     raise UsageError("need --c re,im or --preset")
 
 
-#: the keys of PrecisionConfig; a command names the ones it reads
+#: the keys that name the map, and the keys of PrecisionConfig
+MAP_KEYS = ("c", "preset")
 PRECISION_KEYS = ("mantissa_bits", "newton_tol", "dedup_tol", "max_iter")
+#: the common keys a command may leave unread; it names the ones it reads
+OPTIONAL_KEYS = MAP_KEYS + ("seed",) + PRECISION_KEYS
 #: what the enumeration of Fix(f^n) reads
-ENUMERATION_KEYS = ("newton_tol", "dedup_tol")
+ENUMERATION_KEYS = MAP_KEYS + ("newton_tol", "dedup_tol")
 
 
 def resolve_precision(command: str, params: dict,
                       reads: tuple[str, ...]) -> PrecisionConfig:
-    """The PrecisionConfig of a command that reads the precision keys `reads`.
+    """The PrecisionConfig of a command that reads the common keys `reads`.
 
-    Any other precision key set away from its default, by a flag, a config
-    file or a manifest, is a usage error, so no knob is accepted and then
-    ignored; the keys stay in every manifest, which replays when they hold
-    their defaults.
+    Any other key of OPTIONAL_KEYS set away from its default, by a flag, a
+    config file or a manifest, is a usage error, so no knob is accepted and
+    then ignored; the keys stay in every manifest, which replays when they
+    hold their defaults.
     """
-    unread = [k for k in PRECISION_KEYS
+    unread = [k for k in OPTIONAL_KEYS
               if k not in reads and params[k] != COMMON_PARAMS[k]]
     if unread:
         raise UsageError(f"{command} does not use {', '.join(unread)}; "
@@ -318,7 +321,7 @@ def cmd_orbits(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_rays(params: dict, outdir: Path) -> list[str]:
-    resolve_precision("rays", params, reads=())
+    resolve_precision("rays", params, MAP_KEYS)
     qmap = resolve_map(params)
     angles = parse_angles(params["angles"])
     if not angles:
@@ -442,7 +445,7 @@ def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_distortion(params: dict, outdir: Path) -> list[str]:
-    resolve_precision("distortion", params, reads=())
+    resolve_precision("distortion", params, MAP_KEYS + ("seed",))
     qmap = resolve_map(params)
     center = _resolve_point(params["center"], qmap)
     report = distortion_ratio(
@@ -482,9 +485,10 @@ def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
 
 def cmd_render(params: dict, outdir: Path) -> list[str]:
     layer_names = [s.strip() for s in str(params["layers"]).split(",") if s.strip()]
-    # only the orbits layer enumerates
-    cfg = resolve_precision("render", params,
-                            ENUMERATION_KEYS if "orbits" in layer_names else ())
+    # only the julia layer samples and only the orbits layer enumerates
+    cfg = resolve_precision("render", params, MAP_KEYS
+                            + (("seed",) if "julia" in layer_names else ())
+                            + (ENUMERATION_KEYS if "orbits" in layer_names else ()))
     qmap = resolve_map(params)
     vp_bits = [float(b) for b in str(params["viewport"]).split(":")]
     if len(vp_bits) != 4:

@@ -36,7 +36,9 @@ class IncompleteEnumerationError(QuadrayError):
 
 
 class AmbiguousOrbitError(QuadrayError):
-    """A point matched two distinct orbits within the dedup tolerance."""
+    """The enumerated points do not form cycles under f: an image matched no
+    point or two within tolerance, f was not a bijection on them, or f^n was
+    not the identity."""
 
 
 class PortraitError(QuadrayError):

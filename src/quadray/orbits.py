@@ -26,13 +26,13 @@ Parabolic collisions are merged and counted by winding number.  Once the
 count holds, a UserWarning names any two roots within RESOLUTION_MARGIN
 dedup_tol of each other.  Levels whose seed rounds would pass
 ENUMERATION_BUDGET_BYTES are refused up front.  The roots leave enumeration
-as `IterateRoots`, three aligned arrays.
+as `IterateRoots`, two aligned arrays: the points and their multiplicities.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
-cycles of that permutation are the periodic orbits.  `group_into_orbits`
-builds it from the points close to each image, and raises AmbiguousOrbitError
-when an image matches no point or two, when it is not a bijection, or when a
-cycle's length differs from the minimal period of its points.
+cycles of that permutation are the periodic orbits, and their lengths the
+minimal periods.  `group_into_orbits` builds it from the points close to
+each image, and raises AmbiguousOrbitError when an image matches no point or
+two, when it is not a bijection, or when its n-th power is not the identity.
 
 Both find close points with `_radius_pairs`, a binary search over the
 points sorted by their projection on a fixed direction.
@@ -104,11 +104,10 @@ class FixedPoints:
 
 @dataclass(frozen=True, eq=False)
 class IterateRoots:
-    """The distinct roots of f^n(z) = z as aligned columns: the points z,
-    their minimal periods and their root multiplicities."""
+    """The distinct roots of f^n(z) = z as aligned columns: the points z and
+    their root multiplicities."""
 
     z: np.ndarray
-    minimal_period: np.ndarray
     multiplicity: np.ndarray
 
     def __len__(self) -> int:
@@ -428,8 +427,7 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
             _warn_unresolved(found, n, cfg)
             break
     total = int(mult.sum())
-    roots = IterateRoots(z=found, minimal_period=_minimal_periods(qmap, n, found, cfg),
-                         multiplicity=mult)
+    roots = IterateRoots(z=found, multiplicity=mult)
     if total != 2 ** n:
         raise IncompleteEnumerationError(
             f"found {total} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}",
@@ -439,8 +437,8 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
 
 def _warn_unresolved(found: np.ndarray, n: int, cfg: PrecisionConfig) -> None:
     """Warn when two roots lie within RESOLUTION_MARGIN dedup_tol max(1, |z|):
-    a merge, image match or period test at that distance is decided by the
-    tolerance, not by the roots."""
+    a merge or image match at that distance is decided by the tolerance, not
+    by the roots."""
     tol = cfg.dedup_tol * np.maximum(1.0, np.hypot(found.real, found.imag))
     i, j = _radius_pairs(found, RESOLUTION_MARGIN * tol)
     if len(i):
@@ -451,24 +449,6 @@ def _warn_unresolved(found: np.ndarray, n: int, cfg: PrecisionConfig) -> None:
             f"roots {complex(found[i[k]])!r} and {complex(found[j[k]])!r} of f^{n}(z) = z "
             f"lie {ratio[k]:.1f} dedup_tol apart; level {n} is near the resolution "
             "limit, lower dedup_tol", stacklevel=3)
-
-
-def _minimal_periods(qmap, n, found, cfg) -> np.ndarray:
-    """The minimal period of each root z of f^n: the smallest divisor d of n
-    with |f^d(z) - z| <= 10 dedup_tol max(1, |z|), found in one pass that
-    iterates every root n - 1 times."""
-    period = np.full(len(found), n)
-    unset = np.ones(len(found), dtype=bool)
-    tol = 10.0 * cfg.dedup_tol * np.maximum(1.0, np.abs(found))
-    fd = found.copy()
-    with np.errstate(all="ignore"):
-        for step in range(1, n):
-            fd = fd * fd + qmap.c
-            if n % step == 0:
-                hit = unset & (np.abs(fd - found) <= tol)
-                period[hit] = step
-                unset &= ~hit
-    return period
 
 
 def _classify_multiplier(lam: complex, tol_class: float) -> str:
@@ -493,25 +473,24 @@ def classify_orbit(orbit: PeriodicOrbit, tol_class: float = DEFAULT_CLASS_TOL) -
 
 
 def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,
-                      cfg: PrecisionConfig = DEFAULT_CONFIG,
-                      tol_class: float = DEFAULT_CLASS_TOL) -> list[PeriodicOrbit]:
+                      cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[PeriodicOrbit]:
     """Partition Fix(f^n), given as the columns of `roots` in any order, into
-    cycles; each orbit carries its minimal period, multiplier, stability
-    class and multiplicity (the largest of its points').
+    cycles; each orbit carries its minimal period (its cycle length),
+    multiplier, stability class and multiplicity (the largest of its points').
 
     pi(i) is the one enumerated point within 10 dedup_tol max(1, |f(z_i)|) of
     f(z_i), or within 1e-6 max(1, |f(z_i)|) when z_i is a multiple root; the
     points within tolerance of every image come from one `_radius_pairs`
     search.  AmbiguousOrbitError is raised when f(z_i) matches no point (the
     message gives the distance to the nearest one), when it matches two, when
-    pi is not a bijection, or when a cycle's length differs from its points'
-    minimal period.  Each cycle of pi is one orbit, listed
+    pi is not a bijection, or when pi^n is not the identity, so that some
+    cycle's length does not divide n.  Each cycle of pi is one orbit, listed
     from its lexicographically smallest point; the multiplier is the product
     of 2 z along it.  Cycle lengths and heads come from n vectorized steps of
     pi in O(N) memory, so Python loops once per orbit, not once per point.
     """
     order = np.lexsort((roots.z.imag, roots.z.real))
-    z, period, mult = roots.z[order], roots.minimal_period[order], roots.multiplicity[order]
+    z, mult = roots.z[order], roots.multiplicity[order]
     image = z * z + qmap.c
     # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed
     # collision, so their images match at a coarser tolerance.
@@ -536,7 +515,7 @@ def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,
 
     # Walk pi^k(i) for k = 1..n: the first k with pi^k(i) = i is the cycle
     # length of i, and its head, the smallest index on the cycle, lies `ahead`
-    # steps on.  A cycle longer than n keeps length 0 and fails the check.
+    # steps on.  Every point of Fix(f^n) must be back after n steps.
     index = np.arange(len(z))
     length = np.zeros(len(z), dtype=int)
     head = index.copy()
@@ -548,7 +527,7 @@ def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,
         head[closer] = j[closer]
         ahead[closer] = k
         length[(j == index) & (length == 0)] = k
-    bad = np.flatnonzero(length != period)
+    bad = np.flatnonzero(j != index)
     if len(bad):
         # the failing cycle with the smallest head, walked in full
         i = int(head[bad].min())
@@ -556,8 +535,8 @@ def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,
         while pi[cycle[-1]] != i:
             cycle.append(int(pi[cycle[-1]]))
         raise AmbiguousOrbitError(
-            f"cycle of length {len(cycle)} through {complex(z[i])!r} carries "
-            f"minimal periods {sorted(set(period[cycle].tolist()))}")
+            f"cycle through {complex(z[i])!r} has length {len(cycle)}, which does "
+            f"not divide level {n}")
 
     # Orbits by (minimal period, head), each from its head in cycle order;
     # index order is (re, im) order, so the head is the smallest point.
@@ -571,7 +550,7 @@ def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,
         lam = math.prod(twice[s:s + m], start=1.0 + 0.0j)
         orbits.append(PeriodicOrbit(
             points=tuple(zs[s:s + m]), minimal_period=m, multiplier=lam,
-            stability=_classify_multiplier(lam, tol_class), multiplicity=mu))
+            stability=_classify_multiplier(lam, DEFAULT_CLASS_TOL), multiplicity=mu))
     return orbits
 
 

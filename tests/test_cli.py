@@ -135,12 +135,17 @@ def test_manifest_rerun_reproduces(tmp_path):
 
 def test_config_file_merge_and_flag_priority(tmp_path):
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[quadray]\npreset = basilica\n\n[bryuno]\nterms = 10\n")
+    # bryuno reads no map, so the shared section sets a key it reads
+    cfg.write_text("[quadray]\nterms = 8\n\n[bryuno]\nterms = 10\n")
     rc = run_command(["bryuno", "--config", str(cfg), "--terms", "12",
                       "--output-dir", str(tmp_path)])
     assert rc == 0
     doc = json.loads((tmp_path / "bryuno.json").read_text())
     assert len(doc["convergent_denominators"]) == 12  # flag wins over config
+    rc = run_command(["bryuno", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "bryuno.json").read_text())
+    assert len(doc["convergent_denominators"]) == 10  # command section wins
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -275,6 +280,37 @@ def test_unread_precision_key_rejected(tmp_path, capsys, argv, key):
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+#: a small valid run of every command
+RUNS = {label: argv for label, (argv, _) in PRECISION_READS.items()}
+RUNS["rays"] = ["rays", "--preset", "basilica", "--angles", "1/3"]
+#: the runs that read seed: distortion's sample circle and render's julia layer
+SEED_READERS = ("distortion", "render-julia")
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    *[pytest.param(argv, "seed", "7", id=f"{label}-seed")
+      for label, argv in RUNS.items() if label not in SEED_READERS],
+    pytest.param(["bryuno", "--terms", "5"], "c", "0.3,0.1", id="bryuno-c"),
+    pytest.param(["bryuno", "--terms", "5"], "preset", "nonexistent", id="bryuno-preset"),
+])
+def test_unread_seed_and_map_keys_rejected(tmp_path, capsys, argv, key, value):
+    # the unread-precision-key rule covers seed, and bryuno never reads the map
+    out = tmp_path / "out"
+    rc = run_command(argv + [f"--{key}", value, "--output-dir", str(out)])
+    assert rc == 2
+    assert f"does not use {key}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("label", SEED_READERS)
+def test_seed_readers_accept_seed(tmp_path, label):
+    argv = RUNS[label]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_command(argv + ["--seed", "7", "--output-dir", str(a)]) == 0
+    assert run_command(argv + ["--seed", "8", "--output-dir", str(b)]) == 0
+    assert hashes(a) != hashes(b)
 
 
 def _oracle_orbit_files(outdir: Path, orbits) -> None:

@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -335,9 +337,8 @@ def test_incomplete_enumeration_carries_partial_columns(squaring, monkeypatch):
     found = info.value.found
     assert isinstance(found, IterateRoots)
     # 0 and the 7th roots of unity e^(2 pi i k / 7), k = 2..5
-    assert len(found) == len(found.minimal_period) == len(found.multiplicity) == 5
+    assert len(found) == len(found.multiplicity) == 5
     assert np.all(found.z.real < 0.1)
-    assert sorted(found.minimal_period.tolist()) == [1, 3, 3, 3, 3]
     assert f"found {found.multiplicity.sum()} of 8 roots" in str(info.value)
 
 
@@ -391,7 +392,9 @@ def test_straggler_passes_give_the_default_roots(name, request, monkeypatch):
         assert sorted(match.tolist()) == list(range(len(want))), n
         assert np.all(gap.min(axis=1) <= compare_orbits.RTOL * np.maximum(1.0, np.abs(got.z))), n
         assert np.array_equal(got.multiplicity, want.multiplicity[match]), n
-        assert np.array_equal(got.minimal_period, want.minimal_period[match]), n
+        periods = [sorted(o.minimal_period for o in group_into_orbits(r, qmap, n))
+                   for r in (got, want)]
+        assert periods[0] == periods[1], n
         assert _worst_newton_error(qmap, got, n) <= 1e-13, n
 
 
@@ -408,6 +411,54 @@ def test_resolved_levels_do_not_warn(chebyshev):
         fixed_points_of_iterate(chebyshev, 10)
         for c, cfg in CENSUS:
             fixed_points_of_iterate(QuadraticMap(c), 12, cfg)
+
+
+def _rotation_parameter(quotients):
+    """c = lambda/2 - lambda^2/4 with lambda = e^(2 pi i theta) and theta the
+    continued fraction [0; a_1, a_2, ...]: alpha has rotation number theta."""
+    theta = Fraction(0)
+    for a in reversed(quotients):
+        theta = 1 / (a + theta)
+    lam = cmath.exp(2j * math.pi * float(theta))
+    return lam / 2.0 - lam ** 2 / 4.0
+
+
+def _fails_at(check, error, reason):
+    return pytest.mark.xfail(strict=True, raises=error, reason=f"{check}: {reason}")
+
+
+@pytest.mark.parametrize("c, n, message", [
+    pytest.param(-1.25 + 0j, 4, r"matches no enumerated point \(min dist 6\.75e-06\)",
+                 marks=_fails_at("image match", AmbiguousOrbitError,
+                                 "the 2-cycle (multiplier -1) is a triple root of "
+                                 "f^4(z) - z, settled 6.75e-6 off, outside the 1e-6 "
+                                 "multiple-root radius"),
+                 id="-1.25-n4"),
+    pytest.param(_rotation_parameter([3, 1, 10 ** 8]), 4,
+                 r"matches no enumerated point \(min dist 2\.03e-08\)",
+                 marks=_fails_at("image match", AmbiguousOrbitError,
+                                 "near-Cremer alpha: an image lands 2.03e-8 off"),
+                 id="near-cremer-3-1-1e8-n4"),
+    pytest.param(-2 + 0j, 11, "matches two points within tolerance",
+                 marks=_fails_at("image match", AmbiguousOrbitError,
+                                 "two roots lie 2.3 dedup_tol apart near 2"),
+                 id="-2-n11"),
+    pytest.param(-2 + 0j, 12, "found 4095 of 4096 roots",
+                 marks=_fails_at("root count", IncompleteEnumerationError,
+                                 "dedup merges two roots 5.7e-10 apart"),
+                 id="-2-n12"),
+])
+def test_known_failing_cells(c, n, message):
+    # under the default config a fixed tolerance, not the roots, decides
+    # these cells (ROADMAP items 1 and 2); each keeps raising from the check
+    # it names until mended, and then the strict xfail flips
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            julia_orbits(QuadraticMap(c), n)
+        except (AmbiguousOrbitError, IncompleteEnumerationError) as exc:
+            assert re.search(message, str(exc)), str(exc)
+            raise
 
 
 def _sweep_dedup(points, tol):
@@ -584,8 +635,7 @@ def test_grouping_matches_quadratic_walk(name, request):
         assert {o.points for o in orbits} == _quadratic_orbits(pts, qmap), (name, n)
         # the input order does not matter
         perm = random.Random(n).sample(range(len(pts)), len(pts))
-        shuffled = IterateRoots(z=pts.z[perm], minimal_period=pts.minimal_period[perm],
-                                multiplicity=pts.multiplicity[perm])
+        shuffled = IterateRoots(z=pts.z[perm], multiplicity=pts.multiplicity[perm])
         assert group_into_orbits(shuffled, qmap, n, cfg) == orbits, (name, n)
         # the orbits partition the points
         assert (sorted((z for o in orbits for z in o.points), key=lex)
@@ -602,22 +652,24 @@ def test_grouping_matches_quadratic_walk(name, request):
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 
 
-@pytest.mark.parametrize("zs_periods, message", [
+@pytest.mark.parametrize("zs, message", [
     # f(1) = 1 lies within tolerance of both 1 and 1 + 1e-10
-    ([(1.0 + 0j, 1), (1.0 + 1e-10 + 0j, 1)], "matches two points"),
+    ([1.0 + 0j, 1.0 + 1e-10 + 0j], "matches two points"),
     # the 2-cycle of z^2 given without its mate omega^2; the query stops at
     # the largest tolerance, but the error names the true nearest distance,
     # |omega^2 - 0| = 1
-    ([(0j, 1), (1.0 + 0j, 1), (OMEGA, 2)],
+    ([0j, 1.0 + 0j, OMEGA],
      r"matches no enumerated point \(min dist 1\.00e\+00\)"),
-    # both points carry minimal period 3, but they form a 2-cycle
-    ([(OMEGA, 3), (OMEGA ** 2, 3)], "cycle of length 2"),
+    # {omega, omega^2} is a 2-cycle, and 2 does not divide the level 3
+    ([OMEGA, OMEGA ** 2], "has length 2, which does not divide level 3"),
+    # a 5-cycle of z^2, longer than the level 3
+    ([cmath.exp(2j * math.pi * 2 ** k / 31) for k in range(5)],
+     "has length 5, which does not divide level 3"),
     # f(-1) = f(1) = 1: not a permutation
-    ([(-1.0 + 0j, 1), (1.0 + 0j, 1)], "cycle overlap"),
-], ids=["two_matches", "missing_mate", "period_mismatch", "not_bijective"])
-def test_grouping_rejects_ambiguous_points(squaring, zs_periods, message):
-    zs, periods = zip(*zs_periods)
-    pts = IterateRoots(z=np.array(zs, dtype=complex), minimal_period=np.array(periods),
-                       multiplicity=np.ones(len(zs), dtype=int))
+    ([-1.0 + 0j, 1.0 + 0j], "cycle overlap"),
+], ids=["two_matches", "missing_mate", "period_mismatch", "longer_than_level",
+        "not_bijective"])
+def test_grouping_rejects_ambiguous_points(squaring, zs, message):
+    pts = IterateRoots(z=np.array(zs, dtype=complex), multiplicity=np.ones(len(zs), dtype=int))
     with pytest.raises(AmbiguousOrbitError, match=message):
-        group_into_orbits(pts, squaring, 6)
+        group_into_orbits(pts, squaring, 3)
