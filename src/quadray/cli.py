@@ -247,6 +247,8 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
 
 
 def resolve_map(params: dict) -> QuadraticMap:
+    if params.get("preset") and params.get("c"):
+        raise UsageError("give --c or --preset, not both")
     if params.get("preset"):
         name = params["preset"]
         if name not in PRESETS:

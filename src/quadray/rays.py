@@ -8,25 +8,29 @@ infinity, where the conformal coordinate is the identity plus an explicit
 
 One schedule walks every ray down from a potential g_top in the band:
 substep j sits at potential g_top * 2^(-j/SUBSTEPS) on level
-k = ceil(j/SUBSTEPS), where Newton from the previous point solves
-f^k(z) = anchor(2^k theta, 2^k * potential).  The small steps keep each solve
-in its convergence basin and on the correct inverse branch.  2^k theta is
+k = ceil(j/SUBSTEPS), where `_descent` runs Newton from the previous point
+on f^k(z) = anchor(2^k theta, 2^k * potential).  The small steps keep each
+solve in its convergence basin and on the correct inverse branch.  2^k theta is
 exact: theta = r/den with r <- 2r mod den once per level, and the float r/den
 is 2^k theta mod 1 correctly rounded.
 
-`_descent` walks one ray in scalar Python; `_batch_landing` walks the
-portrait candidates together in numpy, and each substep iterates only the
-rays whose Newton steps still move.  Single rays stay scalar: at one point,
-f^100 with its derivative takes about 20 us in a Python loop and about
+`_descent` walks one ray in scalar Python.  Single rays stay scalar: at one
+point, f^100 with its derivative takes about 20 us in a Python loop and about
 500 us through orbit_with_derivative on a one-element array (2-vCPU Xeon,
 Python 3.11).
 
 Rays that land on one cycle are permuted by doubling, and f maps
-R_theta(g) onto R_2theta(2g).  So a portrait screen descends one ray per
-doubling cycle, the smallest angle, picked by integer rotations of its
-binary word, and reads the tails of the other rays of the cycle off the
-images of its tail under f.  The cycles are counted before any candidate is
-built, against PORTRAIT_CANDIDATE_BUDGET.
+R_theta(g) onto R_2theta(2g).  A portrait screen lists one ray per doubling
+cycle, the smallest angle, picked by integer rotations of its binary word;
+the cycles are counted before any candidate is built, against
+PORTRAIT_CANDIDATE_BUDGET.  `_batch_landing` descends every member of those
+cycles together by pullback, on the schedule above: the point of theta at a
+substep of level k is the square root of (the point of 2 theta at that
+substep of level k - 1) - c nearer the point of theta at the previous
+substep, and level 0 holds the anchor points.  That solves the same
+f^k(z) = anchor(2^k theta, 2^k G) with one square root per substep and no
+f^k.  The screen then reads the tails of the other rays of a cycle off the
+images of its ray's tail under f.
 
 A ray landing on a repelling point converges geometrically level by level;
 on a parabolic point the residuals shrink like 1/k^2, so their ratio tends
@@ -69,8 +73,20 @@ STALL_RATIO = 0.75
 #: which sit farther out, finish the full descent.
 TAIL_SLACK = 4.0
 #: Portrait screens descend at most this many ray cycles: every period n <= 5
-#: with the default cap 4n (n = 5: 54,664 cycles, about 22 s), not n = 6.
+#: with the default cap 4n (n = 5: 54,664 cycles, a screen of about 8 s on a
+#: 2-vCPU Xeon), not n = 6.
 PORTRAIT_CANDIDATE_BUDGET = 2 ** 16
+#: Working memory of one screen chunk of whole cycles, and what one cycle
+#: member takes of it: SUBSTEPS + 1 complex and 7 float arrays.  Chunks of
+#: 2 MiB ran fastest on a 2-vCPU Xeon (n = 4, cap 16: 0.49 s; 0.66 s with
+#: one 16 MiB chunk).
+SCREEN_CHUNK_BYTES = 2 ** 21
+_SCREEN_MEMBER_BYTES = 16 * (SUBSTEPS + 1) + 8 * 7
+#: A screen cycle leaves the screen when a pullback picks a square root y
+#: with |y - x| >= BRANCH_RATIO |y + x|, x the point at the previous substep:
+#: both roots nearly as far from x.
+BRANCH_RATIO = 0.8
+_BRANCH_MARGIN = (1.0 - BRANCH_RATIO ** 2) / (2.0 * (1.0 + BRANCH_RATIO ** 2))
 
 DEFAULT_LANDING_TOL = 1e-8
 DEFAULT_MATCH_TOL = 1e-6
@@ -280,44 +296,108 @@ def _refine_periodic(qmap, z0, m, iters=90):
     return z, last
 
 
-def _batch_landing(qmap: QuadraticMap, r: np.ndarray, den: np.ndarray, levels: int,
-                   newton_iters: int = 8):
-    """Vectorized coarse descent of the rays r/den to a fixed depth.
+def _batch_landing(qmap: QuadraticMap, r: np.ndarray, den: np.ndarray, levels: int):
+    """Screen tails of the rays r/den, den = 2^m - 1 with m <= 20, at
+    potential ANCHOR_POTENTIAL * 2^-levels, descended by pullback.
 
-    Returns (points, alive) where alive flags rays whose Newton solves stayed
-    finite.  Each substep iterates only the rays still moving: a ray leaves
-    once its own step is below 1e-12 (1 + |x|) or is not finite, so its tail
-    is what a batch of one would give.  Used as a screen before per-ray
-    refinement.
+    Each ray is descended with the rest of its doubling cycle, in chunks of
+    whole cycles that fit SCREEN_CHUNK_BYTES.  Returns (points, alive): alive
+    is False for a ray whose cycle met a non-finite value or an ambiguous
+    branch, and its point is 0.  Used as a screen before per-ray refinement.
     """
-    c = qmap.c
-    # Candidate denominators are 2^m - 1 with m <= 20 (the candidate budget
-    # admits no larger m), so 2r fits int64 and r, den are exact doubles:
-    # r / den rounds exactly as the scalar path's.
     r = np.asarray(r, dtype=np.int64)
     den = np.asarray(den, dtype=np.int64)
-    x = _anchor_seed_vec(c, r / den, ANCHOR_POTENTIAL)
-    alive = np.ones(len(x), dtype=bool)
+    if np.any((den < 1) | (den & (den + 1) != 0)):
+        raise ValueError("screen denominators must be 2^m - 1, the rays' periods m")
+    m = np.frexp(den + 1.0)[1] - 1  # den = 2^m - 1 is exact in a double
+    points = np.zeros(len(r), dtype=complex)
+    alive = np.zeros(len(r), dtype=bool)
+    # a chunk takes the cycles whose first member falls in its window
+    window = np.cumsum(m) - m
+    window //= max(1, SCREEN_CHUNK_BYTES // _SCREEN_MEMBER_BYTES)
+    starts = np.flatnonzero(np.diff(window, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(r)]):
+        points[lo:hi], alive[lo:hi] = _pullback_cycles(qmap.c, r[lo:hi], den[lo:hi],
+                                                       m[lo:hi], levels)
+    return points, alive
+
+
+def _pullback_cycles(c: complex, r: np.ndarray, den: np.ndarray, m: np.ndarray,
+                     levels: int):
+    """Points and alive flags of the rays r/den of period m after `levels`
+    levels of pullback; see _batch_landing.
+
+    The members theta 2^i of a cycle sit in consecutive rows, the first its
+    ray; the image of a row under doubling is the next row, wrapping to the
+    first at the last.  Level 0 holds each member's anchor points at the
+    potentials 2g of the first level's substeps g.  The point at substep s of
+    level k is the square root of (its image's point at substep s of level
+    k - 1) - c nearer the point at the previous substep: one square root in
+    place of Newton on f^k(z) = anchor(2^k theta, 2^k g).
+    """
+    first = np.cumsum(m) - m
+    last = first + m - 1
+    pts = _member_anchors(c, r, den, m, first)
+    real, imag = [p.real for p in pts], [p.imag for p in pts]
+    w = np.empty_like(pts[0])
+    a, b = w.real, w.imag
+    norm, lower, upper, dot, part = (np.empty(len(w)) for _ in range(5))
+    ref_norm = np.abs(pts[-1]) ** 2
+    worst = np.full(len(w), np.inf)
     with np.errstate(all="ignore"):
-        for k in range(1, levels + 1):
-            r = 2 * r % den
-            for potential in _level_potentials(ANCHOR_POTENTIAL, k):
-                target = _anchor_seed_vec(c, r / den, potential * 2.0 ** k)
-                active = np.flatnonzero(alive)
-                for _ in range(newton_iters):
-                    if len(active) == 0:
-                        break
-                    xa = x[active]
-                    w, d = orbit_with_derivative(qmap, xa, k)
-                    step = (w - target[active]) / d
-                    step = np.where(np.isfinite(step), step, 0.0)
-                    xa = xa - step
-                    x[active] = xa
-                    active = active[~(np.abs(step) < 1e-12 * (1.0 + np.abs(xa)))]
-                finite = np.isfinite(x)
-                alive &= finite
-                x[~finite] = 0.0
-    return x, alive
+        for _ in range(levels):
+            for s in range(SUBSTEPS):
+                y = pts[s]
+                np.subtract(y[1:], c, out=w[:-1])
+                w[last] = y[first] - c
+                # a stable square root of w = a + ib, up to sign: |w| is
+                # |y|^2, the larger part sqrt((|w| + |a|) / 2) is the real
+                # one when a >= 0, and the product of the parts is b / 2
+                np.abs(w, out=norm)
+                np.abs(a, out=upper)
+                upper += norm
+                upper *= 0.5
+                np.sqrt(upper, out=upper)
+                np.abs(b, out=lower)
+                lower /= upper
+                lower *= 0.5
+                np.copysign(upper, a, out=upper)
+                np.maximum(lower, upper, out=real[s])
+                np.negative(upper, out=upper)
+                np.maximum(lower, upper, out=imag[s])
+                np.copysign(imag[s], b, out=imag[s])
+                # the root y nearer x, the point at the previous substep, has
+                # Re(y conj(x)) >= 0; the choice is ambiguous when
+                # |y - x| >= BRANCH_RATIO |y + x|, that is when
+                # |Re(y conj(x))| <= _BRANCH_MARGIN (|y|^2 + |x|^2)
+                np.multiply(real[s], real[s - 1], out=dot)
+                np.multiply(imag[s], imag[s - 1], out=part)
+                dot += part
+                np.copysign(1.0, dot, out=part)
+                real[s] *= part
+                imag[s] *= part
+                np.abs(dot, out=dot)
+                ref_norm += norm
+                ref_norm *= _BRANCH_MARGIN
+                dot -= ref_norm
+                np.minimum(worst, dot, out=worst)
+                ref_norm, norm = norm, ref_norm
+    points = pts[-1][first]
+    alive = (np.minimum.reduceat(worst, first) > 0) & np.isfinite(points)
+    points[~alive] = 0.0
+    return points, alive
+
+
+def _member_anchors(c, r, den, m, first):
+    """Level 0 of a pullback: for each substep g of the first level, the
+    anchor points at potential 2g of the members r 2^i / den, i < m, of each
+    cycle, in consecutive rows from `first`.  Its index arrays are freed
+    before the descent, which SCREEN_CHUNK_BYTES does not count."""
+    cycle = np.repeat(np.arange(len(m)), m)
+    shift = np.arange(len(cycle)) - first[cycle]
+    # r < 2^m and i < m <= 20, so r 2^i fits int64
+    theta = (r[cycle] << shift) % den[cycle] / den[cycle]
+    return [_anchor_seed_vec(c, theta, 2.0 * g) for g in _level_potentials(ANCHOR_POTENTIAL, 1)]
 
 
 def _anchor_seed_vec(c, theta_arr, potential):
@@ -409,7 +489,8 @@ def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
 
     Rays landing on one cycle are permuted by doubling, so one angle per
     doubling cycle (periods n, 2n, ... up to the cap; its smallest) is
-    descended, in one vectorized pass of screen_levels levels.  When its tail
+    screened: the rays of all these cycles are descended together by pullback
+    (`_batch_landing`), screen_levels levels deep.  When its tail
     lies within screen_gate of the orbit, the tails of the other rays of its
     cycle are its images under f; each is refined by Newton on the period
     equation and matched to an orbit point within match_tol, and the cycle is

@@ -304,6 +304,23 @@ def test_unread_seed_and_map_keys_rejected(tmp_path, capsys, argv, key, value):
     assert not any(out.iterdir())
 
 
+def test_c_with_preset_rejected(tmp_path, capsys):
+    # the preset would win and --c be ignored; a manifest written under a
+    # preset records c as null, so it still replays
+    out, a, b = tmp_path / "out", tmp_path / "a", tmp_path / "b"
+    rc = run_command(["orbits", "--c", "0.3,0.1", "--preset", "basilica", "--n", "2",
+                      "--output-dir", str(out)])
+    assert rc == 2
+    assert "not both" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    assert run_command(["orbits", "--preset", "basilica", "--n", "2",
+                        "--output-dir", str(a)]) == 0
+    assert json.loads((a / "manifest.json").read_text())["params"]["c"] is None
+    assert run_command(["orbits", "--from-manifest", str(a / "manifest.json"),
+                        "--output-dir", str(b)]) == 0
+    assert hashes(a) == hashes(b)
+
+
 @pytest.mark.parametrize("label", SEED_READERS)
 def test_seed_readers_accept_seed(tmp_path, label):
     argv = RUNS[label]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -357,6 +358,22 @@ def mp_periodic_root(c, z0, m, bits=200):
         return z
 
 
+def mp_ray_point(c, theta, z0, levels, bits=300):
+    """The root near z0 of f^levels(z) = anchor(2^levels theta, ANCHOR_POTENTIAL)
+    by Newton at `bits` bits: the screen's ray point at potential
+    ANCHOR_POTENTIAL * 2^-levels, with the anchor of the float angle."""
+    with mp.workprec(bits):
+        w = mp.exp(ANCHOR_POTENTIAL + 2j * mp.pi * RefAngleOrbit(theta).at(levels))
+        cc, z = mp.mpc(c), mp.mpc(z0)
+        target = w - cc / (2 * w)
+        for _ in range(12):
+            x, d = z, mp.mpc(1)
+            for _ in range(levels):
+                d, x = 2 * d * x, x * x + cc
+            z -= (x - target) / d
+        return complex(z)
+
+
 REFERENCE_CS = (-1.0, -1.75, 1j, 0.25)
 # odd and even denominators, 0, and a denominator above 2^63
 REFERENCE_ANGLES = (Angle(0), Angle(1, 3), Angle(2, 7), Angle(22, 63), Angle(1, 4),
@@ -403,19 +420,87 @@ def test_scalar_descent_matches_reference(c):
 
 @pytest.mark.parametrize("c", REFERENCE_CS)
 def test_batch_descent_matches_reference(c):
-    # the active set makes each ray's descent that of a batch of one: the
-    # whole candidate batch runs all 40 screen levels, and every fifth ray
-    # (both periods) is checked against its own one-element run, which takes
-    # about 0.3 s
+    # the pullback solves the Newton oracle's equations by square roots, so
+    # the tails agree to the oracle's accuracy, not bit for bit; every
+    # candidate angle is passed, each the first ray of its own cycle
     qmap = QuadraticMap(c)
     candidates = ref_candidate_angles(3, 6)
-    r = np.array([a.numerator for a in candidates])
-    den = np.array([a.denominator for a in candidates])
+    den = np.array([2 ** angle_period(a) - 1 for a in candidates])
+    r = np.array([a.numerator * (d // a.denominator) for a, d in zip(candidates, den)])
     points, alive = _batch_landing(qmap, r, den, 40)
-    for i in range(0, len(candidates), 5):
-        ref_points, ref_alive = ref_batch_landing(qmap, [candidates[i]], 40)
-        assert points[i:i + 1].tobytes() == ref_points.tobytes(), candidates[i]
-        assert alive[i:i + 1].tobytes() == ref_alive.tobytes(), candidates[i]
+    ref_points, ref_alive = ref_batch_landing(qmap, candidates, 40)
+    assert alive.tolist() == ref_alive.tolist()
+    diff = np.abs(points - ref_points)
+    assert np.max(diff) <= 1e-8
+    # the lockstep oracle stops on a step below 1e-12 and is up to 8e-9 off
+    # (the 16/63 ray at c = -1.75, the 5/7 ray at c = i); there the 300-bit
+    # root of the same equation lies within 1e-12 of the pullback
+    for i in np.flatnonzero(diff > 1e-10):
+        root = mp_ray_point(c, candidates[i], points[i], 40)
+        assert abs(points[i] - root) <= 1e-12, candidates[i]
+
+
+def test_batch_descent_is_a_batch_of_one_cycle(monkeypatch):
+    # cycles are descended apart from one another, so chunking the batch
+    # changes no bit of any tail: the batch runs in several chunks and every
+    # fifth cycle (all periods) is checked against its own one-cycle run
+    qmap = QuadraticMap(1j)
+    r, den = portrait_candidate_angles(3, 12).T
+    chunks = []
+    pullback = rays_mod._pullback_cycles
+    monkeypatch.setattr(rays_mod, "SCREEN_CHUNK_BYTES", 2 ** 18)
+    monkeypatch.setattr(rays_mod, "_pullback_cycles",
+                        lambda c, r, *args: chunks.append(len(r)) or pullback(c, r, *args))
+    points, alive = _batch_landing(qmap, r, den, 40)
+    assert len(chunks) > 2 and sum(chunks) == len(r)
+    for i in [*range(0, len(r), 5), len(r) - 1]:
+        one_points, one_alive = _batch_landing(qmap, r[i:i + 1], den[i:i + 1], 40)
+        assert points[i:i + 1].tobytes() == one_points.tobytes(), (r[i], den[i])
+        assert alive[i] and one_alive[0]
+
+
+def test_ambiguous_branch_leaves_the_screen(monkeypatch):
+    # for c = 1/2 > 1/4 the critical point lies on the 0-ray at potential
+    # G(c)/2; below it the preimage of a real point left of c is imaginary,
+    # as far from the real point before it as its negative is
+    qmap = QuadraticMap(0.5)
+    points, alive = _batch_landing(qmap, [0, 1], [1, 3], 40)
+    assert alive.tolist() == [False, True]
+    assert points[0] == 0 and np.isfinite(points[1])
+    # the tail is finite: only the guard drops it
+    monkeypatch.setattr(rays_mod, "_BRANCH_MARGIN", -1.0)
+    points, alive = _batch_landing(qmap, [0, 1], [1, 3], 40)
+    assert alive.tolist() == [True, True] and np.isfinite(points[0])
+
+
+def test_screen_chunk_bounds_the_screen_memory(monkeypatch):
+    # the screen as portrait_at_orbit runs it, measured with tracemalloc:
+    # 4,448 cycles and 69,552 members, about 14 MB in one chunk; the
+    # per-cycle inputs and outputs take under 64 bytes a cycle
+    r, den = portrait_candidate_angles(4, 16).T
+    for chunk_bytes in (2 ** 20, rays_mod.SCREEN_CHUNK_BYTES):
+        monkeypatch.setattr(rays_mod, "SCREEN_CHUNK_BYTES", chunk_bytes)
+        tracemalloc.start()
+        try:
+            _batch_landing(QuadraticMap(GOLDEN_C), r, den, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * chunk_bytes <= peak <= chunk_bytes + 64 * len(r), (chunk_bytes, peak)
+
+
+def test_airplane_portrait_work_count(monkeypatch, airplane_root):
+    # the screen calls no orbit_with_derivative; what is left is Newton on
+    # the period equation for the cycles that pass the screen gate (466
+    # calls; the Newton screen made about 2,570)
+    calls = []
+    orbit = julia_orbits(airplane_root, 3)[0]
+    count = rays_mod.orbit_with_derivative
+    monkeypatch.setattr(rays_mod, "orbit_with_derivative",
+                        lambda *args: calls.append(1) or count(*args))
+    portrait = portrait_at_orbit(airplane_root, orbit, 3)
+    assert portrait.ray_period == 3
+    assert len(calls) < 1000
 
 
 def necklace_count(m):
