@@ -13,9 +13,8 @@ from .bunches import (BunchReport, DiscPattern, DistortionReport,
                       count_orbits_in_disc_pattern, count_orbits_near_point,
                       distortion_ratio, good_bad_partition, orbit_metric,
                       verify_hypothesis_h)
-from .dynamics import (DEFAULT_CONFIG, OrbitSegment, PrecisionConfig,
-                       QuadraticMap, derivative_along_orbit, evaluate,
-                       green_potential, iterate_orbit, preimages)
+from .dynamics import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
+                       green_potential)
 from .errors import (AmbiguousOrbitError, BranchPointError, EscapeError,
                      IncompleteEnumerationError, PortraitError, PrecisionError,
                      QuadrayError)

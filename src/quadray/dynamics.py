@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrecisionError, QuadrayError
-
-#: Orbits are truncated once they pass this radius; at that size the escape
-#: to infinity is unconditional for any parameter this package accepts.
-TRUNCATION_RADIUS = 1e8
+from .errors import QuadrayError
 
 
 def _require_finite(z: complex, what: str) -> None:
@@ -35,7 +31,12 @@ class QuadraticMap:
         _require_finite(self.c, "parameter c")
 
     def __call__(self, z: complex) -> complex:
-        return evaluate(self, z)
+        """One application of the map, z^2 + c, for finite z."""
+        z = complex(z)
+        _require_finite(z, "z")
+        w = z * z + self.c
+        _require_finite(w, f"the image of z={z!r}")
+        return w
 
     @property
     def escape_radius(self) -> float:
@@ -71,59 +72,6 @@ class PrecisionConfig:
 
 
 DEFAULT_CONFIG = PrecisionConfig()
-
-
-@dataclass
-class OrbitSegment:
-    """A finite forward orbit z_0, f(z_0), ..., possibly truncated on escape."""
-
-    points: list[complex]
-    map: QuadraticMap
-    escaped: bool = False
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def evaluate(qmap: QuadraticMap, z: complex) -> complex:
-    """One application of the map: z^2 + c."""
-    z = complex(z)
-    _require_finite(z, "z")
-    w = z * z + qmap.c
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise QuadrayError(f"evaluation overflowed at z={z!r}")
-    return w
-
-
-def iterate_orbit(qmap: QuadraticMap, z: complex, n: int) -> OrbitSegment:
-    """Forward orbit of length n+1, truncated (and flagged) past the
-    truncation radius."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    z = complex(z)
-    _require_finite(z, "z")
-    pts = [z]
-    escaped = abs(z) > TRUNCATION_RADIUS
-    for _ in range(n):
-        if escaped:
-            break
-        z = z * z + qmap.c
-        pts.append(z)
-        if abs(z) > TRUNCATION_RADIUS:
-            escaped = True
-    return OrbitSegment(points=pts, map=qmap, escaped=escaped)
-
-
-def derivative_along_orbit(qmap: QuadraticMap, z: complex, n: int) -> complex:
-    """(f^n)'(z) by the chain rule: the product of 2*z_i over the orbit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z = complex(z)
-    d = 1.0 + 0.0j
-    for _ in range(n):
-        d *= 2.0 * z
-        z = z * z + qmap.c
-    return d
 
 
 def orbit_with_derivative(qmap: QuadraticMap, z, n: int):
@@ -208,7 +156,7 @@ def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
     log_derivatives[i] = log|(f^n)'(leaves[i])| accumulated along the path.
     In binary64 the leaves are the plain square-root expansion, unrefined:
     enumeration uses them only as Newton seeds and pressure reads only the
-    log-derivatives; `preimages` refines them against f^n.
+    log-derivatives.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -217,37 +165,3 @@ def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
     if cfg.mantissa_bits > 53:
         return _mp_preimage_tree(qmap.c, z, n, cfg.mantissa_bits)
     return _expand_tree(qmap.c, z, n)
-
-
-def _refine_preimages(qmap, z, n, leaves):
-    """One-or-two Newton corrections on f^n(x) = z for every leaf."""
-    x = leaves
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            w, d = orbit_with_derivative(qmap, x, n)
-            step = (w - z) / d
-            usable = np.isfinite(step) & (np.abs(d) > 1e-100)
-            x = np.where(usable, x - step, x)
-    return x
-
-
-def preimages(qmap: QuadraticMap, z: complex, n: int,
-              cfg: PrecisionConfig = DEFAULT_CONFIG) -> list[complex]:
-    """All 2^n solutions of f^n(x) = z, with multiplicity, sorted by (re, im).
-
-    A branch-point hit (some tree node equal to c) produces the double root 0
-    twice.  In binary64 the leaves of `preimage_tree` are refined by two
-    vectorized Newton corrections against f^n; PrecisionError is raised when
-    they fail the residual contract.
-    """
-    leaves, _ = preimage_tree(qmap, z, n, cfg)
-    if n >= 1 and cfg.mantissa_bits == 53:
-        leaves = _refine_preimages(qmap, z, n, leaves)
-        w, d = orbit_with_derivative(qmap, leaves, n)
-        err = np.abs(w - z) / np.maximum(1.0, np.abs(d))
-        if not np.all(np.isfinite(leaves)) or float(np.max(err)) > cfg.newton_tol:
-            raise PrecisionError(
-                f"preimage refinement at depth {n} exceeded newton_tol; "
-                "raise mantissa_bits")
-    order = np.lexsort((leaves.imag, leaves.real))
-    return [complex(v) for v in leaves[order]]

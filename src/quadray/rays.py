@@ -8,29 +8,33 @@ infinity, where the conformal coordinate is the identity plus an explicit
 
 One schedule walks every ray down from a potential g_top in the band:
 substep j sits at potential g_top * 2^(-j/SUBSTEPS) on level
-k = ceil(j/SUBSTEPS), where `_descent` runs Newton from the previous point
-on f^k(z) = anchor(2^k theta, 2^k * potential).  The small steps keep each
-solve in its convergence basin and on the correct inverse branch.  2^k theta is
-exact: theta = r/den with r <- 2r mod den once per level, and the float r/den
-is 2^k theta mod 1 correctly rounded.
-
-`_descent` walks one ray in scalar Python.  Single rays stay scalar: at one
-point, f^100 with its derivative takes about 20 us in a Python loop and about
-500 us through orbit_with_derivative on a one-element array (2-vCPU Xeon,
-Python 3.11).
+k = ceil(j/SUBSTEPS).  `_pullback` solves its equation by backward iteration
+over the ray's doubling chain theta, 2 theta, ..., 2^L theta, L the levels
+walked: the point of 2^i theta at a substep of level k is the square root
+of (the point of 2^(i+1) theta at that substep of level k - 1) - c on the
+branch nearer its point at the previous substep, and level 0 holds the
+anchor points.  The angles are exact (r <- 2r mod den, the float r/den
+correctly rounded).  The chain stops where it closes on itself, so rays of
+one cycle share rows, and it never exceeds L + 1 rows, whatever the period
+(1/(10^9 + 7) has about 5e8).  Backward iteration contracts, so the points
+stay within rounding of the root where Newton on f^k from the previous
+point runs out of precision.  A branch is ambiguous when
+|y - x| >= BRANCH_RATIO |y + x|, x the previous point.  A sample that reads
+an ambiguous branch or a non-finite value, in its own row or in a row it is
+pulled back from, ends the descent: `trace_ray` keeps the samples above it
+with status precision_exhausted, and `ray_point` raises PrecisionError.  The
+circle-exit bisection needs points off the schedule; `_ray_point_continued`
+finds them by Newton on f^k from a nearby sample.
 
 Rays that land on one cycle are permuted by doubling, and f maps
 R_theta(g) onto R_2theta(2g).  A portrait screen lists one ray per doubling
 cycle, the smallest angle, picked by integer rotations of its binary word;
 the cycles are counted before any candidate is built, against
 PORTRAIT_CANDIDATE_BUDGET.  `_batch_landing` descends every member of those
-cycles together by pullback, on the schedule above: the point of theta at a
-substep of level k is the square root of (the point of 2 theta at that
-substep of level k - 1) - c nearer the point of theta at the previous
-substep, and level 0 holds the anchor points.  That solves the same
-f^k(z) = anchor(2^k theta, 2^k G) with one square root per substep and no
-f^k.  The screen then reads the tails of the other rays of a cycle off the
-images of its ray's tail under f.
+cycles by the same pullback, but substep by substep over one flat array
+(level blocks ran 20-40 % slower on screens of 400-4,400 cycles), and
+reads the tails of the other rays of a cycle off the images of its ray's
+tail under f.
 
 A ray landing on a repelling point converges geometrically level by level;
 on a parabolic point the residuals shrink like 1/k^2, so their ratio tends
@@ -43,7 +47,6 @@ gates, one of them a bound from the geometric tail of the descent.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,7 +95,6 @@ DEFAULT_LANDING_TOL = 1e-8
 DEFAULT_MATCH_TOL = 1e-6
 
 STATUS_OK = "ok"
-STATUS_STALLED = "stalled"
 STATUS_PRECISION = "precision_exhausted"
 
 
@@ -126,9 +128,12 @@ class CircleOrderReport:
     truncated: tuple[TruncatedRay, ...] = ()
 
 
-def _anchor_seed(c: complex, theta_turns: float, potential: float) -> complex:
-    w = cmath.exp(potential + 2j * math.pi * theta_turns)
-    return w - c / (2.0 * w)
+def _anchor_seed(c: complex, theta_turns, potential):
+    """Anchor points w - c/(2w), w = exp(potential + 2 pi i theta), of the
+    angles theta (turns) at the potentials; numpy broadcasting applies."""
+    w = np.exp(potential + 2j * np.pi * np.asarray(theta_turns))
+    w -= c / (2.0 * w)
+    return w
 
 
 def _levels_below_anchor(potential: float) -> int:
@@ -142,72 +147,144 @@ def _level_potentials(g_top: float, k: int) -> list[float]:
             for j in range((k - 1) * SUBSTEPS + 1, k * SUBSTEPS + 1)]
 
 
-def _descent(qmap: QuadraticMap, theta: Angle, g_top: float):
-    """Yield (potential, z) down ray theta from potential g_top: the anchor
-    point, then one point per Newton substep, without end.
+def _level_zero(c: complex, turns: np.ndarray, g_top: float) -> list[np.ndarray]:
+    """Level 0 of a pullback from g_top: for each substep g of the first
+    level, the anchor points of the angles `turns` at the potential 2g; the
+    last substep's sit at g_top itself."""
+    return [_anchor_seed(c, turns, 2.0 * g) for g in _level_potentials(g_top, 1)]
 
-    Raises PrecisionError on Newton breakdown (a ray passing too close to a
-    precritical point at this precision).
-    """
-    c = qmap.c
+
+def _stable_sqrt(w: np.ndarray, re: np.ndarray, im: np.ndarray, norm: np.ndarray,
+                 upper: np.ndarray, lower: np.ndarray) -> None:
+    """The square root of w with real part >= 0 into (re, im), and |w| into
+    norm; upper and lower are scratch.  The larger part sqrt((|w| + |a|) / 2)
+    of the root of w = a + ib is the real one when a >= 0, and the product of
+    the parts is b / 2.  numpy's complex sqrt took about 47 ns a value, each
+    float ufunc here about 1 ns a value."""
+    a, b = w.real, w.imag
+    np.abs(w, out=norm)
+    np.abs(a, out=upper)
+    upper += norm
+    upper *= 0.5
+    np.sqrt(upper, out=upper)
+    np.abs(b, out=lower)
+    lower /= upper
+    lower *= 0.5
+    np.copysign(upper, a, out=upper)
+    np.maximum(lower, upper, out=re)
+    np.negative(upper, out=upper)
+    np.maximum(lower, upper, out=im)
+    np.copysign(im, b, out=im)
+
+
+def _branch(re: np.ndarray, im: np.ndarray, prev_re: np.ndarray, prev_im: np.ndarray,
+            norm: np.ndarray, prev_norm: np.ndarray, sign: np.ndarray,
+            margin: np.ndarray) -> None:
+    """Branch choice of the square roots y = re + i im against the points x
+    = prev at the previous substep, norm and prev_norm holding |y|^2 and
+    |x|^2: sign of Re(y conj(x)) into sign, which puts the root nearer x,
+    and |Re(y conj(x))| - _BRANCH_MARGIN (|y|^2 + |x|^2) into margin.  The
+    choice is ambiguous, |y - x| >= BRANCH_RATIO |y + x|, unless margin > 0.
+    prev_norm is overwritten."""
+    np.multiply(re, prev_re, out=margin)
+    np.multiply(im, prev_im, out=sign)
+    margin += sign
+    np.copysign(1.0, margin, out=sign)
+    np.abs(margin, out=margin)
+    prev_norm += norm
+    prev_norm *= _BRANCH_MARGIN
+    margin -= prev_norm
+
+
+def _doubling_chain(theta: Angle, levels: int):
+    """The rows of a pullback `levels` levels deep: (turns, image), turns[i]
+    the float 2^i theta mod 1 for i <= levels up to where doubling closes the
+    chain, and image[i] the row of its double, i + 1 or the row the chain
+    closes on (the last row of an open chain has none; no level reads it)."""
     r, den = theta.numerator, theta.denominator
-    z = _anchor_seed(c, r / den, g_top)
-    yield g_top, z
-    for k in itertools.count(1):
+    row: dict[int, int] = {}
+    turns = []
+    while len(turns) <= levels and r not in row:
+        row[r] = len(turns)
+        turns.append(r / den)
         r = 2 * r % den
-        for potential in _level_potentials(g_top, k):
-            target = _anchor_seed(c, r / den, potential * 2.0 ** k)
-            z = _newton_to_target(qmap, z, k, target, 16)
-            yield potential, z
+    image = np.arange(1, len(turns) + 1)
+    image[-1] = row.get(r, 0)
+    return np.array(turns), image
 
 
-def _descent_to(qmap: QuadraticMap, theta: Angle, g_target: float):
-    """The descent of ray theta from the anchor band down to g_target."""
-    if g_target <= 0:
+def _pullback(c: complex, theta: Angle, g_top: float, levels: int):
+    """Ray theta descended by pullback from g_top (see the module docstring).
+
+    Yields the anchor at g_top as a list of one point, then the points at
+    the SUBSTEPS substeps of each level k = 1..levels; a level cut short is
+    the last.  Level k descends the chain rows i <= levels - k (all rows of
+    a chain that closes sooner) as a (SUBSTEPS, rows) block: the roots
+    nearer the previous substep are the principal roots u_s times the
+    running product of the `_branch` signs of u_s against u_(s-1), u_0 the
+    previous level's last point.  Flipping a sign leaves `_branch`'s
+    ambiguity margin alone.  Sample j of row 0 reads row i at sample
+    j - i SUBSTEPS and before, so a failure there cuts the descent at j.
+    """
+    turns, image = _doubling_chain(theta, levels)
+    prev = np.array(_level_zero(c, turns, g_top))
+    yield prev[-1, :1].tolist()
+    bad = math.inf  # the first sample of row 0 that reads a failure
+    for k in range(1, levels + 1):
+        rows = min(len(turns), levels - k + 1)
+        w = prev[:, image[:rows]] - c
+        y = np.empty((SUBSTEPS + 1, rows), dtype=complex)
+        y[0] = prev[-1, :rows]
+        norm = np.empty((SUBSTEPS + 1, rows))
+        sign, margin = np.empty(w.shape), np.empty(w.shape)
+        with np.errstate(all="ignore"):
+            norm[0] = np.abs(y[0]) ** 2
+            _stable_sqrt(w, y.real[1:], y.imag[1:], norm[1:], sign, margin)
+            _branch(y.real[1:], y.imag[1:], y.real[:-1], y.imag[:-1], norm[1:], norm[:-1],
+                    sign, margin)
+            y[1:] *= np.cumprod(sign, axis=0)
+        ok = margin > 0
+        if not ok.all():
+            s, i = np.nonzero(~ok)
+            bad = min(bad, int(np.min((k - 1 + i) * SUBSTEPS + s + 1)))
+        reached = min(SUBSTEPS, max(0, bad - (k - 1) * SUBSTEPS - 1))
+        yield y[1:reached + 1, 0].tolist()
+        if reached < SUBSTEPS:
+            return
+        prev = y[1:]
+
+
+def _ray_samples(qmap: QuadraticMap, theta: Angle, g_min: float):
+    """Potentials and points of ray theta from the anchor band down to
+    g_min, and whether the descent reached g_min."""
+    if g_min <= 0:
         raise ValueError("potential must be positive")
-    levels = _levels_below_anchor(g_target)
-    return itertools.islice(_descent(qmap, theta, g_target * 2.0 ** levels),
-                            levels * SUBSTEPS + 1)
-
-
-def _newton_to_target(qmap, x, k, target, iters):
-    for _ in range(iters):
-        w = x
-        d = 1.0 + 0.0j
-        for _ in range(k):
-            d *= 2.0 * w
-            w = w * w + qmap.c
-        if d == 0 or not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise PrecisionError("ray Newton step broke down (precritical pinch?)")
-        step = (w - target) / d
-        x -= step
-        if abs(step) < 1e-13 * (1.0 + abs(x)):
-            return x
-    if abs(step) > 1e-6 * (1.0 + abs(x)):
-        raise PrecisionError("ray Newton failed to converge at this precision")
-    return x
+    levels = _levels_below_anchor(g_min)
+    g_top = g_min * 2.0 ** levels
+    points = [z for block in _pullback(qmap.c, theta, g_top, levels) for z in block]
+    potentials = [g_top] + [g for k in range(1, levels + 1) for g in _level_potentials(g_top, k)]
+    return potentials[:len(points)], points, len(points) == len(potentials)
 
 
 def ray_point(qmap: QuadraticMap, theta: Angle, potential: float) -> complex:
-    """The point of external ray theta at the given Green potential."""
-    for _, z in _descent_to(qmap, theta, potential):
-        pass
-    return z
+    """The point of external ray theta at the given Green potential; raises
+    PrecisionError when the descent fails above it."""
+    _, points, reached = _ray_samples(qmap, theta, potential)
+    if not reached:
+        raise PrecisionError(f"ray {theta} met an ambiguous branch or a non-finite "
+                             "point above this potential")
+    return points[-1]
 
 
 def trace_ray(qmap: QuadraticMap, theta: Angle, g_min: float,
               g_max: float = ANCHOR_POTENTIAL) -> RayTrace:
     """Sampled ray from potential ~g_max down to g_min (one sample per
-    Newton substep, potentials strictly decreasing)."""
-    samples: list[tuple[float, complex]] = []
-    status = STATUS_OK
-    try:
-        for g, z in _descent_to(qmap, theta, g_min):
-            if g <= g_max * (1.0 + 1e-12):
-                samples.append((g, z))
-    except PrecisionError:
-        status = STATUS_PRECISION
-    return RayTrace(angle=theta, samples=samples, status=status)
+    pullback substep, potentials strictly decreasing); a descent that fails
+    keeps the samples above the failure, with status precision_exhausted."""
+    potentials, points, reached = _ray_samples(qmap, theta, g_min)
+    samples = [(g, z) for g, z in zip(potentials, points) if g <= g_max * (1.0 + 1e-12)]
+    return RayTrace(angle=theta, samples=samples,
+                    status=STATUS_OK if reached else STATUS_PRECISION)
 
 
 def estimate_landing(qmap: QuadraticMap, theta: Angle,
@@ -227,36 +304,32 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
     descent goes on.  `levels` counts the levels walked.
     """
     level_pts: list[complex] = []
-    converged = False
+    converged = exhausted = False
     residual = math.inf
-    status = STATUS_OK
     m = angle_period(theta)
-    points = itertools.islice(_descent(qmap, theta, ANCHOR_POTENTIAL),
-                              max_halvings * SUBSTEPS + 1)
-    try:
-        for j, (_, x) in enumerate(points):
-            if j == 0 or j % SUBSTEPS:
-                continue
-            level_pts.append(x)
-            if len(level_pts) >= 2:
-                last, residual = residual, abs(level_pts[-1] - level_pts[-2])
-                if residual < landing_tol:
-                    converged = True
-                    break
-                if m is not None and residual >= STALL_RATIO * last:
-                    q = residual / last
-                    tail = TAIL_SLACK * residual / (1.0 - q) if q < 1.0 else math.inf
-                    est = _periodic_landing(qmap, x, m, min(tail, 0.05), landing_tol,
-                                            len(level_pts))
-                    if est is not None and est.converged:
-                        return est
-        else:
-            status = STATUS_STALLED
-    except PrecisionError:
-        status = STATUS_PRECISION
+    descent = _pullback(qmap.c, theta, ANCHOR_POTENTIAL, max_halvings)
+    x = next(descent)[0]
+    for block in descent:
+        x = block[-1] if block else x
+        if len(block) < SUBSTEPS:
+            exhausted = True
+            break
+        level_pts.append(x)
+        if len(level_pts) >= 2:
+            last, residual = residual, abs(level_pts[-1] - level_pts[-2])
+            if residual < landing_tol:
+                converged = True
+                break
+            if m is not None and residual >= STALL_RATIO * last:
+                q = residual / last
+                tail = TAIL_SLACK * residual / (1.0 - q) if q < 1.0 else math.inf
+                est = _periodic_landing(qmap, x, m, min(tail, 0.05), landing_tol,
+                                        len(level_pts))
+                if est is not None and est.converged:
+                    return est
 
     z = level_pts[-1] if level_pts else x
-    if m is not None and status != STATUS_PRECISION:
+    if m is not None and not exhausted:
         est = _periodic_landing(qmap, z, m, 0.05, landing_tol, len(level_pts))
         if est is not None:
             return est
@@ -332,16 +405,22 @@ def _pullback_cycles(c: complex, r: np.ndarray, den: np.ndarray, m: np.ndarray,
     first at the last.  Level 0 holds each member's anchor points at the
     potentials 2g of the first level's substeps g.  The point at substep s of
     level k is the square root of (its image's point at substep s of level
-    k - 1) - c nearer the point at the previous substep: one square root in
-    place of Newton on f^k(z) = anchor(2^k theta, 2^k g).
+    k - 1) - c nearer the point at the previous substep, as in `_pullback`,
+    but walked substep by substep over one flat array.  Both kernels give
+    the same bits, but `_pullback`'s level blocks, run in the same
+    SCREEN_CHUNK_BYTES chunks with the shift-and-wrap image rule, took
+    0.56-0.77 s on the n = 4, cap 16 screens (4,448 cycles; golden Siegel
+    and rabbit parameters) against 0.42-0.54 s here, and 48 against 37 ms
+    on the airplane and c = i screens at n = 3 (402 cycles), on a 2-vCPU
+    Xeon.  A gather through an image-row index took about 20 % longer than
+    this shift-and-wrap on a 4,448-cycle screen.
     """
     first = np.cumsum(m) - m
     last = first + m - 1
     pts = _member_anchors(c, r, den, m, first)
     real, imag = [p.real for p in pts], [p.imag for p in pts]
     w = np.empty_like(pts[0])
-    a, b = w.real, w.imag
-    norm, lower, upper, dot, part = (np.empty(len(w)) for _ in range(5))
+    norm, lower, upper, sign, margin = (np.empty(len(w)) for _ in range(5))
     ref_norm = np.abs(pts[-1]) ** 2
     worst = np.full(len(w), np.inf)
     with np.errstate(all="ignore"):
@@ -350,37 +429,12 @@ def _pullback_cycles(c: complex, r: np.ndarray, den: np.ndarray, m: np.ndarray,
                 y = pts[s]
                 np.subtract(y[1:], c, out=w[:-1])
                 w[last] = y[first] - c
-                # a stable square root of w = a + ib, up to sign: |w| is
-                # |y|^2, the larger part sqrt((|w| + |a|) / 2) is the real
-                # one when a >= 0, and the product of the parts is b / 2
-                np.abs(w, out=norm)
-                np.abs(a, out=upper)
-                upper += norm
-                upper *= 0.5
-                np.sqrt(upper, out=upper)
-                np.abs(b, out=lower)
-                lower /= upper
-                lower *= 0.5
-                np.copysign(upper, a, out=upper)
-                np.maximum(lower, upper, out=real[s])
-                np.negative(upper, out=upper)
-                np.maximum(lower, upper, out=imag[s])
-                np.copysign(imag[s], b, out=imag[s])
-                # the root y nearer x, the point at the previous substep, has
-                # Re(y conj(x)) >= 0; the choice is ambiguous when
-                # |y - x| >= BRANCH_RATIO |y + x|, that is when
-                # |Re(y conj(x))| <= _BRANCH_MARGIN (|y|^2 + |x|^2)
-                np.multiply(real[s], real[s - 1], out=dot)
-                np.multiply(imag[s], imag[s - 1], out=part)
-                dot += part
-                np.copysign(1.0, dot, out=part)
-                real[s] *= part
-                imag[s] *= part
-                np.abs(dot, out=dot)
-                ref_norm += norm
-                ref_norm *= _BRANCH_MARGIN
-                dot -= ref_norm
-                np.minimum(worst, dot, out=worst)
+                _stable_sqrt(w, real[s], imag[s], norm, upper, lower)
+                _branch(real[s], imag[s], real[s - 1], imag[s - 1], norm, ref_norm,
+                        sign, margin)
+                real[s] *= sign
+                imag[s] *= sign
+                np.minimum(worst, margin, out=worst)
                 ref_norm, norm = norm, ref_norm
     points = pts[-1][first]
     alive = (np.minimum.reduceat(worst, first) > 0) & np.isfinite(points)
@@ -397,12 +451,7 @@ def _member_anchors(c, r, den, m, first):
     shift = np.arange(len(cycle)) - first[cycle]
     # r < 2^m and i < m <= 20, so r 2^i fits int64
     theta = (r[cycle] << shift) % den[cycle] / den[cycle]
-    return [_anchor_seed_vec(c, theta, 2.0 * g) for g in _level_potentials(ANCHOR_POTENTIAL, 1)]
-
-
-def _anchor_seed_vec(c, theta_arr, potential):
-    w = np.exp(potential + 2j * np.pi * theta_arr)
-    return w - c / (2.0 * w)
+    return _level_zero(c, theta, ANCHOR_POTENTIAL)
 
 
 def _cycle_count(m: int) -> int:
@@ -532,13 +581,28 @@ def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
     return OrbitPortrait(sets=sets, ray_period=report.ray_period)
 
 
-def _ray_point_continued(qmap, theta, potential, x_guess):
-    """Ray point at a nearby potential, continued from a known ray point."""
+def _ray_point_continued(qmap, theta, potential, x):
+    """Ray point at a nearby potential, continued from a known ray point x
+    by Newton on f^k(z) = anchor(2^k theta, 2^k potential)."""
     k = _levels_below_anchor(potential)
     den = theta.denominator
     r = theta.numerator * pow(2, k, den) % den
-    target = _anchor_seed(qmap.c, r / den, potential * 2.0 ** k)
-    return _newton_to_target(qmap, x_guess, k, target, 24)
+    target = complex(_anchor_seed(qmap.c, r / den, potential * 2.0 ** k))
+    for _ in range(24):
+        w = x
+        d = 1.0 + 0.0j
+        for _ in range(k):
+            d *= 2.0 * w
+            w = w * w + qmap.c
+        if d == 0 or not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            raise PrecisionError("ray Newton step broke down (precritical pinch?)")
+        step = (w - target) / d
+        x -= step
+        if abs(step) < 1e-13 * (1.0 + abs(x)):
+            return x
+    if abs(step) > 1e-6 * (1.0 + abs(x)):
+        raise PrecisionError("ray Newton failed to converge at this precision")
+    return x
 
 
 def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
@@ -548,7 +612,8 @@ def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
     |z - center| = radius with the cyclic order of their angles at infinity.
 
     Each ray is truncated at its last sampled crossing of the circle,
-    bisection-refined onto the circle; a second crossing within the final
+    bisection-refined in potential until the exit point lies within
+    cfg.newton_tol of the circle; a second crossing within the final
     potential band flags exit_is_last = False rather than guessing.
     """
     if not rays:
@@ -574,15 +639,14 @@ def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
         for _ in range(60):
             mid = math.sqrt(lo * hi)  # bisect in log-potential
             zm = _ray_point_continued(qmap, ray.angle, mid, x)
+            if abs(abs(zm - center) - radius) < cfg.newton_tol:
+                break
             if abs(zm - center) >= radius:
                 hi = mid
             else:
                 lo = mid
                 x = zm
-            if abs(abs(zm - center) - radius) < cfg.newton_tol:
-                break
-        exit_point = _ray_point_continued(qmap, ray.angle, math.sqrt(lo * hi), x)
-        truncated.append(TruncatedRay(parent=ray, exit_point=exit_point,
+        truncated.append(TruncatedRay(parent=ray, exit_point=zm,
                                       exit_is_last=exit_is_last))
 
     idx = list(range(len(rays)))

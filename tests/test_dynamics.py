@@ -4,64 +4,82 @@ import math
 import numpy as np
 import pytest
 
-from quadray import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
-                     derivative_along_orbit, evaluate, green_potential,
-                     iterate_orbit, preimages)
+from quadray import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, green_potential
+from quadray.dynamics import orbit_with_derivative, preimage_tree
+
+
+def iterate(qmap, z, n):
+    """f^n(z) by orbit_with_derivative on one point."""
+    return complex(orbit_with_derivative(qmap, [z], n)[0][0])
+
+
+def derivative(qmap, z, n):
+    """(f^n)'(z) by orbit_with_derivative on one point."""
+    return complex(orbit_with_derivative(qmap, [z], n)[1][0])
+
+
+def sorted_leaves(qmap, z, n, cfg=DEFAULT_CONFIG):
+    leaves, _ = preimage_tree(qmap, z, n, cfg)
+    return leaves[np.lexsort((leaves.imag, leaves.real))]
 
 
 def test_evaluate_direct_substitution():
-    assert evaluate(QuadraticMap(-1.0), 0.0) == -1.0
-    assert evaluate(QuadraticMap(0.0), 1.0) == 1.0
-    assert evaluate(QuadraticMap(-1.75), 0.5) == pytest.approx(-1.5)
+    assert QuadraticMap(-1.0)(0.0) == -1.0
+    assert QuadraticMap(0.0)(1.0) == 1.0
+    assert QuadraticMap(-1.75)(0.5) == pytest.approx(-1.5)
 
 
 def test_evaluate_rejects_nonfinite():
     from quadray import QuadrayError
     with pytest.raises(QuadrayError):
-        evaluate(QuadraticMap(0.0), complex(float("inf"), 0.0))
+        QuadraticMap(0.0)(complex(float("inf"), 0.0))
+    with pytest.raises(QuadrayError):
+        QuadraticMap(0.0)(1e200)
 
 
 def test_iterate_angle_doubling_on_circle(squaring):
     z = cmath.exp(2j * math.pi / 7.0)
-    seg = iterate_orbit(squaring, z, 3)
     # angles double each step; after three doublings 8/7 == 1/7 mod 1
-    for k, w in enumerate(seg.points):
-        assert w == pytest.approx(cmath.exp(2j * math.pi * (2 ** k) / 7.0))
-    assert seg.points[3] == pytest.approx(seg.points[0])
+    for k in range(4):
+        assert iterate(squaring, z, k) == pytest.approx(cmath.exp(2j * math.pi * (2 ** k) / 7.0))
+    assert iterate(squaring, z, 3) == pytest.approx(z)
 
 
 def test_iterate_superattracting_two_cycle(basilica):
-    seg = iterate_orbit(basilica, 0.0, 2)
-    assert seg.points == [0.0, -1.0, 0.0]
-    assert not seg.escaped
+    w, d = orbit_with_derivative(basilica, np.array([0.0, -1.0]), 2)
+    assert w.tolist() == [0.0, -1.0]
+    assert d.tolist() == [0.0, 0.0]  # the critical point is on the cycle
 
 
 def test_iterate_plain_growth(squaring):
-    assert iterate_orbit(squaring, 3.0, 2).points == [3.0, 9.0, 81.0]
+    assert [iterate(squaring, 3.0, n) for n in range(3)] == [3.0, 9.0, 81.0]
 
 
 def test_iterate_escape_truncates(squaring):
-    seg = iterate_orbit(squaring, 1e6, 5)
-    assert seg.escaped
-    assert len(seg.points) < 6
+    # overflow is tolerated: the escaping entry turns non-finite, the others
+    # are unaffected
+    with np.errstate(all="raise"):
+        w, d = orbit_with_derivative(squaring, np.array([1e6, 0.5]), 6)
+    assert not np.isfinite(w[0]) and not np.isfinite(d[0])
+    assert w[1] == 0.5 ** 64
 
 
 def test_derivative_chain_rule(squaring):
-    assert derivative_along_orbit(squaring, 1.0, 2) == pytest.approx(4.0)
+    assert derivative(squaring, 1.0, 2) == pytest.approx(4.0)
 
 
 def test_derivative_two_cycle_chebyshev(chebyshev):
     # 2-cycle points solve z^2 + z - 1 = 0, so their product is -1 and
     # (f^2)' = 4 z1 z2 = -4.
     z = (-1.0 + math.sqrt(5.0)) / 2.0
-    assert derivative_along_orbit(chebyshev, z, 2) == pytest.approx(-4.0, abs=1e-12)
+    assert derivative(chebyshev, z, 2) == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_derivative_circle_product(squaring):
     z = cmath.exp(2j * math.pi / 7.0)
     # product of 2 z_i over angles 1/7, 2/7, 4/7: moduli give 8, angles sum
     # to one full turn
-    assert derivative_along_orbit(squaring, z, 3) == pytest.approx(8.0)
+    assert derivative(squaring, z, 3) == pytest.approx(8.0)
 
 
 def test_green_is_log_abs_for_squaring(squaring):
@@ -85,12 +103,12 @@ def test_green_functional_equation(basilica):
     cfg = DEFAULT_CONFIG
     for z in (0.3 + 1.2j, 2.0 - 0.5j, -1.9 + 0.1j):
         g = green_potential(basilica, z, cfg)
-        gf = green_potential(basilica, evaluate(basilica, z), cfg)
+        gf = green_potential(basilica, basilica(z), cfg)
         assert abs(gf - 2.0 * g) < 10.0 * cfg.newton_tol
 
 
 def test_preimages_fourth_roots(squaring):
-    got = preimages(squaring, 1.0, 2)
+    got = sorted_leaves(squaring, 1.0, 2)
     expected = sorted([1, -1, 1j, -1j], key=lambda z: (z.real, z.imag))
     assert len(got) == 4
     for g, e in zip(got, expected):
@@ -98,50 +116,53 @@ def test_preimages_fourth_roots(squaring):
 
 
 def test_preimages_eighth_roots(squaring):
-    got = preimages(squaring, 1.0, 3)
+    got = sorted_leaves(squaring, 1.0, 3)
     assert len(got) == 8
     expected = sorted((cmath.exp(2j * math.pi * k / 8.0) for k in range(8)),
                       key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    for g, e in zip(got, expected):
+    for g, e in zip(sorted(got, key=lambda z: (round(z.real, 12), round(z.imag, 12))),
+                    expected):
         assert g == pytest.approx(e, abs=1e-12)
 
 
 def test_preimages_chebyshev(chebyshev):
-    got = preimages(chebyshev, 2.0, 1)
+    got = sorted_leaves(chebyshev, 2.0, 1)
     assert got[0] == pytest.approx(-2.0) and got[1] == pytest.approx(2.0)
 
 
 def test_preimage_roundtrip(basilica):
+    # the unrefined leaves of the square-root expansion solve f^6(x) = z to
+    # newton_tol, and their log-derivatives are log|(f^6)'(x)|
     cfg = DEFAULT_CONFIG
-    for x in preimages(basilica, 0.5 + 0.5j, 6, cfg):
-        w = x
-        for _ in range(6):
-            w = w * w + basilica.c
-        assert abs(w - (0.5 + 0.5j)) < cfg.newton_tol
+    leaves, logd = preimage_tree(basilica, 0.5 + 0.5j, 6, cfg)
+    w, d = orbit_with_derivative(basilica, leaves, 6)
+    assert np.max(np.abs(w - (0.5 + 0.5j))) < cfg.newton_tol
+    assert np.allclose(logd, np.log(np.abs(d)), atol=1e-12)
 
 
 def test_preimage_branch_degeneracy_reports_double_root():
     qmap = QuadraticMap(-1.0)
     # preimages of f(0) = c: both square-root branches give 0
-    got = preimages(qmap, qmap.c, 1)
+    got = sorted_leaves(qmap, qmap.c, 1)
     assert len(got) == 2
     assert all(abs(z) < 1e-12 for z in got)
 
 
 def test_semigroup_property(basilica):
-    z = 0.3 + 0.4j
+    z = np.array([0.3 + 0.4j])
     a, b = 3, 4
-    whole = iterate_orbit(basilica, z, a + b).points
-    first = iterate_orbit(basilica, z, a).points
-    second = iterate_orbit(basilica, first[-1], b).points
-    assert first[:-1] + second == pytest.approx(whole)
+    whole, d_whole = orbit_with_derivative(basilica, z, a + b)
+    first, d_first = orbit_with_derivative(basilica, z, a)
+    second, d_second = orbit_with_derivative(basilica, first, b)
+    assert second == pytest.approx(whole)
+    assert d_first * d_second == pytest.approx(d_whole)
 
 
 def test_extended_precision_tree_matches_binary64(basilica):
     cfg_hi = PrecisionConfig(mantissa_bits=100)
-    lo = preimages(basilica, 1.0 + 0.2j, 5)
-    hi = preimages(basilica, 1.0 + 0.2j, 5, cfg_hi)
-    assert np.allclose(np.array(lo), np.array(hi), atol=1e-12)
+    lo = sorted_leaves(basilica, 1.0 + 0.2j, 5)
+    hi = sorted_leaves(basilica, 1.0 + 0.2j, 5, cfg_hi)
+    assert np.allclose(lo, hi, atol=1e-12)
 
 
 def test_precision_config_invariants():

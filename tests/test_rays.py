@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadray import (Angle, OrbitPortrait, PortraitError, PrecisionError,
+from quadray import (DEFAULT_CONFIG, Angle, OrbitPortrait, PortraitError, PrecisionError,
                      QuadraticMap, QuadrayError, angle_period,
                      circle_exit_cyclic_order, classify_portrait,
                      estimate_landing, green_potential, julia_orbits,
@@ -19,9 +19,8 @@ from quadray.angles import doubling_orbit
 from quadray.dynamics import orbit_with_derivative
 from quadray.orbits import PARABOLIC_CANDIDATE, REPELLING
 from quadray.rays import (ANCHOR_POTENTIAL, MAX_HALVINGS, PORTRAIT_CANDIDATE_BUDGET,
-                          SUBSTEPS, _anchor_seed, _anchor_seed_vec, _batch_landing,
-                          _cycle_representatives, _newton_to_target, _refine_periodic,
-                          portrait_candidate_angles)
+                          SUBSTEPS, _anchor_seed, _batch_landing, _cycle_representatives,
+                          _refine_periodic, portrait_candidate_angles)
 from tests.conftest import GOLDEN_C
 
 
@@ -176,7 +175,31 @@ def test_circle_exit_basilica_alpha_cluster(basilica):
 
 
 # -- reference descent: tabulated angle orbits, one copy of the schedule per
-# caller, as the descent was first written ---------------------------------
+# caller, and Newton on f^k at every substep, as the descent was first
+# written ----------------------------------------------------------------
+
+def ref_anchor_seed(c, theta_turns, potential):
+    w = cmath.exp(potential + 2j * math.pi * theta_turns)
+    return w - c / (2.0 * w)
+
+
+def ref_newton_to_target(qmap, x, k, target, iters):
+    for _ in range(iters):
+        w = x
+        d = 1.0 + 0.0j
+        for _ in range(k):
+            d *= 2.0 * w
+            w = w * w + qmap.c
+        if d == 0 or not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            raise PrecisionError("ray Newton step broke down (precritical pinch?)")
+        step = (w - target) / d
+        x -= step
+        if abs(step) < 1e-13 * (1.0 + abs(x)):
+            return x
+    if abs(step) > 1e-6 * (1.0 + abs(x)):
+        raise PrecisionError("ray Newton failed to converge at this precision")
+    return x
+
 
 class RefAngleOrbit:
     """Float values of 2^k * theta mod 1 for all k, from the doubling orbit
@@ -202,20 +225,20 @@ def ref_descend(qmap, theta, g_target, on_sample=None):
     c = qmap.c
     ang = RefAngleOrbit(theta)
     if g_target >= ANCHOR_POTENTIAL:
-        z = _anchor_seed(c, ang.at(0), g_target)
+        z = ref_anchor_seed(c, ang.at(0), g_target)
         if on_sample:
             on_sample(g_target, z)
         return z
     levels = int(math.ceil(math.log2(ANCHOR_POTENTIAL / g_target)))
     g_top = g_target * 2.0 ** levels
-    x = _anchor_seed(c, ang.at(0), g_top)
+    x = ref_anchor_seed(c, ang.at(0), g_top)
     if on_sample:
         on_sample(g_top, x)
     for j in range(1, levels * SUBSTEPS + 1):
         k = -(-j // SUBSTEPS)
         potential = g_top * 2.0 ** (-j / SUBSTEPS)
-        target = _anchor_seed(c, ang.at(k), potential * 2.0 ** k)
-        x = _newton_to_target(qmap, x, k, target, 16)
+        target = ref_anchor_seed(c, ang.at(k), potential * 2.0 ** k)
+        x = ref_newton_to_target(qmap, x, k, target, 16)
         if on_sample:
             on_sample(potential, x)
     return x
@@ -239,7 +262,7 @@ def ref_landing(qmap, theta, landing_tol=1e-8, max_halvings=MAX_HALVINGS):
     c = qmap.c
     ang = RefAngleOrbit(theta)
     level_pts = []
-    x = _anchor_seed(c, ang.at(0), ANCHOR_POTENTIAL)
+    x = ref_anchor_seed(c, ang.at(0), ANCHOR_POTENTIAL)
     converged, residual, status = False, math.inf, "ok"
     try:
         for lev in range(1, max_halvings + 1):
@@ -247,8 +270,8 @@ def ref_landing(qmap, theta, landing_tol=1e-8, max_halvings=MAX_HALVINGS):
                 jj = (lev - 1) * SUBSTEPS + j
                 k = -(-jj // SUBSTEPS)
                 potential = ANCHOR_POTENTIAL * 2.0 ** (-jj / SUBSTEPS)
-                target = _anchor_seed(c, ang.at(k), potential * 2.0 ** k)
-                x = _newton_to_target(qmap, x, k, target, 16)
+                target = ref_anchor_seed(c, ang.at(k), potential * 2.0 ** k)
+                x = ref_newton_to_target(qmap, x, k, target, 16)
             level_pts.append(x)
             if len(level_pts) >= 2:
                 residual = abs(level_pts[-1] - level_pts[-2])
@@ -271,14 +294,14 @@ def ref_landing(qmap, theta, landing_tol=1e-8, max_halvings=MAX_HALVINGS):
 def ref_batch_landing(qmap, angles, levels, newton_iters=8):
     c = qmap.c
     orbs = [RefAngleOrbit(a) for a in angles]
-    x = _anchor_seed_vec(c, np.array([o.at(0) for o in orbs]), ANCHOR_POTENTIAL)
+    x = _anchor_seed(c, np.array([o.at(0) for o in orbs]), ANCHOR_POTENTIAL)
     alive = np.ones(len(angles), dtype=bool)
     with np.errstate(all="ignore"):
         for j in range(1, levels * SUBSTEPS + 1):
             k = -(-j // SUBSTEPS)
             potential = ANCHOR_POTENTIAL * 2.0 ** (-j / SUBSTEPS)
             th = np.array([o.at(k) for o in orbs])
-            target = _anchor_seed_vec(c, th, potential * 2.0 ** k)
+            target = _anchor_seed(c, th, potential * 2.0 ** k)
             for _ in range(newton_iters):
                 w, d = orbit_with_derivative(qmap, x, k)
                 step = (w - target) / d
@@ -358,20 +381,26 @@ def mp_periodic_root(c, z0, m, bits=200):
         return z
 
 
-def mp_ray_point(c, theta, z0, levels, bits=300):
-    """The root near z0 of f^levels(z) = anchor(2^levels theta, ANCHOR_POTENTIAL)
-    by Newton at `bits` bits: the screen's ray point at potential
-    ANCHOR_POTENTIAL * 2^-levels, with the anchor of the float angle."""
+def mp_ray_root(c, theta, g, k, z0, bits=300):
+    """The root of f^k(z) = anchor(2^k theta, 2^k g), with the anchor of the
+    float angle, at `bits` bits: the ray point at potential g that the
+    schedule solves for on level k.  It is pulled back from the anchor k
+    times, each time on the branch nearer the forward orbit of z0, so no
+    Newton basin limits it; z0 is a float estimate of the root."""
+    den = theta.denominator
     with mp.workprec(bits):
-        w = mp.exp(ANCHOR_POTENTIAL + 2j * mp.pi * RefAngleOrbit(theta).at(levels))
-        cc, z = mp.mpc(c), mp.mpc(z0)
-        target = w - cc / (2 * w)
-        for _ in range(12):
-            x, d = z, mp.mpc(1)
-            for _ in range(levels):
-                d, x = 2 * d * x, x * x + cc
-            z -= (x - target) / d
-        return complex(z)
+        cc = mp.mpc(c)
+        orbit = [mp.mpc(z0)]
+        for _ in range(k):
+            orbit.append(orbit[-1] ** 2 + cc)
+        w = mp.exp(mp.mpf(g * 2.0 ** k)
+                   + 2j * mp.pi * mp.mpf(theta.numerator * pow(2, k, den) % den / den))
+        x = w - cc / (2 * w)
+        for near in reversed(orbit[:-1]):
+            x = mp.sqrt(x - cc)
+            if abs(x - near) > abs(x + near):
+                x = -x
+        return complex(x)
 
 
 REFERENCE_CS = (-1.0, -1.75, 1j, 0.25)
@@ -384,21 +413,33 @@ PARABOLIC_LANDINGS = {(-1.75, Angle(2, 7)): 3, (0.25, Angle(0)): 1}
 
 @pytest.mark.parametrize("c", REFERENCE_CS)
 def test_scalar_descent_matches_reference(c):
-    # repr round-trips every float exactly, so equal reprs are equal bits
+    # The pullback and the Newton oracle solve the same equations on the same
+    # schedule, so the potentials agree exactly and the points to rounding.
+    # Each level point and the last sample lie within 1e-12 (1 + |z|) of the
+    # 300-bit root.  The oracle stops where its Newton breaks down, as at
+    # g_min = 1e-12 on 13 of the 28 cells; backward iteration contracts, and
+    # the pullback reaches g_min on every cell.
     qmap = QuadraticMap(c)
     for theta in REFERENCE_ANGLES:
-        # g_min = 1e-12 exhausts the precision on some rays (1/4 at c = -1)
         for g_min, g_max in ((20.0, ANCHOR_POTENTIAL), (0.3, ANCHOR_POTENTIAL),
                              (1e-7, ANCHOR_POTENTIAL), (1e-12, 0.5)):
             trace = trace_ray(qmap, theta, g_min, g_max)
-            assert repr((trace.samples, trace.status)) == repr(
-                ref_trace(qmap, theta, g_min, g_max)), (theta, g_min)
-            if trace.status == "ok":
-                assert repr(ray_point(qmap, theta, g_min)) == repr(
-                    ref_descend(qmap, theta, g_min))
-            else:
-                with pytest.raises(PrecisionError):
-                    ray_point(qmap, theta, g_min)
+            assert trace.status == "ok", (theta, g_min)
+            ref_samples, _ = ref_trace(qmap, theta, g_min, g_max)
+            assert [g for g, _ in trace.samples[:len(ref_samples)]] == [
+                g for g, _ in ref_samples]
+            for (_, z), (_, ref_z) in zip(trace.samples, ref_samples):
+                assert abs(z - ref_z) <= 1e-11 * (1.0 + abs(z)), (theta, g_min)
+            # g_max drops the samples above it; step counts from the anchor
+            first = len(trace.samples) - rays_mod._levels_below_anchor(g_min) * SUBSTEPS - 1
+            for j, (g, z) in enumerate(trace.samples):
+                step = j - first
+                if step % SUBSTEPS and j < len(trace.samples) - 1:
+                    continue
+                root = mp_ray_root(c, theta, g, -(-step // SUBSTEPS), z)
+                assert abs(z - root) <= 1e-12 * (1.0 + abs(z)), (theta, g_min, step)
+            last = trace_ray(qmap, theta, g_min, math.inf).samples[-1][1]
+            assert ray_point(qmap, theta, g_min) == last
         # A periodic ray may leave the descent at a stall and be refined from
         # an earlier level point: on a repelling landing the root agrees to
         # rounding; on a parabolic one both lie in the sqrt(eps) noise ball of
@@ -407,8 +448,16 @@ def test_scalar_descent_matches_reference(c):
         ref_z, ref_residual, ref_converged = ref_landing(qmap, theta)
         m = PARABOLIC_LANDINGS.get((c, theta))
         if angle_period(theta) is None:
-            assert repr((est.z, est.residual, est.converged)) == repr(
-                (ref_z, ref_residual, ref_converged)), theta
+            # the level points are the trace's, bit for bit, and the
+            # oracle's to rounding
+            levels = trace_ray(qmap, theta, ANCHOR_POTENTIAL * 2.0 ** -est.levels).samples[
+                ::SUBSTEPS][1:]
+            assert len(levels) == est.levels, theta
+            assert est.z == levels[-1][1], theta
+            assert est.residual == abs(levels[-1][1] - levels[-2][1]), theta
+            assert est.converged == ref_converged, theta
+            assert abs(est.z - ref_z) <= 1e-11 * (1.0 + abs(ref_z)), theta
+            assert abs(est.residual - ref_residual) <= 1e-11, theta
         elif m is None:
             assert abs(est.z - ref_z) <= 1e-15 * abs(ref_z), theta
             assert est.converged == ref_converged, theta
@@ -436,7 +485,7 @@ def test_batch_descent_matches_reference(c):
     # (the 16/63 ray at c = -1.75, the 5/7 ray at c = i); there the 300-bit
     # root of the same equation lies within 1e-12 of the pullback
     for i in np.flatnonzero(diff > 1e-10):
-        root = mp_ray_point(c, candidates[i], points[i], 40)
+        root = mp_ray_root(c, candidates[i], ANCHOR_POTENTIAL * 2.0 ** -40, 40, points[i])
         assert abs(points[i] - root) <= 1e-12, candidates[i]
 
 
@@ -471,6 +520,39 @@ def test_ambiguous_branch_leaves_the_screen(monkeypatch):
     monkeypatch.setattr(rays_mod, "_BRANCH_MARGIN", -1.0)
     points, alive = _batch_landing(qmap, [0, 1], [1, 3], 40)
     assert alive.tolist() == [True, True] and np.isfinite(points[0])
+
+
+def test_ambiguous_branch_ends_the_trace(monkeypatch):
+    # c = 1/2: the rays 0 and 1/2 meet at the critical point, at potential
+    # G(c)/2, and each stops above it.  1/4 and 1/8 pull back from 1/2 and 0
+    # and have no ambiguous branch of their own, so the failure reaches them
+    # from a deeper chain row, one level (SUBSTEPS samples) later per doubling.
+    qmap = QuadraticMap(0.5)
+    g_crit = green_potential(qmap, 0j)
+    g_min = ANCHOR_POTENTIAL * 2.0 ** -MAX_HALVINGS
+    traces = [trace_ray(qmap, Angle(1, den), g_min) for den in (1, 2, 4, 8)]
+    assert [t.status for t in traces] == ["precision_exhausted"] * 4
+    stops = [len(t.samples) for t in traces]
+    assert stops[0] == stops[1] and stops[2:] == [stops[1] + SUBSTEPS, stops[1] + 2 * SUBSTEPS]
+    for trace in traces[:2]:
+        assert g_crit < trace.samples[-1][0] < 2.0 * g_crit
+        assert ray_point(qmap, trace.angle, 2.0 * g_crit) == trace_ray(
+            qmap, trace.angle, 2.0 * g_crit).samples[-1][1]
+        for g in (0.99 * g_crit, 1e-3):
+            with pytest.raises(PrecisionError):
+                ray_point(qmap, trace.angle, g)
+    # estimate_landing stops at the last full level; the ray is periodic, but
+    # a failed descent is refined only at the stalls before the failure
+    calls = []
+    monkeypatch.setattr(rays_mod, "_refine_periodic",
+                        lambda q, z0, m: calls.append(z0) or _refine_periodic(q, z0, m))
+    est = estimate_landing(qmap, Angle(0))
+    levels = [z for _, z in traces[0].samples[SUBSTEPS::SUBSTEPS]]
+    residuals = [abs(b - a) for a, b in zip(levels, levels[1:])]
+    stalls = [b >= rays_mod.STALL_RATIO * a for a, b in zip(residuals, residuals[1:])]
+    assert (est.z, est.residual, est.converged, est.levels) == (
+        levels[-1], residuals[-1], False, len(levels))
+    assert len(calls) == sum(stalls)
 
 
 def test_screen_chunk_bounds_the_screen_memory(monkeypatch):
@@ -599,3 +681,90 @@ def test_portrait_screen_matches_all_candidate_screen(c):
                 continue
             got = portrait_at_orbit(qmap, orbit, n, ray_period_cap=cap)
             assert (got.sets, got.ray_period) == (want.sets, want.ray_period), (n, orbit)
+
+
+CRITERION_8_FAMILIES = ([Angle(k, 63) for k in (22, 25, 37, 11, 44, 50)],
+                        [Angle(k, 7) for k in (3, 6, 5, 1, 2, 4)])
+
+
+@pytest.mark.parametrize("c, radii", [(0.0, (1.2, 3.8, 12.0)), (-1.0, (2.0, 6.3, 20.0))])
+def test_circle_exit_points_lie_on_circle_and_ray(monkeypatch, c, radii):
+    # the bisection's last Newton point is the exit point: within newton_tol
+    # of the circle, and within 1e-10 of the 300-bit ray point at its potential
+    qmap = QuadraticMap(c)
+    calls = []
+    continued = rays_mod._ray_point_continued
+    monkeypatch.setattr(rays_mod, "_ray_point_continued",
+                        lambda q, theta, g, x: calls.append((g, continued(q, theta, g, x)))
+                        or calls[-1][1])
+    for family in CRITERION_8_FAMILIES:
+        traces = [trace_ray(qmap, theta, g_min=1e-8) for theta in family]
+        for r in radii:
+            for trace in traces:
+                calls.clear()
+                exit_point = circle_exit_cyclic_order(qmap, [trace], 0j, r).truncated[0].exit_point
+                g, z = calls[-1]
+                assert exit_point == z
+                assert abs(abs(exit_point) - r) < DEFAULT_CONFIG.newton_tol, (trace.angle, r)
+                root = mp_ray_root(c, trace.angle, g, rays_mod._levels_below_anchor(g), z)
+                assert abs(exit_point - root) < 1e-10, (trace.angle, r)
+
+
+def _rational_angles():
+    """Angles r/den with small odd and even denominators, and denominators
+    above 2^63."""
+    return st.one_of(st.integers(1, 10 ** 6), st.integers(2 ** 63 + 1, 2 ** 66)).flatmap(
+        lambda den: st.builds(Angle, st.integers(0, den - 1), st.just(den)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_angles(), st.sampled_from(REFERENCE_CS), st.sampled_from((0.3, 1e-4, 1e-8)))
+def test_trace_samples_satisfy_the_functional_equation(theta, c, g_min):
+    # f maps R_theta(g) onto R_2theta(2g): sample j of theta lies over sample
+    # j - SUBSTEPS of 2 theta traced to 2 g_min, which starts at the same g_top
+    qmap = QuadraticMap(c)
+    trace = trace_ray(qmap, theta, g_min)
+    image = trace_ray(qmap, theta.doubled(), 2.0 * g_min)
+    gs = [g for g, _ in trace.samples]
+    assert all(b < a for a, b in zip(gs, gs[1:]))
+    for (g, z), (g2, w) in zip(trace.samples[SUBSTEPS:], image.samples):
+        assert g2 == 2.0 * g
+        assert abs(z * z + c - w) <= 1e-12 * (1.0 + abs(w)), (g, z, w)
+    if trace.status == "ok":
+        assert len(trace.samples) == len(image.samples) + SUBSTEPS
+        assert ray_point(qmap, theta, g_min) == trace.samples[-1][1]
+    else:
+        with pytest.raises(PrecisionError):
+            ray_point(qmap, theta, g_min)
+
+
+def test_long_period_ray_builds_only_its_levels(monkeypatch):
+    # 1/(10^9 + 7) has a doubling period of about 5e8, but a descent L levels
+    # deep reads only the angles theta 2^i, i <= L
+    rows = []
+    chain = rays_mod._doubling_chain
+    monkeypatch.setattr(rays_mod, "_doubling_chain",
+                        lambda theta, levels: rows.append(levels) or chain(theta, levels))
+    theta = Angle(1, 10 ** 9 + 7)
+    trace = trace_ray(QuadraticMap(-1.0), theta, 1e-8)
+    levels = rays_mod._levels_below_anchor(1e-8)
+    assert trace.status == "ok" and trace.samples[-1][0] == 1e-8
+    assert rows == [levels]
+    turns, image = chain(theta, levels)
+    assert len(turns) == levels + 1
+    den = theta.denominator
+    assert turns.tolist() == [pow(2, i, den) / den for i in range(levels + 1)]
+
+
+def test_doubling_chain_closes_on_itself():
+    # a periodic angle's cycle and a preperiodic angle's tail and cycle each
+    # take one row per angle, however deep the descent
+    turns, image = rays_mod._doubling_chain(Angle(11, 63), 40)
+    assert turns.tolist() == [k / 63 for k in (11, 22, 44, 25, 50, 37)]
+    assert image.tolist() == [1, 2, 3, 4, 5, 0]
+    turns, image = rays_mod._doubling_chain(Angle(5, 12), 40)
+    assert turns.tolist() == [5 / 12, 10 / 12, 8 / 12, 4 / 12]
+    assert image.tolist() == [1, 2, 3, 2]
+    turns, image = rays_mod._doubling_chain(Angle(5, 12), 2)
+    assert turns.tolist() == [5 / 12, 10 / 12, 8 / 12]
+    assert image.tolist()[:2] == [1, 2]
