@@ -4,8 +4,9 @@ Every run writes its outputs plus a manifest.json recording the fully
 resolved configuration, tool version and wall time; re-running a command
 from its manifest reproduces the output files byte for byte (the manifest
 itself carries the non-deterministic wall time and is not compared).
-Each command names the common keys it reads (the map, the seed, the
-precision keys); setting any other away from its default is a usage error.
+Each command names the keys it reads (the map, the seed, the precision
+keys, render's layer keys, bryuno's alpha); setting any other away from its
+default is a usage error, and so is a null key outside NULLABLE_KEYS.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -94,15 +95,10 @@ def parse_angles(text: str) -> list[Angle]:
     return [Angle.parse(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -188,6 +184,11 @@ FLOAT_KEYS = {"newton_tol", "dedup_tol", "g_min", "match_tol", "r0", "C", "r",
               "delta"}
 #: per-command keys that accept grid syntax and stay textual
 GRID_KEYS = {"bunches": {"n", "delta"}, "pressure": {"t"}}
+#: the render keys that only one layer reads
+RENDER_LAYER_KEYS = {"julia": ("points",), "rays": ("angles", "g_min"),
+                     "orbits": ("marker_period",)}
+#: the only keys that may be null, from a default or a manifest
+NULLABLE_KEYS = ("c", "preset", "ray_period_cap", "basepoint", "quotients", "marker_period")
 
 
 def _convert(command: str, key: str, value):
@@ -237,12 +238,9 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
                 raise UsageError(f"unknown parameter {key!r}")
             params[key] = _convert(command, key, value)
 
-    missing = [k for k, v in params.items() if v is None and allowed[k] is None
-               and k in COMMAND_PARAMS[command]
-               and k not in ("ray_period_cap", "basepoint", "quotients",
-                             "marker_period", "preset", "c")]
+    missing = [k for k, v in params.items() if v is None and k not in NULLABLE_KEYS]
     if missing:
-        raise UsageError(f"missing required parameter(s): {', '.join(missing)}")
+        raise UsageError(f"missing or null parameter(s): {', '.join(missing)}")
     return params
 
 
@@ -269,19 +267,20 @@ OPTIONAL_KEYS = MAP_KEYS + ("seed",) + PRECISION_KEYS
 ENUMERATION_KEYS = MAP_KEYS + ("newton_tol", "dedup_tol")
 
 
-def resolve_precision(command: str, params: dict,
-                      reads: tuple[str, ...]) -> PrecisionConfig:
+def resolve_precision(command: str, params: dict, reads: tuple[str, ...],
+                      unread: tuple[str, ...] = ()) -> PrecisionConfig:
     """The PrecisionConfig of a command that reads the common keys `reads`.
 
-    Any other key of OPTIONAL_KEYS set away from its default, by a flag, a
-    config file or a manifest, is a usage error, so no knob is accepted and
-    then ignored; the keys stay in every manifest, which replays when they
-    hold their defaults.
+    Any other key of OPTIONAL_KEYS, or a command key this run leaves
+    `unread`, set away from its default, by a flag, a config file or a
+    manifest, is a usage error, so no knob is accepted and then ignored; the
+    keys stay in every manifest, which replays when they hold their defaults.
     """
-    unread = [k for k in OPTIONAL_KEYS
-              if k not in reads and params[k] != COMMON_PARAMS[k]]
-    if unread:
-        raise UsageError(f"{command} does not use {', '.join(unread)}; "
+    defaults = {**COMMON_PARAMS, **COMMAND_PARAMS[command]}
+    ignored = [k for k in OPTIONAL_KEYS + unread
+               if k not in reads and params[k] != defaults[k]]
+    if ignored:
+        raise UsageError(f"{command} does not use {', '.join(ignored)}; "
                          "leave them at their defaults")
     return PrecisionConfig(
         mantissa_bits=int(params["mantissa_bits"]),
@@ -463,18 +462,19 @@ def cmd_distortion(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
-    resolve_precision("bryuno", params, reads=())
+    resolve_precision("bryuno", params, reads=(),
+                      unread=("alpha",) if params.get("quotients") else ())
     terms = int(params["terms"])
-    if params.get("quotients"):
-        quots = [int(tok) for tok in str(params["quotients"]).split(",") if tok.strip()]
-        report = bryuno_sums_from_quotients(quots, terms)
-    else:
-        alpha = params["alpha"]
-        if alpha == "golden":
-            alpha = GOLDEN_ROTATION
-        elif alpha == "silver":
-            alpha = math.sqrt(2.0) - 1.0
-        report = bryuno_sums(float(alpha), terms)
+    alpha = {"golden": GOLDEN_ROTATION, "silver": math.sqrt(2.0) - 1.0}.get(
+        params["alpha"], params["alpha"])
+    try:
+        if params.get("quotients"):
+            quots = [int(tok) for tok in str(params["quotients"]).split(",") if tok.strip()]
+            report = bryuno_sums_from_quotients(quots, terms)
+        else:
+            report = bryuno_sums(float(alpha), terms)
+    except ValueError as exc:  # the terms, quotients or alpha given
+        raise UsageError(str(exc)) from exc
     write_json(outdir / "bryuno.json", {
         "schema": "v1", "alpha": report.alpha,
         "convergent_denominators": list(report.convergent_denominators),
@@ -490,7 +490,9 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
     # only the julia layer samples and only the orbits layer enumerates
     cfg = resolve_precision("render", params, MAP_KEYS
                             + (("seed",) if "julia" in layer_names else ())
-                            + (ENUMERATION_KEYS if "orbits" in layer_names else ()))
+                            + (ENUMERATION_KEYS if "orbits" in layer_names else ()),
+                            unread=tuple(k for layer, keys in RENDER_LAYER_KEYS.items()
+                                         if layer not in layer_names for k in keys))
     qmap = resolve_map(params)
     vp_bits = [float(b) for b in str(params["viewport"]).split(":")]
     if len(vp_bits) != 4:

@@ -408,6 +408,7 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     rounds = [
         lambda: np.concatenate([tree(fp.beta, n + 2), [fp.alpha, fp.beta],
                                 _critical_orbit_tail(qmap)]),
+        # needed: round 1 alone finds 1,023 of 1,024 roots at c = -1.99, n = 10 (criterion 2)
         lambda: np.concatenate([tree(fp.beta, n + 3), tree(fp.alpha, n + 1)]),
     ]
 

@@ -23,8 +23,8 @@ point runs out of precision.  A branch is ambiguous when
 an ambiguous branch or a non-finite value, in its own row or in a row it is
 pulled back from, ends the descent: `trace_ray` keeps the samples above it
 with status precision_exhausted, and `ray_point` raises PrecisionError.  The
-circle-exit bisection needs points off the schedule; `_ray_point_continued`
-finds them by Newton on f^k from a nearby sample.
+circle-exit bisection needs points off the schedule; `_ray_point_near` pulls
+them back too, on the branches nearer the forward orbit of a sample below.
 
 Rays that land on one cycle are permuted by doubling, and f maps
 R_theta(g) onto R_2theta(2g).  A portrait screen lists one ray per doubling
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import Angle, OrbitPortrait, angle_period, validate_formal_portrait
+from .angles import Angle, OrbitPortrait, validate_formal_portrait
 from .dynamics import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, orbit_with_derivative
 from .errors import PortraitError, PrecisionError, QuadrayError
 from .orbits import PARABOLIC_CANDIDATE, REPELLING, PeriodicOrbit
@@ -199,8 +199,9 @@ def _branch(re: np.ndarray, im: np.ndarray, prev_re: np.ndarray, prev_im: np.nda
 def _doubling_chain(theta: Angle, levels: int):
     """The rows of a pullback `levels` levels deep: (turns, image), turns[i]
     the float 2^i theta mod 1 for i <= levels up to where doubling closes the
-    chain, and image[i] the row of its double, i + 1 or the row the chain
-    closes on (the last row of an open chain has none; no level reads it)."""
+    chain, and image[i] the row of its double, i + 1 (no row, for the last
+    of an open chain) or the row the chain closes on: row 0 exactly when
+    theta is periodic, of period len(turns)."""
     r, den = theta.numerator, theta.denominator
     row: dict[int, int] = {}
     turns = []
@@ -209,12 +210,13 @@ def _doubling_chain(theta: Angle, levels: int):
         turns.append(r / den)
         r = 2 * r % den
     image = np.arange(1, len(turns) + 1)
-    image[-1] = row.get(r, 0)
+    image[-1] = row.get(r, len(turns))
     return np.array(turns), image
 
 
-def _pullback(c: complex, theta: Angle, g_top: float, levels: int):
-    """Ray theta descended by pullback from g_top (see the module docstring).
+def _pullback(c: complex, turns: np.ndarray, image: np.ndarray, g_top: float, levels: int):
+    """The ray of the `_doubling_chain` (turns, image) descended by pullback
+    from g_top (see the module docstring).
 
     Yields the anchor at g_top as a list of one point, then the points at
     the SUBSTEPS substeps of each level k = 1..levels; a level cut short is
@@ -226,7 +228,6 @@ def _pullback(c: complex, theta: Angle, g_top: float, levels: int):
     ambiguity margin alone.  Sample j of row 0 reads row i at sample
     j - i SUBSTEPS and before, so a failure there cuts the descent at j.
     """
-    turns, image = _doubling_chain(theta, levels)
     prev = np.array(_level_zero(c, turns, g_top))
     yield prev[-1, :1].tolist()
     bad = math.inf  # the first sample of row 0 that reads a failure
@@ -261,7 +262,8 @@ def _ray_samples(qmap: QuadraticMap, theta: Angle, g_min: float):
         raise ValueError("potential must be positive")
     levels = _levels_below_anchor(g_min)
     g_top = g_min * 2.0 ** levels
-    points = [z for block in _pullback(qmap.c, theta, g_top, levels) for z in block]
+    descent = _pullback(qmap.c, *_doubling_chain(theta, levels), g_top, levels)
+    points = [z for block in descent for z in block]
     potentials = [g_top] + [g for k in range(1, levels + 1) for g in _level_potentials(g_top, k)]
     return potentials[:len(points)], points, len(points) == len(potentials)
 
@@ -295,7 +297,8 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
     Potentials descend geometrically; convergence is declared when
     consecutive level points differ by less than landing_tol, and after
     max_halvings levels the trace is declared stalled.  For a periodic angle
-    the last level point is then refined by Newton against f^m(z) = z, and
+    whose doubling chain closes within its max_halvings + 1 rows, of period
+    m, the last level point is then refined by Newton against f^m(z) = z, and
     replaced by the root when that lies within 0.05.  Parabolic landing slows
     below the geometric rate: once a level's residual is at least STALL_RATIO
     times the one before, a periodic ray is refined at once, and the root is
@@ -306,8 +309,9 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
     level_pts: list[complex] = []
     converged = exhausted = False
     residual = math.inf
-    m = angle_period(theta)
-    descent = _pullback(qmap.c, theta, ANCHOR_POTENTIAL, max_halvings)
+    turns, image = _doubling_chain(theta, max_halvings)
+    m = len(turns) if image[-1] == 0 else None
+    descent = _pullback(qmap.c, turns, image, ANCHOR_POTENTIAL, max_halvings)
     x = next(descent)[0]
     for block in descent:
         x = block[-1] if block else x
@@ -354,8 +358,7 @@ def _refine_periodic(qmap, z0, m, iters=90):
     z = complex(z0)
     last = math.inf
     for _ in range(iters):
-        arr = np.array([z])
-        w, d = orbit_with_derivative(qmap, arr, m)
+        w, d = orbit_with_derivative(qmap, np.array([z]), m)
         gp = d[0] - 1.0
         if not np.isfinite(w[0]) or abs(gp) < 1e-30:
             return None, math.inf
@@ -581,28 +584,28 @@ def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
     return OrbitPortrait(sets=sets, ray_period=report.ray_period)
 
 
-def _ray_point_continued(qmap, theta, potential, x):
-    """Ray point at a nearby potential, continued from a known ray point x
-    by Newton on f^k(z) = anchor(2^k theta, 2^k potential)."""
+def _ray_point_near(qmap, theta, potential, x):
+    """Ray point at a potential at most a substep above the ray point x: the
+    anchor of 2^k theta at 2^k potential, k = _levels_below_anchor(potential),
+    pulled back k times down the chain 2^k theta, ..., theta, in row i on the
+    square root nearer f^i(x), which lies on ray 2^i theta.  Raises
+    PrecisionError where that branch is ambiguous under `_branch`'s rule,
+    which a non-finite value fails too."""
     k = _levels_below_anchor(potential)
     den = theta.denominator
-    r = theta.numerator * pow(2, k, den) % den
-    target = complex(_anchor_seed(qmap.c, r / den, potential * 2.0 ** k))
-    for _ in range(24):
-        w = x
-        d = 1.0 + 0.0j
-        for _ in range(k):
-            d *= 2.0 * w
-            w = w * w + qmap.c
-        if d == 0 or not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise PrecisionError("ray Newton step broke down (precritical pinch?)")
-        step = (w - target) / d
-        x -= step
-        if abs(step) < 1e-13 * (1.0 + abs(x)):
-            return x
-    if abs(step) > 1e-6 * (1.0 + abs(x)):
-        raise PrecisionError("ray Newton failed to converge at this precision")
-    return x
+    y = complex(_anchor_seed(qmap.c, theta.numerator * pow(2, k, den) % den / den,
+                             potential * 2.0 ** k))
+    near = [x]
+    for _ in range(k - 1):
+        near.append(near[-1] * near[-1] + qmap.c)
+    for z in reversed(near[:k]):
+        y = cmath.sqrt(y - qmap.c)
+        dot = y.real * z.real + y.imag * z.imag
+        if not abs(dot) > _BRANCH_MARGIN * (abs(y) ** 2 + abs(z) ** 2):
+            raise PrecisionError(f"ray {theta} met an ambiguous branch or a non-finite "
+                                 f"point at potential {potential}")
+        y = y if dot > 0 else -y
+    return y
 
 
 def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
@@ -611,9 +614,10 @@ def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
     """Compare the cyclic order of ray exit points on the circle
     |z - center| = radius with the cyclic order of their angles at infinity.
 
-    Each ray is truncated at its last sampled crossing of the circle,
-    bisection-refined in potential until the exit point lies within
-    cfg.newton_tol of the circle; a second crossing within the final
+    Each ray is truncated at its last sampled crossing of the circle: the
+    potentials of those two samples are bisected in log-potential, each by
+    `_ray_point_near` from the inner sample, until the exit point lies within
+    cfg.newton_tol of the circle.  A second crossing within the final
     potential band flags exit_is_last = False rather than guessing.
     """
     if not rays:
@@ -631,21 +635,17 @@ def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
         if not brackets:
             raise QuadrayError(f"ray {ray.angle} never crosses the circle in its trace")
         last = brackets[-1]
-        g_hi, g_lo = samples[last][0], samples[last + 1][0]
-        final_band = [i for i in brackets if samples[i][0] <= 2.0 * g_hi]
-        exit_is_last = len(final_band) == 1
-        x = samples[last + 1][1]
-        lo, hi = g_lo, g_hi
+        (hi, _), (lo, x) = samples[last], samples[last + 1]
+        exit_is_last = sum(samples[i][0] <= 2.0 * hi for i in brackets) == 1
         for _ in range(60):
             mid = math.sqrt(lo * hi)  # bisect in log-potential
-            zm = _ray_point_continued(qmap, ray.angle, mid, x)
+            zm = _ray_point_near(qmap, ray.angle, mid, x)
             if abs(abs(zm - center) - radius) < cfg.newton_tol:
                 break
             if abs(zm - center) >= radius:
                 hi = mid
             else:
                 lo = mid
-                x = zm
         truncated.append(TruncatedRay(parent=ray, exit_point=zm,
                                       exit_is_last=exit_is_last))
 
@@ -661,10 +661,4 @@ def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
 
 
 def _cyclically_equal(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    if len(a) != len(b):
-        return False
-    if len(a) <= 2:
-        return True
-    n = len(a)
-    start = b.index(a[0])
-    return all(a[i] == b[(start + i) % n] for i in range(n))
+    return len(a) == len(b) and any(a == b[i:] + b[:i] for i in range(len(b)))

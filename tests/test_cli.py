@@ -330,6 +330,96 @@ def test_seed_readers_accept_seed(tmp_path, label):
     assert hashes(a) != hashes(b)
 
 
+#: for every command key, a value away from its default and from the runs'
+#: own.  A key must change the output files or make the run exit 2.  A
+#: domain error (exit 1) writes no output file, which is a change: every ray
+#: landing on a cycle has one period, so a lower cap or a tighter match finds
+#: no ray, and p = 2 is not the period of beta.
+KEY_VALUES = {
+    "orbits": {"n": "2"},
+    "rays": {"angles": "1/5", "g_min": "1e-4"},
+    "portrait": {"period": "1", "orbit_index": "1", "match_tol": "1e-30",
+                 "ray_period_cap": "2"},
+    "pressure": {"t": "0.5", "n": "3", "basepoint": "0.5,0.5"},
+    "bunches": {"n": "5", "delta": "0.3", "mode": "X"},
+    "near-point": {"z0": "alpha", "p": "2", "n": "5", "delta": "0.1", "r0": "1.0"},
+    "disc-pattern": {"period": "2", "n": "5", "delta": "0.1", "r0": "1.0", "C": "3.0",
+                     "orbit_index": "1"},
+    "distortion": {"center": "beta", "r": "1e-3", "n": "5", "samples": "32",
+                   "period": "2"},
+    "bryuno": {"alpha": "silver", "quotients": "1,2,3,4,5,6", "terms": "6"},
+    "render": {"layers": "rays", "angles": "1/5", "points": "200",
+               "viewport": "-2:2:-2:2", "g_min": "1e-3", "marker_period": "3"},
+}
+#: the basilica's 2-cycle is attracting and draws no marker, so the orbits
+#: layer is walked on its fixed points
+KEY_RUNS = dict(RUNS, **{"render-orbits": ["render", "--preset", "basilica", "--layers",
+                                           "orbits", "--marker-period", "1"]})
+
+
+@pytest.mark.parametrize("label", KEY_RUNS)
+def test_every_command_key_is_read_or_rejected(tmp_path, label):
+    from quadray.cli import COMMAND_PARAMS
+    argv = KEY_RUNS[label]
+    base = tmp_path / "base"
+    assert run_command(argv + ["--output-dir", str(base)]) == 0
+    assert set(KEY_VALUES[argv[0]]) == set(COMMAND_PARAMS[argv[0]])
+    for key, value in KEY_VALUES[argv[0]].items():
+        out = tmp_path / key
+        rc = run_command(argv + [f"--{key.replace('_', '-')}", value, "--output-dir", str(out)])
+        if rc == 2:
+            assert not any(out.iterdir()), key
+        else:
+            assert hashes(out) != hashes(base), key
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["render", "--preset", "basilica", "--layers", "julia", "--g-min", "1e-3"], "g_min"),
+    (["render", "--preset", "basilica", "--layers", "julia", "--angles", "1/3"], "angles"),
+    (["render", "--preset", "basilica", "--layers", "rays", "--angles", "1/3",
+      "--points", "100"], "points"),
+    (["render", "--preset", "basilica", "--layers", "julia", "--marker-period", "2"],
+     "marker_period"),
+    (["bryuno", "--alpha", "silver", "--quotients", "1,1,1,1,1,1", "--terms", "5"], "alpha"),
+])
+def test_unread_command_key_rejected(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    assert run_command(argv + ["--output-dir", str(out)]) == 2
+    assert f"does not use {key}" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--quotients", "1,1,1", "--terms", "5"], "at least n_terms + 1 partial quotients"),
+    (["--quotients", "1,0,1,1,1,1", "--terms", "5"], "must be positive"),
+    (["--quotients", "1,x,1", "--terms", "2"], "invalid literal"),
+    (["--terms", "1"], "n_terms must be >= 2"),
+    (["--alpha", "pi"], "could not convert"),
+])
+def test_bad_bryuno_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    rc = run_command(["bryuno", *argv, "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key", ["n", "t"])
+def test_null_key_in_manifest_is_a_usage_error(tmp_path, capsys, key):
+    # only the keys that may be absent (map, cap, basepoint, quotients,
+    # marker period) may be null; any other null names its key
+    a = tmp_path / "a"
+    assert run_command(["pressure", "--preset", "basilica", "--t", "1", "--n", "4",
+                        "--output-dir", str(a)]) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    manifest["params"][key] = None
+    (tmp_path / "null.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = run_command(["pressure", "--from-manifest", str(tmp_path / "null.json"),
+                      "--output-dir", str(tmp_path / "b")])
+    assert rc == 2
+    assert f"null parameter(s): {key}" in capsys.readouterr().err
+
+
 def _oracle_orbit_files(outdir: Path, orbits) -> None:
     """Reference writer: write_csv rows, then one json.dumps per row."""
     rows = [[z.real, z.imag, o.minimal_period, o.multiplier.real,

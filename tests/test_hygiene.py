@@ -79,6 +79,29 @@ def test_every_parameter_is_read(path):
     assert not unread, f"{path.name} has parameters its functions never read: {unread}"
 
 
+def _references(tree: ast.Module):
+    """(name, line) of every name read or attribute taken in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_private_function_is_used():
+    # a private module-level function that nothing else in the package
+    # names is a leftover; references from inside its own body do not count
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    refs = [(p, name, line) for p, tree in trees.items() for name, line in _references(tree)]
+    unused = sorted(
+        f"{p.name}:{node.name}" for p, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(name == node.name and not (q == p and node.lineno <= line <= node.end_lineno)
+                    for q, name, line in refs))
+    assert not unused, f"private functions nothing else uses: {unused}"
+
+
 # Importing the package, and the orbits, pressure, portrait, render,
 # near-point and disc-pattern commands, load numpy and nothing heavier: the
 # orbit-set counts run on numpy arrays alone.  scipy takes 0.5-1 s to import

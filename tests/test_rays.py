@@ -689,13 +689,13 @@ CRITERION_8_FAMILIES = ([Angle(k, 63) for k in (22, 25, 37, 11, 44, 50)],
 
 @pytest.mark.parametrize("c, radii", [(0.0, (1.2, 3.8, 12.0)), (-1.0, (2.0, 6.3, 20.0))])
 def test_circle_exit_points_lie_on_circle_and_ray(monkeypatch, c, radii):
-    # the bisection's last Newton point is the exit point: within newton_tol
-    # of the circle, and within 1e-10 of the 300-bit ray point at its potential
+    # the bisection's last point is the exit point: within newton_tol of the
+    # circle, and within 1e-12 of the 300-bit ray point at its potential
     qmap = QuadraticMap(c)
     calls = []
-    continued = rays_mod._ray_point_continued
-    monkeypatch.setattr(rays_mod, "_ray_point_continued",
-                        lambda q, theta, g, x: calls.append((g, continued(q, theta, g, x)))
+    near = rays_mod._ray_point_near
+    monkeypatch.setattr(rays_mod, "_ray_point_near",
+                        lambda q, theta, g, x: calls.append((g, near(q, theta, g, x)))
                         or calls[-1][1])
     for family in CRITERION_8_FAMILIES:
         traces = [trace_ray(qmap, theta, g_min=1e-8) for theta in family]
@@ -707,7 +707,7 @@ def test_circle_exit_points_lie_on_circle_and_ray(monkeypatch, c, radii):
                 assert exit_point == z
                 assert abs(abs(exit_point) - r) < DEFAULT_CONFIG.newton_tol, (trace.angle, r)
                 root = mp_ray_root(c, trace.angle, g, rays_mod._levels_below_anchor(g), z)
-                assert abs(exit_point - root) < 1e-10, (trace.angle, r)
+                assert abs(exit_point - root) < 1e-12, (trace.angle, r)
 
 
 def _rational_angles():
@@ -736,6 +736,59 @@ def test_trace_samples_satisfy_the_functional_equation(theta, c, g_min):
     else:
         with pytest.raises(PrecisionError):
             ray_point(qmap, theta, g_min)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_angles(), st.sampled_from(REFERENCE_CS), st.sampled_from((0.3, 1e-4, 1e-8)),
+       st.integers(0, 10 ** 6), st.floats(0.01, 0.99))
+def test_ray_point_near_pulls_back_to_the_ray(theta, c, g_min, pick, u):
+    # the circle-exit bisection's points, from a sample x: at the potentials
+    # of x and of the sample above it, those samples; between them, the
+    # 300-bit root of the equation of its own level
+    qmap = QuadraticMap(c)
+    samples = trace_ray(qmap, theta, g_min).samples
+    j = 1 + pick % (len(samples) - 1)
+    (g_hi, z_hi), (g, x) = samples[j - 1], samples[j]
+    for potential, want in ((g_hi, z_hi), (g, x)):
+        z = rays_mod._ray_point_near(qmap, theta, potential, x)
+        assert abs(z - want) <= 1e-14 * (1.0 + abs(want)), (potential, z, want)
+    potential = g * (g_hi / g) ** u
+    z = rays_mod._ray_point_near(qmap, theta, potential, x)
+    root = mp_ray_root(c, theta, potential, rays_mod._levels_below_anchor(potential), z)
+    assert abs(z - root) <= 1e-12 * (1.0 + abs(z)), (potential, z, root)
+
+
+def test_ray_point_near_raises_at_an_ambiguous_branch():
+    # c = 1/2: below the critical potential G(c)/2 the 0-ray's preimage of a
+    # real point left of c is imaginary, as far from the real point x as its
+    # negative, as in test_ambiguous_branch_ends_the_trace
+    qmap = QuadraticMap(0.5)
+    g_crit = green_potential(qmap, 0j)
+    g, x = trace_ray(qmap, Angle(0), 1e-8).samples[-1]
+    assert g_crit < g < 2.0 * g_crit
+    assert rays_mod._ray_point_near(qmap, Angle(0), g, x) == pytest.approx(x, rel=1e-14)
+    for potential in (0.99 * g_crit, g_crit * 2.0 ** (-1 / SUBSTEPS), 1e-3):
+        with pytest.raises(PrecisionError):
+            rays_mod._ray_point_near(qmap, Angle(0), potential, x)
+
+
+def test_landing_period_comes_from_the_chain(monkeypatch):
+    # estimate_landing refines on f^m with m read off the doubling chain of
+    # at most MAX_HALVINGS + 1 rows, never from the full period: a landing
+    # on 1/(10^9 + 7), of period about 5e8, returns unrefined
+    periods = []
+    monkeypatch.setattr(rays_mod, "_refine_periodic",
+                        lambda q, z0, m: periods.append(m) or (None, math.inf))
+    qmap = QuadraticMap(-1.0)
+    est = estimate_landing(qmap, Angle(1, 10 ** 9 + 7))
+    assert periods == [] and 2 <= est.levels <= MAX_HALVINGS
+    # with landing_tol = inf the descent stops at its second level and the
+    # level point is refined once, on the period the chain gives
+    for den in range(1, 2001, 2):
+        periods.clear()
+        estimate_landing(qmap, Angle(1, den), landing_tol=math.inf)
+        m = angle_period(Angle(1, den))
+        assert periods == ([m] if m <= MAX_HALVINGS + 1 else []), den
 
 
 def test_long_period_ray_builds_only_its_levels(monkeypatch):
@@ -767,4 +820,7 @@ def test_doubling_chain_closes_on_itself():
     assert image.tolist() == [1, 2, 3, 2]
     turns, image = rays_mod._doubling_chain(Angle(5, 12), 2)
     assert turns.tolist() == [5 / 12, 10 / 12, 8 / 12]
-    assert image.tolist()[:2] == [1, 2]
+    assert image.tolist() == [1, 2, 3]
+    # one row short of the period the chain is open; with the period it closes on row 0
+    assert rays_mod._doubling_chain(Angle(11, 63), 4)[1].tolist() == [1, 2, 3, 4, 5]
+    assert rays_mod._doubling_chain(Angle(11, 63), 5)[1].tolist() == [1, 2, 3, 4, 5, 0]
