@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .angles import (Angle, ContinuedFractionReport, OrbitPortrait,
                      PortraitClassification, PortraitReport, angle_period,
                      bryuno_sums, bryuno_sums_from_quotients, classify_portrait,
-                     cyclic_order_preserved, double, periodic_angles, unlinked,
+                     cyclic_order_preserved, periodic_angles, unlinked,
                      validate_formal_portrait)
 from .bunches import (BunchReport, DiscPattern, DistortionReport,
                       PatternCountReport, bunch_clusters,

@@ -61,10 +61,6 @@ class Angle:
             return cls(int(a), int(b))
         return cls(int(text), 1)
 
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "Angle":
-        return cls(fr.numerator, fr.denominator)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
@@ -81,11 +77,6 @@ class Angle:
         """The two preimages under doubling: theta/2 and theta/2 + 1/2."""
         return (Angle(self.numerator, 2 * self.denominator),
                 Angle(self.numerator + self.denominator, 2 * self.denominator))
-
-
-def double(a: Angle) -> Angle:
-    """The angle-doubling map: 2*theta mod 1."""
-    return a.doubled()
 
 
 def angle_period(a: Angle) -> int | None:

@@ -34,8 +34,8 @@ from .orbits import (PeriodicOrbit, alpha_beta_fixed_points,
 from .pressure import (MODE_PERIODIC, MODE_TREE, default_tree_basepoint,
                        pressure_comparison)
 from .rays import portrait_at_orbit, trace_ray
-from .scene import (MarkerLayer, PointCloudLayer, PolylineLayer, SceneModel,
-                    Viewport, julia_point_cloud, pressure_curve_svg, render_scene)
+from .scene import (Viewport, julia_point_cloud, markers_svg, point_cloud_svg,
+                    polyline_svg, pressure_curve_svg, render_scene)
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 _golden_lambda = cmath.exp(2j * math.pi * GOLDEN_ROTATION)
@@ -498,29 +498,32 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
     if len(vp_bits) != 4:
         raise UsageError("viewport must be remin:remax:immin:immax")
     vp = Viewport(*vp_bits)
-    scene = SceneModel(viewport=vp)
+    for name in layer_names:
+        if name not in RENDER_LAYER_KEYS:
+            raise UsageError(f"unknown layer {name!r}")
+    angles = parse_angles(params["angles"])
+    if "rays" in layer_names and not angles:
+        raise UsageError("rays layer needs --angles")
+    period = params.get("marker_period")
+    if "orbits" in layer_names and not period:
+        raise UsageError("orbits layer needs --marker-period")
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+    elements: list[str] = []
     for name in layer_names:
         if name == "julia":
-            scene.layers.append(PointCloudLayer(points=julia_point_cloud(
-                qmap, count=int(params["points"]), seed=int(params["seed"]))))
+            elements += point_cloud_svg(julia_point_cloud(
+                qmap, count=int(params["points"]), seed=int(params["seed"])), vp)
         elif name == "rays":
-            for i, theta in enumerate(parse_angles(params["angles"])):
+            for i, theta in enumerate(angles):
                 trace = trace_ray(qmap, theta, float(params["g_min"]))
-                scene.layers.append(PolylineLayer(
-                    points=[z for _, z in trace.samples],
-                    color=palette[i % len(palette)], label=str(theta)))
-        elif name == "orbits":
-            period = params.get("marker_period")
-            if not period:
-                raise UsageError("orbits layer needs --marker-period")
-            for o in julia_orbits(qmap, int(period), cfg):
-                scene.layers.append(MarkerLayer(
-                    points=list(o.points),
-                    labels=[f"p{o.minimal_period}"] * len(o.points)))
+                elements += polyline_svg([z for _, z in trace.samples], vp,
+                                         palette[i % len(palette)], str(theta))
         else:
-            raise UsageError(f"unknown layer {name!r}")
-    (outdir / "scene.svg").write_text(render_scene(scene), encoding="utf-8")
+            orbits = julia_orbits(qmap, int(period), cfg)
+            elements += markers_svg([z for o in orbits for z in o.points],
+                                    [f"p{o.minimal_period}" for o in orbits for _ in o.points],
+                                    vp)
+    (outdir / "scene.svg").write_text(render_scene(elements), encoding="utf-8")
     return ["scene.svg"]
 
 

@@ -90,6 +90,10 @@ _SCREEN_MEMBER_BYTES = 16 * (SUBSTEPS + 1) + 8 * 7
 #: both roots nearly as far from x.
 BRANCH_RATIO = 0.8
 _BRANCH_MARGIN = (1.0 - BRANCH_RATIO ** 2) / (2.0 * (1.0 + BRANCH_RATIO ** 2))
+#: A portrait screen descends SCREEN_LEVELS levels, and a ray cycle whose
+#: tail lies within SCREEN_GATE of the orbit goes on to be matched.
+SCREEN_LEVELS = 40
+SCREEN_GATE = 0.2
 
 DEFAULT_LANDING_TOL = 1e-8
 DEFAULT_MATCH_TOL = 1e-6
@@ -360,7 +364,7 @@ def _refine_periodic(qmap, z0, m, iters=90):
     for _ in range(iters):
         w, d = orbit_with_derivative(qmap, np.array([z]), m)
         gp = d[0] - 1.0
-        if not np.isfinite(w[0]) or abs(gp) < 1e-30:
+        if not (np.isfinite(w[0]) and np.isfinite(gp)) or abs(gp) < 1e-30:
             return None, math.inf
         step = (w[0] - z) / gp
         z = z - step
@@ -533,17 +537,15 @@ def _cycle_landing(qmap: QuadraticMap, pts: np.ndarray, m: int, tail: complex,
 
 def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
                       match_tol: float = DEFAULT_MATCH_TOL,
-                      ray_period_cap: int | None = None,
-                      screen_levels: int = 40,
-                      screen_gate: float = 0.2) -> OrbitPortrait:
+                      ray_period_cap: int | None = None) -> OrbitPortrait:
     """Assemble the orbit portrait of a repelling or parabolic cycle from
     coarse-traced candidate rays.
 
     Rays landing on one cycle are permuted by doubling, so one angle per
     doubling cycle (periods n, 2n, ... up to the cap; its smallest) is
     screened: the rays of all these cycles are descended together by pullback
-    (`_batch_landing`), screen_levels levels deep.  When its tail
-    lies within screen_gate of the orbit, the tails of the other rays of its
+    (`_batch_landing`), SCREEN_LEVELS levels deep.  When its tail
+    lies within SCREEN_GATE of the orbit, the tails of the other rays of its
     cycle are its images under f; each is refined by Newton on the period
     equation and matched to an orbit point within match_tol, and the cycle is
     kept when f steps the matched points as doubling steps the angles.  The
@@ -561,10 +563,10 @@ def portrait_at_orbit(qmap: QuadraticMap, orbit: PeriodicOrbit, n: int,
     if not len(r):
         raise PortraitError("no candidate angles below the ray-period cap")
 
-    tails, alive = _batch_landing(qmap, r, den, screen_levels)
+    tails, alive = _batch_landing(qmap, r, den, SCREEN_LEVELS)
     dist = np.min(np.abs(tails[:, None] - pts[None, :]), axis=1)
     accepted: dict[Angle, int] = {}
-    for i in np.flatnonzero(alive & (dist < screen_gate)).tolist():
+    for i in np.flatnonzero(alive & (dist < SCREEN_GATE)).tolist():
         ri, di = int(r[i]), int(den[i])
         js = _cycle_landing(qmap, pts, di.bit_length(), complex(tails[i]), match_tol)
         for idx, j in enumerate(js or ()):

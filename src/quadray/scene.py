@@ -1,18 +1,25 @@
-"""Deterministic SVG rendering of Julia sets, rays, orbits and bunches.
+"""Deterministic SVG rendering of Julia sets, rays, orbits and pressure curves.
 
-The scene model is geometry in the complex plane plus a viewport rectangle;
-rendering maps to pixel coordinates with fixed decimal formatting so that
-identical scenes produce byte-identical documents.
+Each drawing function maps points of the complex plane through a viewport
+rectangle onto a WIDTH x HEIGHT canvas and returns SVG elements with fixed
+decimal formatting; render_scene wraps elements in a document, so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import QuadraticMap
 from .orbits import alpha_beta_fixed_points
+
+WIDTH = 640
+HEIGHT = 640
+BACKGROUND = "#ffffff"
+#: backward steps taken from beta before julia_point_cloud keeps a point
+BURN_IN = 64
 
 
 @dataclass(frozen=True)
@@ -26,63 +33,27 @@ class Viewport:
         return (self.re_min <= z.real <= self.re_max
                 and self.im_min <= z.imag <= self.im_max)
 
-
-@dataclass
-class PointCloudLayer:
-    points: list[complex]
-    color: str = "#303030"
-    size: float = 0.8
+    def to_px(self, z: complex) -> tuple[float, float]:
+        return ((z.real - self.re_min) / (self.re_max - self.re_min) * WIDTH,
+                (self.im_max - z.imag) / (self.im_max - self.im_min) * HEIGHT)
 
 
-@dataclass
-class PolylineLayer:
-    points: list[complex]
-    color: str = "#1f77b4"
-    width: float = 1.2
-    label: str = ""
+def _fmt(v: float) -> str:
+    return f"{v:.3f}"
 
 
-@dataclass
-class MarkerLayer:
-    points: list[complex]
-    labels: list[str]
-    color: str = "#d62728"
-    size: float = 4.0
-
-
-@dataclass
-class HullLayer:
-    """Translucent convex hull around a group of points (bunch highlight)."""
-    points: list[complex]
-    color: str = "#2ca02c"
-    opacity: float = 0.25
-
-
-@dataclass
-class SceneModel:
-    viewport: Viewport
-    layers: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    width: int = 640
-    height: int = 640
-    background: str = "#ffffff"
-
-
-def julia_point_cloud(qmap: QuadraticMap, count: int = 20000, seed: int = 0,
-                      burn_in: int = 64) -> list[complex]:
+def julia_point_cloud(qmap: QuadraticMap, count: int = 20000,
+                      seed: int = 0) -> list[complex]:
     """Inverse-iteration sampling of the Julia set: random backward orbit of
     beta with uniformly chosen square-root branches."""
     rng = np.random.default_rng(seed)
     z = alpha_beta_fixed_points(qmap).beta
     pts: list[complex] = []
-    signs = rng.integers(0, 2, size=count + burn_in)
-    for i in range(count + burn_in):
+    signs = rng.integers(0, 2, size=count + BURN_IN)
+    for i in range(count + BURN_IN):
         w = np.sqrt(complex(z - qmap.c))
         z = w if signs[i] else -w
-        if i >= burn_in:
+        if i >= BURN_IN:
             pts.append(complex(z))
     return pts
 
@@ -110,112 +81,77 @@ def _clip_segment(a: complex, b: complex, vp: Viewport):
             complex(a.real + t1 * dx, a.imag + t1 * dy))
 
 
-def _convex_hull(points: list[complex]) -> list[complex]:
-    """Andrew's monotone chain; degenerate inputs return what they are."""
-    pts = sorted(set((z.real, z.imag) for z in points))
-    if len(pts) <= 2:
-        return [complex(x, y) for x, y in pts]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return [complex(x, y) for x, y in hull]
+def point_cloud_svg(points: list[complex], vp: Viewport) -> list[str]:
+    """One path of dots at the points inside the viewport."""
+    coords = " ".join(f"M{_fmt(x)},{_fmt(y)}h0.01"
+                      for x, y in (vp.to_px(z) for z in points if vp.contains(z)))
+    return [f'<path d="{coords}" stroke="#303030" fill="none" '
+            f'stroke-width="0.8" stroke-linecap="round"/>']
 
 
-def render_scene(scene: SceneModel, style: RenderStyle = RenderStyle()) -> str:
-    """Deterministic SVG document for the scene (no timestamps, fixed
-    formatting).  An empty scene yields a valid document with the viewport."""
-    vp = scene.viewport
-    w, h = style.width, style.height
-
-    def to_px(z: complex) -> tuple[float, float]:
-        x = (z.real - vp.re_min) / (vp.re_max - vp.re_min) * w
-        y = (vp.im_max - z.imag) / (vp.im_max - vp.im_min) * h
-        return x, y
-
-    def fmt(v: float) -> str:
-        return f"{v:.3f}"
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="{style.background}"/>',
-    ]
-    for layer in scene.layers:
-        if isinstance(layer, PointCloudLayer):
-            kept = [z for z in layer.points if vp.contains(z)]
-            coords = " ".join(
-                f"M{fmt(x)},{fmt(y)}h0.01" for x, y in (to_px(z) for z in kept))
-            parts.append(
-                f'<path d="{coords}" stroke="{layer.color}" fill="none" '
-                f'stroke-width="{layer.size}" stroke-linecap="round"/>')
-        elif isinstance(layer, PolylineLayer):
-            pieces: list[list[complex]] = []
-            cur: list[complex] = []
-            for a, b in zip(layer.points, layer.points[1:]):
-                seg = _clip_segment(a, b, vp)
-                if seg is None:
-                    if cur:
-                        pieces.append(cur)
-                        cur = []
-                    continue
-                if not cur:
-                    cur = [seg[0]]
-                elif abs(cur[-1] - seg[0]) > 1e-12:
-                    pieces.append(cur)
-                    cur = [seg[0]]
-                cur.append(seg[1])
+def polyline_svg(points: list[complex], vp: Viewport, color: str,
+                 label: str) -> list[str]:
+    """The polyline through the points, one piece per visible stretch, and
+    the label at its visible point of largest modulus."""
+    pieces: list[list[complex]] = []
+    cur: list[complex] = []
+    for a, b in zip(points, points[1:]):
+        seg = _clip_segment(a, b, vp)
+        if seg is None:
             if cur:
                 pieces.append(cur)
-            for piece in pieces:
-                pstr = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in map(to_px, piece))
-                parts.append(
-                    f'<polyline points="{pstr}" fill="none" stroke="{layer.color}" '
-                    f'stroke-width="{layer.width}"/>')
-            if layer.label and layer.points:
-                x, y = to_px(max((z for z in layer.points if vp.contains(z)),
-                                 key=lambda z: abs(z), default=layer.points[0]))
-                parts.append(
-                    f'<text x="{fmt(x)}" y="{fmt(y)}" font-size="10" '
-                    f'fill="{layer.color}">{layer.label}</text>')
-        elif isinstance(layer, MarkerLayer):
-            for z, label in zip(layer.points, layer.labels):
-                if not vp.contains(z):
-                    continue
-                x, y = to_px(z)
-                parts.append(
-                    f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="{layer.size}" '
-                    f'fill="{layer.color}"/>')
-                if label:
-                    parts.append(
-                        f'<text x="{fmt(x + 5)}" y="{fmt(y - 5)}" font-size="10" '
-                        f'fill="{layer.color}">{label}</text>')
-        elif isinstance(layer, HullLayer):
-            hull = [z for z in _convex_hull(layer.points) if vp.contains(z)]
-            if len(hull) >= 2:
-                pstr = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in map(to_px, hull))
-                parts.append(
-                    f'<polygon points="{pstr}" fill="{layer.color}" '
-                    f'fill-opacity="{layer.opacity}" stroke="{layer.color}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                cur = []
+            continue
+        if not cur:
+            cur = [seg[0]]
+        elif abs(cur[-1] - seg[0]) > 1e-12:
+            pieces.append(cur)
+            cur = [seg[0]]
+        cur.append(seg[1])
+    if cur:
+        pieces.append(cur)
+    parts = []
+    for piece in pieces:
+        pstr = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(vp.to_px, piece))
+        parts.append(f'<polyline points="{pstr}" fill="none" stroke="{color}" '
+                     f'stroke-width="1.2"/>')
+    if label and points:
+        x, y = vp.to_px(max((z for z in points if vp.contains(z)),
+                            key=lambda z: abs(z), default=points[0]))
+        parts.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="10" '
+                     f'fill="{color}">{label}</text>')
+    return parts
 
 
-def pressure_curve_svg(t_values, per_values, tree_values,
-                       style: RenderStyle = RenderStyle(width=640, height=420)) -> str:
+def markers_svg(points: list[complex], labels: list[str], vp: Viewport) -> list[str]:
+    """A dot and its label at each point inside the viewport."""
+    color = "#d62728"
+    parts = []
+    for z, label in zip(points, labels):
+        if not vp.contains(z):
+            continue
+        x, y = vp.to_px(z)
+        parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4.0" fill="{color}"/>')
+        if label:
+            parts.append(f'<text x="{_fmt(x + 5)}" y="{_fmt(y - 5)}" font-size="10" '
+                         f'fill="{color}">{label}</text>')
+    return parts
+
+
+def render_scene(elements: list[str], height: int = HEIGHT) -> str:
+    """Deterministic SVG document of the elements over the background (no
+    timestamps); no elements yield a valid empty document."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">',
+        f'<rect width="{WIDTH}" height="{height}" fill="{BACKGROUND}"/>',
+        *elements,
+        "</svg>"]) + "\n"
+
+
+def pressure_curve_svg(t_values, per_values, tree_values) -> str:
     """Overlay plot of the two pressure estimators against t."""
-    w, h = style.width, style.height
-    margin = 48
+    w, h, margin = WIDTH, 420, 48
     ts = list(t_values)
     lo = min(min(per_values), min(tree_values))
     hi = max(max(per_values), max(tree_values))
@@ -234,14 +170,9 @@ def pressure_curve_svg(t_values, per_values, tree_values,
                 f'<text x="{w - margin - 80}" y="{margin + dy}" font-size="11" '
                 f'fill="{color}">{label}</text>')
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="{style.background}"/>',
+    return render_scene([
         f'<line x1="{margin}" y1="{h - margin}" x2="{w - margin}" y2="{h - margin}" stroke="#000"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{h - margin}" stroke="#000"/>',
         poly(per_values, "#d62728", "periodic", 0),
         poly(tree_values, "#1f77b4", "tree", 14),
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
+    ], height=h)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quadray import (Angle, OrbitPortrait, QuadrayError, angle_period,
                      bryuno_sums, bryuno_sums_from_quotients, classify_portrait,
-                     cyclic_order_preserved, double, periodic_angles, unlinked,
+                     cyclic_order_preserved, periodic_angles, unlinked,
                      validate_formal_portrait)
 
 
@@ -19,19 +19,19 @@ def A(text):
 # ---------------------------------------------------------------- doubling
 
 def test_double_basic():
-    assert double(A("3/7")) == A("6/7")
-    assert double(A("6/7")) == A("5/7")      # 12/7 mod 1
+    assert A("3/7").doubled() == A("6/7")
+    assert A("6/7").doubled() == A("5/7")      # 12/7 mod 1
 
 
 def test_double_63_denominator_orbit():
     # the period-2 portrait orbit: 22->44, 25->50, 37->74=11 (mod 63)
-    assert double(A("37/63")) == A("11/63")
-    assert double(A("22/63")) == A("44/63")
-    assert double(A("25/63")) == A("50/63")
+    assert A("37/63").doubled() == A("11/63")
+    assert A("22/63").doubled() == A("44/63")
+    assert A("25/63").doubled() == A("50/63")
 
 
 def test_double_reduces():
-    assert double(A("1/6")) == A("1/3")
+    assert A("1/6").doubled() == A("1/3")
 
 
 def test_angle_normalization():

@@ -389,6 +389,19 @@ def test_unread_command_key_rejected(tmp_path, capsys, argv, key):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("layers, message", [
+    ("rays", "rays layer needs --angles"),
+    ("julia,orbits", "orbits layer needs --marker-period"),
+])
+def test_layer_without_its_input_is_a_usage_error(tmp_path, capsys, layers, message):
+    # a layer that would draw nothing is refused before any work
+    out = tmp_path / "out"
+    assert run_command(["render", "--preset", "basilica", "--layers", layers,
+                        "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--quotients", "1,1,1", "--terms", "5"], "at least n_terms + 1 partial quotients"),
     (["--quotients", "1,0,1,1,1,1", "--terms", "5"], "must be positive"),

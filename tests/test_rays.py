@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -664,6 +665,18 @@ def test_weakly_repelling_landings_stop_at_the_stall(c):
         est = estimate_landing(qmap, theta)
         assert est.converged and est.levels < MAX_HALVINGS, (theta, est)
         assert float(abs(mp.mpc(est.z) - alpha)) < 1e-12, (theta, est)
+
+
+def test_newton_from_an_escaping_point_finds_no_root():
+    # at c = 1/4, Newton on f^20(z) = z from level points of these rays meets
+    # points whose orbit overflows to a finite f^20 with an infinite
+    # derivative; that step finds no root instead of dividing by infinity
+    qmap = QuadraticMap(0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2, 4, 7, 8):
+            est = estimate_landing(qmap, Angle(k, 2 ** 20 - 1))
+            assert est.converged, (k, est)
 
 
 @pytest.mark.parametrize("c", [-1.0, -1.75, 1j, 0.25, -2.0, GOLDEN_C])
