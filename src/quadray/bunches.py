@@ -8,13 +8,18 @@ one period, minimized over cyclic alignment of base points.  Bunches require
 threshold r, with the largest connected component of the graph
 {rho_n < r} reported as the matching upper bound.
 
-Only the pairs with rho_n < r are ever computed in full.  Each orbit, and
-each of its n cyclic rotations, is a vector in R^(2n) (real parts, then
-imaginary parts).  Since max(|Re w|, |Im w|) <= |w|, the L-infinity distance
-between the base vector of y and a rotation of x never exceeds the sup
-distance at that alignment, so a KD-tree query for L-infinity distance <= r
-returns every (orbit, orbit, shift) triple with rho_n < r, and usually few
-others; rho_n is then evaluated exactly on those candidates only.
+Only the pairs with rho_n < r are ever computed in full.  Each orbit is
+rotated to its anchor, the point of least real part, and each cyclic
+rotation of an orbit is a vector in R^(2n) (real and imaginary parts).  A
+KD-tree holds only the rotations whose base point lies within 2r of their
+orbit's least real part; every aligned pair with rho_n < r passes through
+one of them (the proof is in _close_pairs).  Since max(|Re w|, |Im w|) <=
+|w|, the L-infinity distance between an anchored orbit and a rotation never
+exceeds the sup distance at that alignment, so a KD-tree query for
+L-infinity distance <= r returns every (orbit, orbit, shift) triple with
+rho_n < r, and usually few others; rho_n is then evaluated exactly on those
+candidates only.  A sweep over several thresholds (bunch_sweep) searches
+once, at the largest, and each threshold keeps the pairs below it.
 
 Complete linkage merges two clusters at the largest distance between their
 members, so every cluster below the cut is pairwise closer than r and lies
@@ -46,12 +51,18 @@ MODE_BMS = "BMS"
 
 DISTORTION_SAMPLE_PAIRS = 2048
 
-#: Peak bytes per entry of the (K n, n) rotated orbit array of _close_pairs:
-#: tracemalloc measures 2.3-2.5 complex arrays of that size at the peak of the
-#: search (n = 8..14); three bound it.
-BYTES_PER_ROTATION_ENTRY = 3 * 16
-#: K orbits of period n hold K n^2 rotated points, and K grows like 2^n / n:
-#: searches that would pass this many bytes are refused before any is built.
+#: Peak bytes per point held by _close_pairs: its rows anchored rotations,
+#: the K anchored orbits and the doubled copy of all K orbits, (rows + 3 K) n
+#: points.  tracemalloc measures 1.1-1.4 complex numbers per point at the
+#: peak of the search (n = 8..14, delta = 0.02..0.3); two bound it.
+BYTES_PER_ROTATION_ENTRY = 2 * 16
+#: a rotation enters the close-pair search when its base point's real part
+#: exceeds its orbit's least one by at most 2 r ANCHOR_SLACK; the slack
+#: covers rounding (see _close_pairs)
+ANCHOR_SLACK = 1.0 + 2.0 ** -40
+#: K orbits of period n hold up to K n^2 rotated points, and K grows like
+#: 2^n / n: searches that would pass this many bytes are refused before any
+#: is built.
 CLUSTER_BUDGET_BYTES = 2 ** 31
 #: rho_n is evaluated over the candidate triples of _close_pairs in chunks of
 #: this many bytes of gathered points, however many candidates there are.
@@ -206,41 +217,82 @@ def _orbit_distance_matrix(A: np.ndarray) -> np.ndarray:
     return D
 
 
-def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit index pairs (a, b), a != b, with rho_n < threshold.
+def _anchor_mask(A: np.ndarray, threshold: float) -> np.ndarray:
+    """The (K, n) mask of the rotations _close_pairs searches: [a, s] holds
+    when point s of orbit a lies within 2 threshold ANCHOR_SLACK of the least
+    real part of orbit a."""
+    re = A.real
+    return re - re.min(axis=1, keepdims=True) <= 2.0 * threshold * ANCHOR_SLACK
 
-    A is the (K, n) array of orbit points.  Candidates come from an
-    L-infinity KD-tree query of every cyclic rotation against every base
-    vector; rho_n is then computed exactly for the candidates only, in
-    chunks of CHUNK_BYTES of gathered points.
+
+def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ordered orbit index pairs (a, b), a != b, with rho = rho_n(a, b) <
+    threshold, each pair once, sorted by (a, b).
+
+    A is the (K, n) array of orbit points.  Each orbit y is queried once,
+    rotated to its anchor m (a point of least real part), against a KD-tree
+    of the rotations of _anchor_mask only; rho_n is then computed exactly for
+    the candidates, in chunks of CHUNK_BYTES of gathered points.
+
+    No pair is lost.  Let rho_n(x, y) < r = threshold at shift s, that is
+    |x_(s+i) - y_i| < r for all i.  The tree row that meets anchored y is
+    x rotated by s + m, with base point x_(s+m).  Floating point first: the
+    computed |w| is a faithful rounding of hypot(Re w, Im w) >= |Re w|, a
+    float, so it is >= |Re w|; and Re w = fl(Re x - Re y) is within a factor
+    1 + u of the exact difference (u = 2^-53).  So every aligned pair has
+    |Re x - Re y| < r / (1 - u) exactly.  With k a point of least real part
+    of x, min Re y <= Re y_(k-s) < min Re x + r / (1 - u), and then
+    Re x_(s+m) < Re y_m + r / (1 - u) < min Re x + 2 r / (1 - u).  The mask
+    computes fl(Re x_(s+m) - min Re x) <= (Re x_(s+m) - min Re x)(1 + u)
+    < 2 r (1 + u) / (1 - u), and compares it with fl(2 r ANCHOR_SLACK) >=
+    2 r (1 + 2^-40)(1 - u), which is larger.  So that rotation is in the
+    tree, and the KD-tree returns it, as its L-infinity distance to anchored
+    y is max |Re w|, |Im w| < r.
     """
     K, n = A.shape
-    shift = np.arange(n)
-    rotated = A[:, (shift[:, None] + shift) % n].reshape(K * n, n)  # row a * n + rot
+    mask = _anchor_mask(A, threshold)
+    owner = np.nonzero(mask)[0]
+    # rotations[a, s] is orbit a rotated to start at its point s (a view)
+    rotations = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([A, A], axis=1), n, axis=1)[:, :n]
+    anchored = rotations[np.arange(K), np.argmin(A.real, axis=1)]
+    rotated = rotations[mask]
+    del rotations
 
     def tree(Z):
-        # at n = 14 (28 dimensions) leaves of 64 query 1.5-3x faster than
-        # the default 16
-        return _scipy("cKDTree")(np.concatenate([Z.real, Z.imag], axis=1), leafsize=64)
+        # interleaved (Re, Im) coordinates, which the L-infinity metric does
+        # not mind; the tree keeps the view, so no copy is made.  At n = 14
+        # (28 dimensions) leaves of 64 query 1.5-3x faster than the default 16
+        return _scipy("cKDTree")(Z.view(float), leafsize=64)
 
-    cand = tree(A).sparse_distance_matrix(tree(rotated), threshold, p=np.inf,
-                                          output_type="ndarray")
+    cand = tree(anchored).sparse_distance_matrix(tree(rotated), threshold, p=np.inf,
+                                                 output_type="ndarray")
     b, j = cand["i"].astype(np.intp), cand["j"].astype(np.intp)
     del cand
-    a = j // n
+    a = owner[j]
+    other = a != b  # every orbit meets its own anchor row
+    a, b, j = a[other], b[other], j[other]
     rho = np.empty(len(j))
     step = max(1, CHUNK_BYTES // (16 * n))
     for lo in range(0, len(j), step):
         part = slice(lo, lo + step)
-        rho[part] = np.abs(rotated[j[part]] - A[b[part]]).max(axis=1)
-    keep = (a != b) & (rho < threshold)
-    return a[keep], b[keep]
+        gap = rotated[j[part]]
+        gap -= anchored[b[part]]
+        rho[part] = np.abs(gap).max(axis=1)
+    keep = rho < threshold
+    a, b, rho = a[keep], b[keep], rho[keep]
+    # a pair found at several shifts keeps the least rho, which is rho_n
+    order = np.lexsort((rho, b, a))
+    a, b, rho = a[order], b[order], rho[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return a[first], b[first], rho[first]
 
 
-def close_pair_bytes(K: int, n: int) -> int:
-    """Peak bytes of the close-pair search over K orbits of period n: the
-    K n^2 rotated points, their float copy for the KD-tree and the input."""
-    return BYTES_PER_ROTATION_ENTRY * K * n * n
+def close_pair_bytes(K: int, n: int, rows: int) -> int:
+    """Peak bytes of the close-pair search over K orbits of period n, of
+    which `rows` rotations are searched (the count of _anchor_mask)."""
+    return BYTES_PER_ROTATION_ENTRY * (rows + 3 * K) * n
 
 
 def distance_matrix_bytes(k: int) -> int:
@@ -249,49 +301,15 @@ def distance_matrix_bytes(k: int) -> int:
     return BYTES_PER_DISTANCE_ENTRY * k * k
 
 
-def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> BunchReport:
-    """Cluster same-period orbits under rho_n.
-
-    mode "H": param is delta, threshold exp(-delta n), bound exp(delta n).
-    mode "BMS": param is the radius r itself.
-    Every emitted cluster is re-certified pairwise; a violation means the
-    clustering step is buggy and raises.  Raises QuadrayError when
-    close_pair_bytes exceeds CLUSTER_BUDGET_BYTES, before the search, and
-    when distance_matrix_bytes of the largest component does, before any
-    distance matrix is built.
-    """
-    if mode not in (MODE_H, MODE_BMS):
-        raise ValueError("mode must be 'H' or 'BMS'")
-    if not orbits:
-        return BunchReport(n=0, mode=mode, threshold=0.0, clusters=(),
-                           max_cluster=0, bound=0.0, hard_bound=0, passed=True)
-    n = orbits[0].minimal_period
-    A = _orbit_array(orbits, n)
-    threshold = math.exp(-param * n) if mode == MODE_H else float(param)
-    bound = math.exp(param * n) if mode == MODE_H else float(2 * n)
-
-    K = len(orbits)
-    if close_pair_bytes(K, n) > CLUSTER_BUDGET_BYTES:
-        raise QuadrayError(
-            f"{K} orbits of period {n} need about {close_pair_bytes(K, n) / 2 ** 30:.1f} GiB "
-            f"for the close-pair search, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
-    a, b = _close_pairs(A, threshold)
-    graph = _scipy("coo_matrix")((np.ones(len(a), dtype=bool), (a, b)), shape=(K, K))
-    _, comp_labels = _scipy("connected_components")(graph, directed=False)
-    sizes = np.bincount(comp_labels)
-    comp_max = int(sizes.max())
-
-    if distance_matrix_bytes(comp_max) > CLUSTER_BUDGET_BYTES:
-        raise QuadrayError(
-            f"a component of {comp_max} orbits needs about "
-            f"{distance_matrix_bytes(comp_max) / 2 ** 30:.1f} GiB for its distance matrix, "
-            f"over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
-
+def _clusters(A: np.ndarray, comp_labels: np.ndarray,
+              threshold: float) -> tuple[tuple[int, ...], ...]:
+    """Complete-linkage clusters cut strictly below threshold, component by
+    component, each re-certified pairwise; largest first."""
     cut = np.nextafter(threshold, 0.0)  # strict rho_n < threshold
     groups = []
     linkage, fcluster = _scipy("linkage"), _scipy("fcluster")
     order = np.argsort(comp_labels, kind="stable")
-    for members in np.split(order, np.cumsum(sizes)[:-1]):
+    for members in np.split(order, np.cumsum(np.bincount(comp_labels))[:-1]):
         if len(members) == 1:
             groups.append(members.tolist())
             continue
@@ -305,13 +323,68 @@ def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> Bunc
                 raise QuadrayError(
                     "internal error: emitted cluster fails the pairwise certificate")
             groups.append(members[local].tolist())
-    clusters = tuple(tuple(g) for g in sorted(groups, key=lambda g: (-len(g), g)))
+    return tuple(tuple(g) for g in sorted(groups, key=lambda g: (-len(g), g)))
 
-    max_cluster = max(len(c) for c in clusters)
-    return BunchReport(n=n, mode=mode, threshold=threshold, clusters=clusters,
-                       max_cluster=max_cluster, bound=bound, hard_bound=2 * n,
-                       passed=max_cluster <= min(bound, 2 * n),
-                       component_max=comp_max)
+
+def bunch_sweep(orbits: list[PeriodicOrbit], mode: str, params: list[float],
+                n: int | None = None) -> list[BunchReport]:
+    """Cluster same-period orbits under rho_n at each of params.
+
+    mode "H": a param is delta, threshold exp(-delta n), bound exp(delta n).
+    mode "BMS": a param is the radius r itself.
+    n defaults to the orbits' period (0 with no orbits).  One close-pair
+    search at the largest threshold serves every param.  Every emitted
+    cluster is re-certified pairwise; a violation means the clustering step
+    is buggy and raises.  Raises QuadrayError when close_pair_bytes of the
+    anchored rotations exceeds CLUSTER_BUDGET_BYTES, before the search, and
+    when distance_matrix_bytes of the largest component at any param does,
+    before any distance matrix is built.
+    """
+    if mode not in (MODE_H, MODE_BMS):
+        raise ValueError("mode must be 'H' or 'BMS'")
+    if n is None:
+        n = orbits[0].minimal_period if orbits else 0
+    thresholds = [math.exp(-p * n) if mode == MODE_H else float(p) for p in params]
+    bounds = [math.exp(p * n) if mode == MODE_H else float(2 * n) for p in params]
+    if not orbits:
+        return [BunchReport(n=n, mode=mode, threshold=t, clusters=(), max_cluster=0,
+                            bound=bound, hard_bound=2 * n, passed=True)
+                for t, bound in zip(thresholds, bounds)]
+    A = _orbit_array(orbits, n)
+    K = len(orbits)
+    widest = max(thresholds)
+    rows = int(_anchor_mask(A, widest).sum())
+    if close_pair_bytes(K, n, rows) > CLUSTER_BUDGET_BYTES:
+        raise QuadrayError(
+            f"{K} orbits of period {n} need about {close_pair_bytes(K, n, rows) / 2 ** 30:.1f} GiB "
+            f"for the close-pair search, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+    a, b, rho = _close_pairs(A, widest)
+    comp_labels = []
+    for t in thresholds:
+        near = rho < t
+        graph = _scipy("coo_matrix")((np.ones(near.sum(), dtype=bool), (a[near], b[near])),
+                                     shape=(K, K))
+        comp_labels.append(_scipy("connected_components")(graph, directed=False)[1])
+    comp_max = [int(np.bincount(labels).max()) for labels in comp_labels]
+    if distance_matrix_bytes(max(comp_max)) > CLUSTER_BUDGET_BYTES:
+        raise QuadrayError(
+            f"a component of {max(comp_max)} orbits needs about "
+            f"{distance_matrix_bytes(max(comp_max)) / 2 ** 30:.1f} GiB for its distance "
+            f"matrix, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+    reports = []
+    for t, bound, labels, cmax in zip(thresholds, bounds, comp_labels, comp_max):
+        clusters = _clusters(A, labels, t)
+        max_cluster = len(clusters[0])
+        reports.append(BunchReport(n=n, mode=mode, threshold=t, clusters=clusters,
+                                   max_cluster=max_cluster, bound=bound, hard_bound=2 * n,
+                                   passed=max_cluster <= min(bound, 2 * n),
+                                   component_max=cmax))
+    return reports
+
+
+def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> BunchReport:
+    """bunch_sweep at the one param."""
+    return bunch_sweep(orbits, mode, [param])[0]
 
 
 def verify_hypothesis_h(qmap: QuadraticMap, n: int, delta: float,
@@ -320,16 +393,12 @@ def verify_hypothesis_h(qmap: QuadraticMap, n: int, delta: float,
     """Enumerate the minimal-period-n orbits on the Julia set and check that
     the largest certified bunch stays within min(exp(delta n), 2n).
 
-    Pre-enumerated orbits may be passed to amortize scans over delta.
+    Pre-enumerated orbits may be passed; a scan over delta runs faster as
+    one bunch_sweep.
     """
     if orbits is None:
         orbits = julia_orbits(qmap, n, cfg, minimal_only=True)
-    if not orbits:
-        return BunchReport(n=n, mode=MODE_H, threshold=math.exp(-delta * n),
-                           clusters=(), max_cluster=0,
-                           bound=math.exp(delta * n), hard_bound=2 * n,
-                           passed=True)
-    return bunch_clusters(orbits, MODE_H, delta)
+    return bunch_sweep(orbits, MODE_H, [delta], n)[0]
 
 
 def count_orbits_near_point(qmap: QuadraticMap, z0: complex, p: int, n: int,

@@ -24,9 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .angles import Angle, bryuno_sums, bryuno_sums_from_quotients, classify_portrait
-from .bunches import (DiscPattern, count_orbits_in_disc_pattern,
-                      count_orbits_near_point, distortion_ratio,
-                      verify_hypothesis_h)
+from .bunches import (MODE_H, DiscPattern, bunch_sweep, count_orbits_in_disc_pattern,
+                      count_orbits_near_point, distortion_ratio)
 from .dynamics import PrecisionConfig, QuadraticMap
 from .errors import QuadrayError
 from .orbits import (PeriodicOrbit, alpha_beta_fixed_points,
@@ -92,7 +91,10 @@ def parse_int_grid(text: str) -> list[int]:
 
 
 def parse_angles(text: str) -> list[Angle]:
-    return [Angle.parse(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [Angle.parse(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:  # not num/den, or a zero denominator
+        raise UsageError(f"bad angle list {text!r}: {exc}") from exc
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -389,9 +391,8 @@ def cmd_bunches(params: dict, outdir: Path) -> list[str]:
     reports = []
     for n in n_values:
         orbits = julia_orbits(qmap, n, cfg, minimal_only=True)
-        for delta in deltas:
-            reports.append((n, delta,
-                            verify_hypothesis_h(qmap, n, delta, cfg, orbits=orbits)))
+        reports += [(n, delta, rep) for delta, rep in
+                    zip(deltas, bunch_sweep(orbits, MODE_H, deltas, n))]
     if len(reports) == 1:
         doc = reports[0][2].to_dict()
         doc["schema"] = "v1"
@@ -494,10 +495,16 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
                             unread=tuple(k for layer, keys in RENDER_LAYER_KEYS.items()
                                          if layer not in layer_names for k in keys))
     qmap = resolve_map(params)
-    vp_bits = [float(b) for b in str(params["viewport"]).split(":")]
+    try:
+        vp_bits = [float(b) for b in str(params["viewport"]).split(":")]
+    except ValueError as exc:
+        raise UsageError(f"bad viewport {params['viewport']!r}") from exc
     if len(vp_bits) != 4:
         raise UsageError("viewport must be remin:remax:immin:immax")
     vp = Viewport(*vp_bits)
+    if not (all(map(math.isfinite, vp_bits))
+            and vp.re_min < vp.re_max and vp.im_min < vp.im_max):
+        raise UsageError("viewport needs finite remin < remax and immin < immax")
     for name in layer_names:
         if name not in RENDER_LAYER_KEYS:
             raise UsageError(f"unknown layer {name!r}")

@@ -82,9 +82,12 @@ def orbit_with_derivative(qmap: QuadraticMap, z, n: int):
     w = np.asarray(z, dtype=complex).copy()
     d = np.ones_like(w)
     with np.errstate(all="ignore"):
+        # in place, in the order of d = d * 2 * w, w = w * w + c
         for _ in range(n):
-            d = d * 2.0 * w
-            w = w * w + qmap.c
+            d *= 2.0
+            d *= w
+            w *= w
+            w += qmap.c
     return w, d
 
 

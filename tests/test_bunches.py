@@ -17,6 +17,7 @@ from quadray import (DiscPattern, EscapeError, QuadraticMap, QuadrayError,
                      good_bad_partition, julia_orbits, orbit_metric,
                      verify_hypothesis_h)
 from quadray.bunches import _orbit_array, _orbit_distance_matrix
+from quadray.cli import run_command
 from quadray.orbits import PeriodicOrbit
 from tests.conftest import GOLDEN_ALPHA, GOLDEN_C
 from tests.test_acceptance import SUITE_PARAMS, minimal_orbits
@@ -163,11 +164,13 @@ def test_close_pair_bytes_bounds_the_search(basilica):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = bunches.close_pair_bytes(len(orbits), n)
+        rows = int(bunches._anchor_mask(A, math.exp(-0.1 * n)).sum())
+        bound = bunches.close_pair_bytes(len(orbits), n, rows)
         assert 0.5 * bound <= peak <= bound, (n, peak, bound)
     # every level the enumeration budget admits (n <= 20) fits: fewer than
-    # 2^20 / 20 orbits of minimal period 20
-    assert bunches.close_pair_bytes(2 ** 20 // 20, 20) <= bunches.CLUSTER_BUDGET_BYTES
+    # 2^20 / 20 orbits of minimal period 20, with all their rotations searched
+    K = 2 ** 20 // 20
+    assert bunches.close_pair_bytes(K, 20, K * 20) <= bunches.CLUSTER_BUDGET_BYTES
 
 
 def test_cluster_budget_refuses_before_searching(basilica, monkeypatch):
@@ -177,8 +180,9 @@ def test_cluster_budget_refuses_before_searching(basilica, monkeypatch):
         raise AssertionError("close-pair search run past the budget")
 
     monkeypatch.setattr(bunches, "_close_pairs", search)
+    rows = int(bunches._anchor_mask(_orbit_array(orbits, 8), math.exp(-0.1 * 8)).sum())
     monkeypatch.setattr(bunches, "CLUSTER_BUDGET_BYTES",
-                        bunches.close_pair_bytes(len(orbits), 8) - 1)
+                        bunches.close_pair_bytes(len(orbits), 8, rows) - 1)
     with pytest.raises(QuadrayError, match="budget"):
         bunch_clusters(orbits, "H", 0.1)
     with pytest.raises(QuadrayError, match="budget"):
@@ -199,12 +203,108 @@ def test_wide_threshold_search_stays_small(squaring):
     assert rep.clusters == _dense_reference(orbits, 2.5)[0]
 
 
+def _brute_close_pairs(A, threshold):
+    """(a, b, rho_n) for every ordered pair a != b with rho_n < threshold:
+    every rotation of orbit a against orbit b, differences taken as
+    _close_pairs takes them."""
+    K, n = A.shape
+    out = []
+    for a, b in itertools.permutations(range(K), 2):
+        rho = min(np.abs(np.roll(A[a], -s) - A[b]).max() for s in range(n))
+        if rho < threshold:
+            out.append((a, b, rho))
+    return out
+
+
+@st.composite
+def close_orbit_sets(draw):
+    """(A, step): a few orbits within a few steps of 0, on a grid of step/2
+    (ties in the least real part) or anywhere, plus rotated copies of them
+    moved by up to +-step in each coordinate (pairs near the edge of the
+    anchor window, where the anchor of the copy faces a point up to 2 steps
+    right of its orbit's least real part) or not at all (duplicates)."""
+    n = draw(st.integers(1, 5))
+    step = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    coord = (st.sampled_from([0.0, 0.5, 1.0, 1.98, 2.0])
+             | st.floats(-3.0, 3.0)).map(lambda k: k * step)
+    base = [[complex(draw(coord), draw(coord)) for _ in range(n)]
+            for _ in range(draw(st.integers(1, 4)))]
+    frac = (st.sampled_from([-1.0, -0.999, -0.995, 0.0, 0.995, 0.999, 1.0])
+            | st.floats(-1.0, 1.0))
+    orbits = list(base)
+    for _ in range(draw(st.integers(0, 5))):
+        src, k = draw(st.sampled_from(base)), draw(st.integers(0, n - 1))
+        orbits.append([src[(i + k) % n] + complex(draw(frac), draw(frac)) * step
+                       for i in range(n)])
+    return np.array(orbits).reshape(len(orbits), n), step
+
+
+def test_close_pairs_keep_a_pair_at_the_anchor_edge():
+    # y sits within 0.9999 of x at every point, and its anchor (point 1)
+    # faces the point of x 1.999 right of x's least real part
+    x = [0.0, 1.999, 5.0]
+    y = [0.9999, 1.999 - 0.9995, 5.0]
+    A = np.array([x, y], dtype=complex)
+    a, b, rho = bunches._close_pairs(A, 1.0)
+    assert list(zip(a.tolist(), b.tolist(), rho.tolist())) == _brute_close_pairs(A, 1.0)
+    assert len(a) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(close_orbit_sets(), st.data())
+def test_close_pairs_match_brute_force(orbit_set, data):
+    A, step = orbit_set
+    K, n = A.shape
+    everything = _brute_close_pairs(A, math.inf)
+    # a pair's own rho_n (excluded) and the next float up (included), the
+    # step the copies moved by, and a radius admitting every rotation
+    rhos = [rho for _, _, rho in everything] or [step]
+    rho = data.draw(st.sampled_from(rhos))
+    threshold = data.draw(st.sampled_from(
+        [rho, np.nextafter(rho, math.inf), np.nextafter(rho, 0.0), step, 10.0]))
+    if threshold == 10.0:
+        assert bunches._anchor_mask(A, threshold).all()
+    a, b, got = bunches._close_pairs(A, threshold)
+    assert list(zip(a.tolist(), b.tolist(), got.tolist())) == _brute_close_pairs(A, threshold)
+    # one search at the widest threshold gives each threshold's report
+    orbits = [_orbit(row) for row in A]
+    radii = [step, threshold, rho]
+    assert bunches.bunch_sweep(orbits, "BMS", radii) == \
+        [bunch_clusters(orbits, "BMS", r) for r in radii]
+
+
+def test_sweep_matches_single_delta_reports():
+    deltas = [0.02, 0.05, 0.1, 0.3]
+    multi = 0
+    for c in SUITE_PARAMS:
+        orbits = minimal_orbits(c, 12)
+        reports = bunches.bunch_sweep(orbits, "H", deltas, 12)
+        assert reports == [verify_hypothesis_h(QuadraticMap(c), 12, d, orbits=orbits)
+                           for d in deltas], c
+        multi += sum(rep.max_cluster > 1 for rep in reports)
+    assert multi > 0  # some threshold joins orbits
+
+
+def test_bunches_command_searches_once_per_level(tmp_path, monkeypatch):
+    calls = []
+    search = bunches._close_pairs
+
+    def counted(A, threshold):
+        calls.append((A.shape[1], threshold))
+        return search(A, threshold)
+
+    monkeypatch.setattr(bunches, "_close_pairs", counted)
+    assert run_command(["bunches", "--c", "-1,0", "--n", "6,8", "--delta", "0.1,0.2,0.3",
+                        "--output-dir", str(tmp_path)]) == 0
+    assert calls == [(6, math.exp(-0.1 * 6)), (8, math.exp(-0.1 * 8))]
+
+
 def test_distance_matrix_budget_refuses_before_building(squaring, monkeypatch):
     # at r = 2.5 the K = 186 orbits of z^2 at n = 11 form one component,
     # whose 186 x 186 matrix outweighs the close-pair search
     orbits = julia_orbits(squaring, 11)
     K = len(orbits)
-    assert bunches.distance_matrix_bytes(K) > bunches.close_pair_bytes(K, 11)
+    assert bunches.distance_matrix_bytes(K) > bunches.close_pair_bytes(K, 11, K * 11)
 
     def build(*_):
         raise AssertionError("distance matrix built past the budget")

@@ -403,6 +403,27 @@ def test_layer_without_its_input_is_a_usage_error(tmp_path, capsys, layers, mess
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["rays", "--preset", "basilica", "--angles", "1/x"], "bad angle list '1/x'"),
+    (["rays", "--preset", "basilica", "--angles", "1/3,1/0"], "denominator must be nonzero"),
+    (["render", "--preset", "basilica", "--layers", "rays", "--angles", "1/0"],
+     "denominator must be nonzero"),
+    (["render", "--c", "0,0", "--layers", "orbits", "--marker-period", "1",
+      "--viewport", "1:1:-1:1"], "remin < remax"),
+    (["render", "--c", "0,0", "--layers", "orbits", "--marker-period", "1",
+      "--viewport", "-1:1:1:-1"], "immin < immax"),
+    (["render", "--c", "0,0", "--layers", "orbits", "--marker-period", "1",
+      "--viewport", "-1:1:-1:x"], "bad viewport"),
+])
+def test_bad_angle_or_viewport_is_a_usage_error(tmp_path, capsys, argv, message):
+    # refused before any output, with no traceback
+    out = tmp_path / "out"
+    assert run_command(argv + ["--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
     (["--quotients", "1,1,1", "--terms", "5"], "at least n_terms + 1 partial quotients"),
     (["--quotients", "1,0,1,1,1,1", "--terms", "5"], "must be positive"),
     (["--quotients", "1,x,1", "--terms", "2"], "invalid literal"),
