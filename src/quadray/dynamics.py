@@ -82,6 +82,12 @@ def orbit_with_derivative(qmap: QuadraticMap, z, n: int):
     w = np.asarray(z, dtype=complex).copy()
     d = np.ones_like(w)
     with np.errstate(all="ignore"):
+        if w.size <= 1:
+            # an in-place ufunc costs about 3x more on a one-point array
+            for _ in range(n):
+                d = d * 2.0 * w
+                w = w * w + qmap.c
+            return w, d
         # in place, in the order of d = d * 2 * w, w = w * w + c
         for _ in range(n):
             d *= 2.0

@@ -158,6 +158,21 @@ def test_semigroup_property(basilica):
     assert d_first * d_second == pytest.approx(d_whole)
 
 
+@pytest.mark.parametrize("c", [-1.75 + 0j, 0.25 + 0j, -0.1226 + 0.7449j])
+def test_one_point_and_batch_orbits_agree_bitwise(c):
+    # a one-point array takes the out-of-place loop, a batch the in-place one;
+    # the points include escaping ones, whose entries overflow
+    qmap = QuadraticMap(c)
+    rng = np.random.default_rng(7)
+    z = 1.5 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    for n in (1, 9, 40):
+        w, d = orbit_with_derivative(qmap, z, n)
+        for k in range(z.size):
+            w1, d1 = orbit_with_derivative(qmap, z[k:k + 1], n)
+            np.testing.assert_array_equal(w1, w[k:k + 1])
+            np.testing.assert_array_equal(d1, d[k:k + 1])
+
+
 def test_extended_precision_tree_matches_binary64(basilica):
     cfg_hi = PrecisionConfig(mantissa_bits=100)
     lo = sorted_leaves(basilica, 1.0 + 0.2j, 5)
