@@ -9,9 +9,8 @@ from .angles import (Angle, ContinuedFractionReport, OrbitPortrait,
                      cyclic_order_preserved, periodic_angles, unlinked,
                      validate_formal_portrait)
 from .bunches import (BunchReport, DiscPattern, DistortionReport,
-                      PatternCountReport, bunch_clusters,
-                      count_orbits_in_disc_pattern, count_orbits_near_point,
-                      distortion_ratio, good_bad_partition, orbit_metric,
+                      PatternCountReport, count_orbits_in_disc_pattern,
+                      count_orbits_near_point, distortion_ratio, orbit_metric,
                       verify_hypothesis_h)
 from .dynamics import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
                        green_potential)
@@ -19,8 +18,8 @@ from .errors import (AmbiguousOrbitError, BranchPointError, EscapeError,
                      IncompleteEnumerationError, PortraitError, PrecisionError,
                      QuadrayError)
 from .orbits import (FixedPoints, IterateRoots, PeriodicOrbit,
-                     alpha_beta_fixed_points, classify_orbit,
-                     fixed_points_of_iterate, group_into_orbits, julia_orbits)
+                     alpha_beta_fixed_points, fixed_points_of_iterate,
+                     group_into_orbits, julia_orbits)
 from .pressure import (PressureCurve, PressureEstimate,
                        default_tree_basepoint, periodic_pressure_estimate,
                        pressure_comparison, tree_pressure_estimate)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -73,11 +73,6 @@ class Angle:
     def doubled(self) -> "Angle":
         return Angle(2 * self.numerator, self.denominator)
 
-    def halves(self) -> tuple["Angle", "Angle"]:
-        """The two preimages under doubling: theta/2 and theta/2 + 1/2."""
-        return (Angle(self.numerator, 2 * self.denominator),
-                Angle(self.numerator + self.denominator, 2 * self.denominator))
-
 
 def angle_period(a: Angle) -> int | None:
     """Exact period under doubling: the multiplicative order of 2 modulo the
@@ -106,12 +101,12 @@ def doubling_orbit(a: Angle) -> list[Angle]:
     return orbit
 
 
-def periodic_angles(n: int, cap: int = PERIODIC_ANGLE_CAP) -> list[Angle]:
+def periodic_angles(n: int) -> list[Angle]:
     """All angles fixed by n-fold doubling: k / (2^n - 1), k = 0 .. 2^n - 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise QuadrayError(f"periodic_angles level {n} exceeds the cap {cap}")
+    if n > PERIODIC_ANGLE_CAP:
+        raise QuadrayError(f"periodic_angles level {n} exceeds the cap {PERIODIC_ANGLE_CAP}")
     d = 2 ** n - 1
     return [Angle(k, d) for k in range(d)]
 
@@ -185,14 +180,6 @@ class OrbitPortrait:
         doc = {"p": self.orbit_period,
                "sets": [[str(a) for a in s] for s in self.sets]}
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OrbitPortrait":
-        doc = json.loads(text)
-        sets = tuple(tuple(Angle.parse(t) for t in s) for s in doc["sets"])
-        if doc.get("p") != len(sets):
-            raise QuadrayError("portrait document: p does not match sets")
-        return cls(sets=sets)
 
 
 @dataclass(frozen=True)
@@ -310,56 +297,26 @@ class ContinuedFractionReport:
     perez_marco_partial: float
 
 
-def _continued_fraction_denominators(alpha: Fraction, count: int) -> list[int]:
-    """q_1 .. q_count from the continued-fraction algorithm, exact arithmetic."""
-    x = alpha
-    a0 = math.floor(x)
-    x -= a0
-    qs: list[int] = []
-    q_prev, q_cur = 1, 0  # q_0 = 1, q_{-1} = 0
-    for _ in range(count):
-        if x == 0:
-            raise QuadrayError(
-                "alpha is rational at working precision: continued fraction terminated")
-        x = 1 / x
-        a = math.floor(x)
-        x -= a
-        q_prev, q_cur = a * q_prev + q_cur, q_prev
-        qs.append(q_prev)
-    return qs
-
-
-def _sums_from_denominators(qs: Sequence[int], n_terms: int) -> tuple[float, float]:
-    bryuno = 0.0
-    perez_marco = 0.0
-    for n in range(1, n_terms + 1):
-        q_n, q_next = qs[n - 1], qs[n]
-        bryuno += math.log(q_next) / q_n
-        if q_next > math.e:
-            perez_marco += math.log(math.log(q_next)) / q_n
-    return bryuno, perez_marco
-
-
 def bryuno_sums(alpha: float, n_terms: int) -> ContinuedFractionReport:
     """Continued-fraction denominators of alpha and the partial sums that
     decide linearizability-type conditions.
 
-    alpha is taken at its exact binary64 value; the expansion is computed in
-    exact rational arithmetic, so the q_n agree with the underlying real
-    until q_n^2 approaches 1/ulp.  A rational alpha raises.
+    alpha is taken at its exact binary64 value; its partial quotients are
+    computed in exact rational arithmetic, so the q_n agree with the
+    underlying real until q_n^2 approaches 1/ulp.  A rational alpha raises.
     """
     if n_terms < 2:
         raise ValueError("n_terms must be >= 2")
-    qs = _continued_fraction_denominators(Fraction(alpha), n_terms + 1)
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise QuadrayError("convergent denominators failed to increase")
-    bry, pm = _sums_from_denominators(qs, n_terms)
-    return ContinuedFractionReport(
-        alpha=float(alpha),
-        convergent_denominators=tuple(qs[:n_terms]),
-        bryuno_partial=bry,
-        perez_marco_partial=pm,
-    )
+    x = Fraction(alpha) - math.floor(alpha)
+    quotients: list[int] = []
+    for _ in range(n_terms + 1):
+        if x == 0:
+            raise QuadrayError(
+                "alpha is rational at working precision: continued fraction terminated")
+        x = 1 / x
+        quotients.append(math.floor(x))
+        x -= quotients[-1]
+    return replace(bryuno_sums_from_quotients(quotients, n_terms), alpha=float(alpha))
 
 
 def bryuno_sums_from_quotients(quotients: Sequence[int], n_terms: int) -> ContinuedFractionReport:
@@ -372,10 +329,17 @@ def bryuno_sums_from_quotients(quotients: Sequence[int], n_terms: int) -> Contin
     if any(a < 1 for a in quotients):
         raise ValueError("partial quotients must be positive")
     qs: list[int] = []
-    q_prev, q_cur = 1, 0
+    q_prev, q_cur = 1, 0  # q_0 = 1, q_{-1} = 0
     for a in quotients[: n_terms + 1]:
         q_prev, q_cur = a * q_prev + q_cur, q_prev
         qs.append(q_prev)
+    bryuno = 0.0
+    perez_marco = 0.0
+    for n in range(1, n_terms + 1):
+        q_n, q_next = qs[n - 1], qs[n]
+        bryuno += math.log(q_next) / q_n
+        if q_next > math.e:
+            perez_marco += math.log(math.log(q_next)) / q_n
     # Approximate value of [0; a_1, a_2, ...] for the report; quotients past
     # the float resolution (or absurdly large) cannot move the value.
     head: list[int] = []
@@ -386,10 +350,9 @@ def bryuno_sums_from_quotients(quotients: Sequence[int], n_terms: int) -> Contin
     val = Fraction(0)
     for a in reversed(head):
         val = Fraction(1, a + val)
-    bry, pm = _sums_from_denominators(qs, n_terms)
     return ContinuedFractionReport(
         alpha=float(val),
         convergent_denominators=tuple(qs[:n_terms]),
-        bryuno_partial=bry,
-        perez_marco_partial=pm,
+        bryuno_partial=bryuno,
+        perez_marco_partial=perez_marco,
     )

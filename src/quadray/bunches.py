@@ -102,7 +102,7 @@ class BunchReport:
     clusters: tuple[tuple[int, ...], ...]
     max_cluster: int
     bound: float            # exp(delta * n) in H mode, 2n in BMS mode
-    hard_bound: int         # the 2n bound, always
+    hard_bound: int         # 2n, always; where it comes from: see bunch_sweep
     passed: bool
     component_max: int = 0  # connectivity upper bound on the largest bunch
 
@@ -331,7 +331,11 @@ def bunch_sweep(orbits: list[PeriodicOrbit], mode: str, params: list[float],
     """Cluster same-period orbits under rho_n at each of params.
 
     mode "H": a param is delta, threshold exp(-delta n), bound exp(delta n).
-    mode "BMS": a param is the radius r itself.
+    mode "BMS": a param is the radius r itself, bound 2n.  A report passes
+    when its largest bunch is within min(bound, hard_bound), hard_bound = 2n.
+    The paper (its abstract in PAPER.md) states only exp(delta n), for n large
+    enough; 2n is this repository's own cap, the bound acceptance criterion 6
+    checks at every n.
     n defaults to the orbits' period (0 with no orbits).  One close-pair
     search at the largest threshold serves every param.  Every emitted
     cluster is re-certified pairwise; a violation means the clustering step
@@ -380,11 +384,6 @@ def bunch_sweep(orbits: list[PeriodicOrbit], mode: str, params: list[float],
                                    passed=max_cluster <= min(bound, 2 * n),
                                    component_max=cmax))
     return reports
-
-
-def bunch_clusters(orbits: list[PeriodicOrbit], mode: str, param: float) -> BunchReport:
-    """bunch_sweep at the one param."""
-    return bunch_sweep(orbits, mode, [param])[0]
 
 
 def verify_hypothesis_h(qmap: QuadraticMap, n: int, delta: float,
@@ -517,13 +516,3 @@ def distortion_ratio(qmap: QuadraticMap, center: complex, r: float, n: int,
                             sup_ratio_minus_one=sup,
                             per_step_log_derivative_bound=per_step)
 
-
-def good_bad_partition(orbit: PeriodicOrbit, delta: float) -> dict:
-    """Indices along the cycle split by distance to the critical point 0:
-    good when |f^i(x)| >= exp(-n delta / 2), bad otherwise."""
-    n = orbit.minimal_period
-    cutoff = math.exp(-n * delta / 2.0)
-    good, bad = [], []
-    for i, z in enumerate(orbit.points):
-        (good if abs(z) >= cutoff else bad).append(i)
-    return {"good": good, "bad": bad, "a_bound": len(bad)}

@@ -6,7 +6,9 @@ from its manifest reproduces the output files byte for byte (the manifest
 itself carries the non-deterministic wall time and is not compared).
 Each command names the keys it reads (the map, the seed, the precision
 keys, render's layer keys, bryuno's alpha); setting any other away from its
-default is a usage error, and so is a null key outside NULLABLE_KEYS.
+default is a usage error, and so is a null key outside NULLABLE_KEYS, a
+malformed number or an integer below INT_FLOORS.  No command reads
+mantissa_bits or max_iter; they stay so that older manifests replay.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -64,13 +66,21 @@ def parse_complex(text: str) -> complex:
         raise UsageError(f"bad complex literal {text!r}") from exc
 
 
+def _number(kind, text: str, what: str):
+    """kind(text), int or float; a usage error when text is not one."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise UsageError(f"bad {what} {text!r}") from exc
+
+
 def parse_grid(text: str) -> list[float]:
     """'start:stop:step' (inclusive within half a step) or a comma list."""
     if ":" in text:
         bits = text.split(":")
         if len(bits) != 3:
             raise UsageError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(b) for b in bits)
+        start, stop, step = (_number(float, b, "grid value") for b in bits)
         if step <= 0:
             raise UsageError("grid step must be positive")
         out = []
@@ -79,14 +89,14 @@ def parse_grid(text: str) -> list[float]:
             out.append(round(v, 12))
             v += step
         return out
-    return [float(b) for b in text.split(",") if b.strip()]
+    return [_number(float, b, "grid value") for b in text.split(",") if b.strip()]
 
 
 def parse_int_grid(text: str) -> list[int]:
     vals = parse_grid(text)
     out = [int(round(v)) for v in vals]
-    if any(abs(v - i) > 1e-9 for v, i in zip(vals, out)):
-        raise UsageError(f"expected integers in {text!r}")
+    if any(abs(v - i) > 1e-9 or i < 1 for v, i in zip(vals, out)):
+        raise UsageError(f"expected positive integers in {text!r}")
     return out
 
 
@@ -191,6 +201,8 @@ RENDER_LAYER_KEYS = {"julia": ("points",), "rays": ("angles", "g_min"),
                      "orbits": ("marker_period",)}
 #: the only keys that may be null, from a default or a manifest
 NULLABLE_KEYS = ("c", "preset", "ray_period_cap", "basepoint", "quotients", "marker_period")
+#: least values of integer keys (distortion's n may be 0; parse_int_grid checks bunches')
+INT_FLOORS = {"n": 1, "p": 1, "period": 1, "samples": 1, "points": 1, "seed": 0}
 
 
 def _convert(command: str, key: str, value):
@@ -199,9 +211,9 @@ def _convert(command: str, key: str, value):
     if key in GRID_KEYS.get(command, ()):
         return value
     if key in INT_KEYS:
-        return int(value)
+        return _number(int, value, key)
     if key in FLOAT_KEYS:
-        return float(value)
+        return _number(float, value, key)
     return value
 
 
@@ -243,6 +255,10 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
     missing = [k for k, v in params.items() if v is None and k not in NULLABLE_KEYS]
     if missing:
         raise UsageError(f"missing or null parameter(s): {', '.join(missing)}")
+    for key in INT_FLOORS.keys() & params.keys() - GRID_KEYS.get(command, set()):
+        least = 0 if (command, key) == ("distortion", "n") else INT_FLOORS[key]
+        if type(params[key]) is not int or params[key] < least:
+            raise UsageError(f"{key} must be an integer >= {least}, got {params[key]!r}")
     return params
 
 
@@ -260,7 +276,7 @@ def resolve_map(params: dict) -> QuadraticMap:
     raise UsageError("need --c re,im or --preset")
 
 
-#: the keys that name the map, and the keys of PrecisionConfig
+#: the keys that name the map, and PrecisionConfig's two keys with the two unread ones
 MAP_KEYS = ("c", "preset")
 PRECISION_KEYS = ("mantissa_bits", "newton_tol", "dedup_tol", "max_iter")
 #: the common keys a command may leave unread; it names the ones it reads
@@ -284,11 +300,11 @@ def resolve_precision(command: str, params: dict, reads: tuple[str, ...],
     if ignored:
         raise UsageError(f"{command} does not use {', '.join(ignored)}; "
                          "leave them at their defaults")
-    return PrecisionConfig(
-        mantissa_bits=int(params["mantissa_bits"]),
-        newton_tol=float(params["newton_tol"]),
-        dedup_tol=float(params["dedup_tol"]),
-        max_iter=int(params["max_iter"]))
+    try:
+        return PrecisionConfig(newton_tol=float(params["newton_tol"]),
+                               dedup_tol=float(params["dedup_tol"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _resolve_point(token, qmap: QuadraticMap) -> complex:
@@ -360,7 +376,7 @@ def cmd_portrait(params: dict, outdir: Path) -> list[str]:
 
 def cmd_pressure(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
-    cfg = resolve_precision("pressure", params, ("mantissa_bits",) + ENUMERATION_KEYS)
+    cfg = resolve_precision("pressure", params, ENUMERATION_KEYS)
     t_grid = parse_grid(str(params["t"]))
     n = int(params["n"])
     base = params.get("basepoint")

@@ -46,7 +46,7 @@ class QuadraticMap:
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Numerical knobs shared by the root finders and potential routines.
+    """The two tolerances of the enumeration of Fix(f^n).
 
     newton_tol bounds the first-order error estimate |g(z)| / max(1, |g'(z)|)
     accepted for a refined root (the raw residual |g(z)| is meaningless near
@@ -55,23 +55,19 @@ class PrecisionConfig:
     |z - w| <= dedup_tol * max(1, |z|).
     """
 
-    mantissa_bits: int = 53
     newton_tol: float = 1e-9
     dedup_tol: float = 1e-9
-    max_iter: int = 4096
 
     def __post_init__(self):
-        if self.mantissa_bits < 53:
-            raise ValueError("mantissa_bits must be >= 53")
         if not self.newton_tol > 0:
             raise ValueError("newton_tol must be positive")
-        if self.dedup_tol < self.newton_tol:
+        if not self.dedup_tol >= self.newton_tol:
             raise ValueError("dedup_tol must be >= newton_tol")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be a positive integer")
 
 
 DEFAULT_CONFIG = PrecisionConfig()
+#: green_potential gives up on escape after this many steps
+GREEN_ESCAPE_STEPS = 4096
 
 
 def orbit_with_derivative(qmap: QuadraticMap, z, n: int):
@@ -97,16 +93,16 @@ def orbit_with_derivative(qmap: QuadraticMap, z, n: int):
     return w, d
 
 
-def green_potential(qmap: QuadraticMap, z: complex, cfg: PrecisionConfig = DEFAULT_CONFIG) -> float:
+def green_potential(qmap: QuadraticMap, z: complex) -> float:
     """Green's function of the basin of infinity: lim 2^-k log|f^k(z)|.
 
-    Returns 0.0 for points that fail to escape within cfg.max_iter; satisfies
-    G(f(z)) = 2 G(z) on escaping orbits.
+    Returns 0.0 for points that fail to escape within GREEN_ESCAPE_STEPS steps;
+    satisfies G(f(z)) = 2 G(z) on escaping orbits.
     """
     z = complex(z)
     _require_finite(z, "z")
     r_esc = qmap.escape_radius
-    for k in range(cfg.max_iter):
+    for k in range(GREEN_ESCAPE_STEPS):
         a = abs(z)
         if a > 1e12:
             # Beyond this point log|z_k| carries the limit to full precision.
@@ -115,55 +111,17 @@ def green_potential(qmap: QuadraticMap, z: complex, cfg: PrecisionConfig = DEFAU
     a = abs(z)
     if a > r_esc:
         # Escaped but slowly; use what we have.
-        return math.log(a) * 2.0 ** (-(cfg.max_iter))
+        return math.log(a) * 2.0 ** (-GREEN_ESCAPE_STEPS)
     return 0.0
 
 
-def _mp_preimage_tree(c: complex, z: complex, n: int, bits: int):
-    """Software floating-point backward tree (leaves, path log-derivatives)."""
-    import mpmath as mp  # loaded on first use, off the start-up path
-
-    with mp.workprec(bits):
-        cc = mp.mpc(c)
-        level = [(mp.mpc(z), mp.mpf(0))]
-        for _ in range(n):
-            nxt = []
-            for w, ld in level:
-                s = mp.sqrt(w - cc)
-                if s == 0:
-                    nxt.append((s, mp.mpf("-inf")))
-                    nxt.append((-s, mp.mpf("-inf")))
-                    continue
-                inc = mp.log(2 * abs(s))
-                nxt.append((s, ld + inc))
-                nxt.append((-s, ld + inc))
-            level = nxt
-        leaves = np.array([complex(w) for w, _ in level])
-        logd = np.array([float(ld) for _, ld in level])
-    return leaves, logd
-
-
-def _expand_tree(c: complex, z: complex, depth: int):
-    leaves = np.array([z], dtype=complex)
-    logd = np.zeros(1)
-    with np.errstate(all="ignore"):
-        for _ in range(depth):
-            w = np.sqrt(leaves - c)
-            a = np.abs(w)
-            inc = np.where(a > 0, np.log(np.maximum(a, 1e-300) * 2.0), -np.inf)
-            leaves = np.concatenate([w, -w])
-            logd = np.concatenate([logd + inc, logd + inc])
-    return leaves, logd
-
-
-def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
-                  cfg: PrecisionConfig = DEFAULT_CONFIG):
+def preimage_tree(qmap: QuadraticMap, z: complex, n: int):
     """Full backward tree under f^n rooted at z.
 
     Returns (leaves, log_derivatives) where leaves[i] enumerates the 2^n
     preimages (with multiplicity at a branch-point hit) and
     log_derivatives[i] = log|(f^n)'(leaves[i])| accumulated along the path.
-    In binary64 the leaves are the plain square-root expansion, unrefined:
+    The leaves are the plain binary64 square-root expansion, unrefined:
     enumeration uses them only as Newton seeds and pressure reads only the
     log-derivatives.
     """
@@ -171,6 +129,13 @@ def preimage_tree(qmap: QuadraticMap, z: complex, n: int,
         raise ValueError("n must be >= 0")
     z = complex(z)
     _require_finite(z, "z")
-    if cfg.mantissa_bits > 53:
-        return _mp_preimage_tree(qmap.c, z, n, cfg.mantissa_bits)
-    return _expand_tree(qmap.c, z, n)
+    leaves = np.array([z], dtype=complex)
+    logd = np.zeros(1)
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            w = np.sqrt(leaves - qmap.c)
+            a = np.abs(w)
+            inc = np.where(a > 0, np.log(np.maximum(a, 1e-300) * 2.0), -np.inf)
+            leaves = np.concatenate([w, -w])
+            logd = np.concatenate([logd + inc, logd + inc])
+    return leaves, logd

@@ -24,9 +24,10 @@ roots of seeds that never settled join after those of the settled ones, so
 a plausible but unconverged copy never replaces a converged root.
 Parabolic collisions are merged and counted by winding number.  Once the
 count holds, a UserWarning names any two roots within RESOLUTION_MARGIN
-dedup_tol of each other.  Levels whose seed rounds would pass
-ENUMERATION_BUDGET_BYTES are refused up front.  The roots leave enumeration
-as `IterateRoots`, two aligned arrays: the points and their multiplicities.
+dedup_tol of each other; when it fails, the error names the widest merge.
+Levels whose seed rounds would pass ENUMERATION_BUDGET_BYTES are refused up
+front.  The roots leave enumeration as `IterateRoots`, two aligned arrays:
+the points and their multiplicities.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
 cycles of that permutation are the periodic orbits, and their lengths the
@@ -293,7 +294,7 @@ def _radius_pairs(z: np.ndarray, radius: np.ndarray,
     return i[close], j[close]
 
 
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
+def _dedup(points: np.ndarray, tol: float, merges: list | None = None) -> np.ndarray:
     """Merge points within tol * max(1, |z|) as a sweep over the (re, im)
     sorted list does: z_j is dropped when some kept z_i, i < j, has
     |z_i - z_j| <= tol * max(1, |z_j|).
@@ -302,7 +303,7 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     float), then `_radius_pairs` lists the close pairs.  The rule runs over a
     DAG in index order, so it has one fixed point, the sweep's result;
     iterating it from "all kept" reaches it after at most the longest path's
-    length + 1.
+    length + 1.  A list `merges` gets the `_widest_merge` of the pairs.
     """
     if len(points) == 0:
         return points
@@ -315,18 +316,35 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
         new = np.ones(len(pts), dtype=bool)
         new[j[kept[i]]] = False
         if np.array_equal(new, kept):
+            if merges is not None:
+                joined = kept[i] & ~kept[j]
+                merges.append(_widest_merge(pts[i[joined]], pts[j[joined]], tol))
             return pts[kept]
         kept = new
 
 
-def _unseen(found: np.ndarray, new: np.ndarray, tol: float) -> np.ndarray:
+def _widest_merge(kept: np.ndarray, dropped: np.ndarray, tol: float):
+    """(ratio, kept point, dropped point) of the aligned merged pairs with the
+    largest ratio |kept - dropped| / (tol max(1, |dropped|)), or (0.0, None,
+    None) for no pairs."""
+    if not len(kept):
+        return 0.0, None, None
+    gap = kept - dropped
+    scale = tol * np.maximum(1.0, np.hypot(dropped.real, dropped.imag))
+    ratio = np.hypot(gap.real, gap.imag) / scale
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), complex(kept[k]), complex(dropped[k])
+
+
+def _unseen(found: np.ndarray, new: np.ndarray, tol: float, merges: list) -> np.ndarray:
     """The points of `new` farther than tol * max(1, |z|) from every root in
     `found`, deduplicated among themselves: a root found earlier wins the
-    merge over every later copy."""
+    merge over every later copy.  The widest merges go into `merges`."""
     if len(found) and len(new):
-        i, _ = _radius_pairs(found, tol * np.maximum(1.0, np.hypot(new.real, new.imag)), new)
+        i, j = _radius_pairs(found, tol * np.maximum(1.0, np.hypot(new.real, new.imag)), new)
+        merges.append(_widest_merge(found[j], new[i], tol))
         new = np.delete(new, i)
-    return _dedup(new, tol)
+    return _dedup(new, tol, merges)
 
 
 def _winding_multiplicity(qmap: QuadraticMap, n: int, z0: complex,
@@ -392,7 +410,8 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
 
     Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
     IncompleteEnumerationError, whose `found` holds the partial IterateRoots,
-    when the seed-escalation rounds fail to account for the full degree.
+    when the seed-escalation rounds fail to account for the full degree; its
+    message names the widest pair of distinct roots that dedup merged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -403,7 +422,7 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     fp = alpha_beta_fixed_points(qmap)
 
     def tree(base: complex, depth: int) -> np.ndarray:
-        return preimage_tree(qmap, base, depth, DEFAULT_CONFIG)[0]
+        return preimage_tree(qmap, base, depth)[0]
 
     rounds = [
         lambda: np.concatenate([tree(fp.beta, n + 2), [fp.alpha, fp.beta],
@@ -420,9 +439,10 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
                                 last=True)
 
     found = np.array([], dtype=complex)
+    merges = [(0.0, None, None)]
     for groups in passes():
         for roots in groups:
-            found = np.concatenate([found, _unseen(found, roots, cfg.dedup_tol)])
+            found = np.concatenate([found, _unseen(found, roots, cfg.dedup_tol, merges)])
         found, mult = _merge_parabolic(qmap, n, found, cfg)
         if int(mult.sum()) == 2 ** n:
             _warn_unresolved(found, n, cfg)
@@ -430,8 +450,11 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     total = int(mult.sum())
     roots = IterateRoots(z=found, multiplicity=mult)
     if total != 2 ** n:
+        ratio, kept, dropped = max(merges, key=lambda m: m[0])
+        widest = (f"; dedup merged {dropped!r} into {kept!r}, {abs(kept - dropped):.2e} "
+                  f"({ratio:.2f} dedup_tol) apart" if ratio > 0 else "")
         raise IncompleteEnumerationError(
-            f"found {total} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}",
+            f"found {total} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}{widest}",
             found=roots)
     return roots
 
@@ -453,6 +476,9 @@ def _warn_unresolved(found: np.ndarray, n: int, cfg: PrecisionConfig) -> None:
 
 
 def _classify_multiplier(lam: complex, tol_class: float) -> str:
+    """Stability from the multiplier: repelling/attracting outside the
+    1 +- tol_class annulus, otherwise indifferent, refined to parabolic when
+    the multiplier sits near a root of unity of order <= 64."""
     mod = abs(lam)
     if mod > 1.0 + tol_class:
         return REPELLING
@@ -464,13 +490,6 @@ def _classify_multiplier(lam: complex, tol_class: float) -> str:
     if abs(lam - root) < tol_class:
         return PARABOLIC_CANDIDATE
     return INDIFFERENT_CANDIDATE
-
-
-def classify_orbit(orbit: PeriodicOrbit, tol_class: float = DEFAULT_CLASS_TOL) -> str:
-    """Stability from the multiplier: repelling/attracting outside the
-    1 +- tol_class annulus, otherwise indifferent, refined to parabolic when
-    the multiplier sits near a root of unity of order <= 64."""
-    return _classify_multiplier(orbit.multiplier, tol_class)
 
 
 def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,

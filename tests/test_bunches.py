@@ -12,11 +12,10 @@ from scipy.sparse.csgraph import connected_components
 
 import quadray.bunches as bunches
 from quadray import (DiscPattern, EscapeError, QuadraticMap, QuadrayError,
-                     bunch_clusters, count_orbits_in_disc_pattern,
-                     count_orbits_near_point, distortion_ratio,
-                     good_bad_partition, julia_orbits, orbit_metric,
+                     count_orbits_in_disc_pattern, count_orbits_near_point,
+                     distortion_ratio, julia_orbits, orbit_metric,
                      verify_hypothesis_h)
-from quadray.bunches import _orbit_array, _orbit_distance_matrix
+from quadray.bunches import _orbit_array, _orbit_distance_matrix, bunch_sweep
 from quadray.cli import run_command
 from quadray.orbits import PeriodicOrbit
 from tests.conftest import GOLDEN_ALPHA, GOLDEN_C
@@ -79,7 +78,7 @@ def test_bunches_squaring_all_singletons(squaring):
         min_pair = min(min_pair, best)
     assert min_pair > math.exp(-1.0)
 
-    report = bunch_clusters(orbits, "H", 0.2)
+    report = bunch_sweep(orbits, "H", [0.2])[0]
     assert report.threshold == pytest.approx(math.exp(-1.0))
     assert report.max_cluster == 1
     assert len(report.clusters) == 6
@@ -87,13 +86,13 @@ def test_bunches_squaring_all_singletons(squaring):
 
 def test_bunches_single_orbit(basilica):
     orbits = julia_orbits(basilica, 3)
-    report = bunch_clusters(orbits[:1], "H", 0.1)
+    report = bunch_sweep(orbits[:1], "H", [0.1])[0]
     assert report.max_cluster == 1 and report.clusters == ((0,),)
 
 
 def test_bunches_duplicate_orbit_degenerate(basilica):
     orbits = julia_orbits(basilica, 3)
-    report = bunch_clusters([orbits[0], orbits[0]], "H", 0.1)
+    report = bunch_sweep([orbits[0], orbits[0]], "H", [0.1])[0]
     assert report.max_cluster == 2
     assert report.clusters[0] == (0, 1)
 
@@ -101,10 +100,10 @@ def test_bunches_duplicate_orbit_degenerate(basilica):
 def test_bunches_strict_cut_boundary(squaring):
     pair = julia_orbits(squaring, 4)[:2]
     rho = _orbit_distance_matrix(_orbit_array(pair, 4))[0, 1]
-    apart = bunch_clusters(pair, "BMS", rho)
+    apart = bunch_sweep(pair, "BMS", [rho])[0]
     assert apart.clusters == ((0,), (1,))
     assert apart.component_max == 1
-    joined = bunch_clusters(pair, "BMS", np.nextafter(rho, np.inf))
+    joined = bunch_sweep(pair, "BMS", [np.nextafter(rho, np.inf)])[0]
     assert joined.clusters == ((0, 1),)
     assert joined.component_max == 2
 
@@ -134,7 +133,7 @@ def test_sparse_clustering_matches_dense_reference():
             if not orbits:
                 continue
             for mode, param in (("H", 0.1), ("H", 0.3), ("BMS", 0.3), ("BMS", 0.6)):
-                rep = bunch_clusters(orbits, mode, param)
+                rep = bunch_sweep(orbits, mode, [param])[0]
                 want = _dense_reference(orbits, rep.threshold)
                 assert (rep.clusters, rep.max_cluster, rep.component_max) == want, \
                     (c, n, mode, param)
@@ -146,15 +145,15 @@ def test_cluster_certificate_rejects_faulty_linkage(squaring, monkeypatch):
     # one component of 30 orbits holds pairs at rho_8 >= 1.95, so a linkage
     # step that lumps each component into one cluster must be caught
     orbits = julia_orbits(squaring, 8)
-    assert bunch_clusters(orbits, "BMS", 1.95).component_max == 30
+    assert bunch_sweep(orbits, "BMS", [1.95])[0].component_max == 30
     monkeypatch.setattr(bunches, "fcluster",
                         lambda Z, t, criterion: np.ones(len(Z) + 1, dtype=int))
     with pytest.raises(QuadrayError, match="pairwise certificate"):
-        bunch_clusters(orbits, "BMS", 1.95)
+        bunch_sweep(orbits, "BMS", [1.95])[0]
 
 
 def test_close_pair_bytes_bounds_the_search(basilica):
-    # the search as bunch_clusters runs it, measured with tracemalloc
+    # the search as bunch_sweep runs it, measured with tracemalloc
     for n in (10, 12):
         orbits = julia_orbits(basilica, n)
         tracemalloc.start()
@@ -184,7 +183,7 @@ def test_cluster_budget_refuses_before_searching(basilica, monkeypatch):
     monkeypatch.setattr(bunches, "CLUSTER_BUDGET_BYTES",
                         bunches.close_pair_bytes(len(orbits), 8, rows) - 1)
     with pytest.raises(QuadrayError, match="budget"):
-        bunch_clusters(orbits, "H", 0.1)
+        bunch_sweep(orbits, "H", [0.1])[0]
     with pytest.raises(QuadrayError, match="budget"):
         verify_hypothesis_h(basilica, 8, 0.1, orbits=orbits)
 
@@ -195,7 +194,7 @@ def test_wide_threshold_search_stays_small(squaring):
     orbits = julia_orbits(squaring, 11)
     tracemalloc.start()
     try:
-        rep = bunch_clusters(orbits, "BMS", 2.5)
+        rep = bunch_sweep(orbits, "BMS", [2.5])[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -270,7 +269,7 @@ def test_close_pairs_match_brute_force(orbit_set, data):
     orbits = [_orbit(row) for row in A]
     radii = [step, threshold, rho]
     assert bunches.bunch_sweep(orbits, "BMS", radii) == \
-        [bunch_clusters(orbits, "BMS", r) for r in radii]
+        [bunch_sweep(orbits, "BMS", [r])[0] for r in radii]
 
 
 def test_sweep_matches_single_delta_reports():
@@ -312,12 +311,12 @@ def test_distance_matrix_budget_refuses_before_building(squaring, monkeypatch):
     monkeypatch.setattr(bunches, "_orbit_distance_matrix", build)
     monkeypatch.setattr(bunches, "CLUSTER_BUDGET_BYTES", bunches.distance_matrix_bytes(K) - 1)
     with pytest.raises(QuadrayError, match="budget"):
-        bunch_clusters(orbits, "BMS", 2.5)
+        bunch_sweep(orbits, "BMS", [2.5])[0]
 
 
 def test_bunches_bms_mode(squaring):
     orbits = julia_orbits(squaring, 4)
-    report = bunch_clusters(orbits, "BMS", 0.05)
+    report = bunch_sweep(orbits, "BMS", [0.05])[0]
     assert report.mode == "BMS"
     assert report.threshold == 0.05
     assert report.max_cluster == 1
@@ -425,37 +424,11 @@ def test_distortion_repelling_negative_control(squaring):
     assert late.sup_ratio_minus_one > early.sup_ratio_minus_one
 
 
-def test_good_bad_all_good_on_circle(squaring):
-    orbits = julia_orbits(squaring, 10)
-    part = good_bad_partition(orbits[0], 0.5)
-    assert part["bad"] == [] and part["a_bound"] == 0
-    assert len(part["good"]) == 10
-
-
-def test_good_bad_chebyshev_near_zero(chebyshev):
-    orbits = julia_orbits(chebyshev, 5)
-    target = min(orbits, key=lambda o: min(abs(z) for z in o.points))
-    closest = min(abs(z) for z in target.points)
-    delta = 0.9
-    cutoff = math.exp(-5 * delta / 2.0)
-    part = good_bad_partition(target, delta)
-    expected_bad = [i for i, z in enumerate(target.points) if abs(z) < cutoff]
-    assert part["bad"] == expected_bad
-    assert part["a_bound"] == len(expected_bad)
-
-
-def test_good_bad_short_orbit(squaring):
-    orbit = PeriodicOrbit(points=(1.0 + 0j,), minimal_period=1,
-                          multiplier=2.0 + 0j, stability="repelling")
-    part = good_bad_partition(orbit, 0.5)
-    assert part == {"good": [0], "bad": [], "a_bound": 0}
-
-
 def test_cluster_pairwise_certificate(squaring):
     # clusters emitted for tight thresholds stay pairwise-certified
     orbits = julia_orbits(squaring, 6)
     for delta in (0.05, 0.2, 0.5):
-        report = bunch_clusters(orbits, "H", delta)
+        report = bunch_sweep(orbits, "H", [delta])[0]
         assert report.passed or report.max_cluster <= 2 * 6
 
 

@@ -250,7 +250,7 @@ PRECISION_READS = {
     "portrait": (["portrait", "--preset", "basilica", "--period", "3"],
                  {"newton_tol", "dedup_tol"}),
     "pressure": (["pressure", "--preset", "basilica", "--t", "1", "--n", "4"],
-                 {"mantissa_bits", "newton_tol", "dedup_tol"}),
+                 {"newton_tol", "dedup_tol"}),
     "bunches": (["bunches", "--preset", "basilica", "--n", "4"], {"newton_tol", "dedup_tol"}),
     "near-point": (["near-point", "--preset", "basilica", "--n", "4"],
                    {"newton_tol", "dedup_tol"}),
@@ -358,8 +358,8 @@ KEY_RUNS = dict(RUNS, **{"render-orbits": ["render", "--preset", "basilica", "--
 
 
 @pytest.mark.parametrize("label", KEY_RUNS)
-def test_every_command_key_is_read_or_rejected(tmp_path, label):
-    from quadray.cli import COMMAND_PARAMS
+def test_every_command_key_is_read_or_rejected(tmp_path, capsys, label):
+    from quadray.cli import COMMAND_PARAMS, FLOAT_KEYS, GRID_KEYS, INT_KEYS
     argv = KEY_RUNS[label]
     base = tmp_path / "base"
     assert run_command(argv + ["--output-dir", str(base)]) == 0
@@ -371,6 +371,39 @@ def test_every_command_key_is_read_or_rejected(tmp_path, label):
             assert not any(out.iterdir()), key
         else:
             assert hashes(out) != hashes(base), key
+    # every numeric key, common or the command's own, refuses a malformed number
+    numeric = (INT_KEYS | FLOAT_KEYS | GRID_KEYS.get(argv[0], set())) & (
+        set(COMMAND_PARAMS[argv[0]]) | {"seed", "newton_tol", "dedup_tol"})
+    for key in sorted(numeric):
+        out = tmp_path / f"bad-{key}"
+        capsys.readouterr()
+        rc = run_command(argv + [f"--{key.replace('_', '-')}", "abc", "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("usage error:") and "abc" in err, (key, err)
+        assert not (out.exists() and any(out.iterdir())), key
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--preset", "basilica", "--n", "abc"],
+    ["orbits", "--preset", "basilica", "--n", "2.5"],
+    ["orbits", "--preset", "basilica", "--n", "0"],
+    ["orbits", "--preset", "basilica", "--n", "3", "--newton-tol", "0"],
+    ["orbits", "--preset", "basilica", "--n", "3", "--dedup-tol", "1e-12"],
+    ["near-point", "--preset", "basilica", "--n", "4", "--p", "0"],
+    ["near-point", "--preset", "basilica", "--n", "4", "--delta", "x"],
+    ["pressure", "--preset", "basilica", "--n", "4", "--t", "a:b:c"],
+    ["portrait", "--preset", "basilica", "--period", "0"],
+    ["bunches", "--preset", "basilica", "--n", "0"],
+    ["distortion", "--preset", "basilica", "--n", "-1"],
+    ["distortion", "--preset", "basilica", "--n", "4", "--seed", "-1"],
+    ["render", "--preset", "basilica", "--layers", "julia", "--points", "-5"],
+], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+def test_malformed_or_out_of_range_number_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_command(argv + ["--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err, err
+    assert not (out.exists() and any(out.iterdir()))
 
 
 @pytest.mark.parametrize("argv, key", [

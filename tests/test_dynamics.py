@@ -6,6 +6,7 @@ import pytest
 
 from quadray import DEFAULT_CONFIG, PrecisionConfig, QuadraticMap, green_potential
 from quadray.dynamics import orbit_with_derivative, preimage_tree
+from tests.conftest import mp_preimage_tree
 
 
 def iterate(qmap, z, n):
@@ -18,8 +19,7 @@ def derivative(qmap, z, n):
     return complex(orbit_with_derivative(qmap, [z], n)[1][0])
 
 
-def sorted_leaves(qmap, z, n, cfg=DEFAULT_CONFIG):
-    leaves, _ = preimage_tree(qmap, z, n, cfg)
+def sorted_leaves(leaves):
     return leaves[np.lexsort((leaves.imag, leaves.real))]
 
 
@@ -100,15 +100,14 @@ def test_green_chebyshev_joukowski(chebyshev):
 
 
 def test_green_functional_equation(basilica):
-    cfg = DEFAULT_CONFIG
     for z in (0.3 + 1.2j, 2.0 - 0.5j, -1.9 + 0.1j):
-        g = green_potential(basilica, z, cfg)
-        gf = green_potential(basilica, basilica(z), cfg)
-        assert abs(gf - 2.0 * g) < 10.0 * cfg.newton_tol
+        g = green_potential(basilica, z)
+        gf = green_potential(basilica, basilica(z))
+        assert abs(gf - 2.0 * g) < 10.0 * DEFAULT_CONFIG.newton_tol
 
 
 def test_preimages_fourth_roots(squaring):
-    got = sorted_leaves(squaring, 1.0, 2)
+    got = sorted_leaves(preimage_tree(squaring, 1.0, 2)[0])
     expected = sorted([1, -1, 1j, -1j], key=lambda z: (z.real, z.imag))
     assert len(got) == 4
     for g, e in zip(got, expected):
@@ -116,7 +115,7 @@ def test_preimages_fourth_roots(squaring):
 
 
 def test_preimages_eighth_roots(squaring):
-    got = sorted_leaves(squaring, 1.0, 3)
+    got = sorted_leaves(preimage_tree(squaring, 1.0, 3)[0])
     assert len(got) == 8
     expected = sorted((cmath.exp(2j * math.pi * k / 8.0) for k in range(8)),
                       key=lambda z: (round(z.real, 12), round(z.imag, 12)))
@@ -126,24 +125,23 @@ def test_preimages_eighth_roots(squaring):
 
 
 def test_preimages_chebyshev(chebyshev):
-    got = sorted_leaves(chebyshev, 2.0, 1)
+    got = sorted_leaves(preimage_tree(chebyshev, 2.0, 1)[0])
     assert got[0] == pytest.approx(-2.0) and got[1] == pytest.approx(2.0)
 
 
 def test_preimage_roundtrip(basilica):
     # the unrefined leaves of the square-root expansion solve f^6(x) = z to
     # newton_tol, and their log-derivatives are log|(f^6)'(x)|
-    cfg = DEFAULT_CONFIG
-    leaves, logd = preimage_tree(basilica, 0.5 + 0.5j, 6, cfg)
+    leaves, logd = preimage_tree(basilica, 0.5 + 0.5j, 6)
     w, d = orbit_with_derivative(basilica, leaves, 6)
-    assert np.max(np.abs(w - (0.5 + 0.5j))) < cfg.newton_tol
+    assert np.max(np.abs(w - (0.5 + 0.5j))) < DEFAULT_CONFIG.newton_tol
     assert np.allclose(logd, np.log(np.abs(d)), atol=1e-12)
 
 
 def test_preimage_branch_degeneracy_reports_double_root():
     qmap = QuadraticMap(-1.0)
     # preimages of f(0) = c: both square-root branches give 0
-    got = sorted_leaves(qmap, qmap.c, 1)
+    got = sorted_leaves(preimage_tree(qmap, qmap.c, 1)[0])
     assert len(got) == 2
     assert all(abs(z) < 1e-12 for z in got)
 
@@ -174,16 +172,15 @@ def test_one_point_and_batch_orbits_agree_bitwise(c):
 
 
 def test_extended_precision_tree_matches_binary64(basilica):
-    cfg_hi = PrecisionConfig(mantissa_bits=100)
-    lo = sorted_leaves(basilica, 1.0 + 0.2j, 5)
-    hi = sorted_leaves(basilica, 1.0 + 0.2j, 5, cfg_hi)
+    lo = sorted_leaves(preimage_tree(basilica, 1.0 + 0.2j, 5)[0])
+    hi = sorted_leaves(mp_preimage_tree(basilica.c, 1.0 + 0.2j, 5, bits=100)[0])
     assert np.allclose(lo, hi, atol=1e-12)
 
 
 def test_precision_config_invariants():
     with pytest.raises(ValueError):
-        PrecisionConfig(mantissa_bits=24)
-    with pytest.raises(ValueError):
         PrecisionConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
         PrecisionConfig(newton_tol=1e-6, dedup_tol=1e-9)
+    with pytest.raises(ValueError):
+        PrecisionConfig(dedup_tol=math.nan)

@@ -102,6 +102,38 @@ def test_every_private_function_is_used():
     assert not unused, f"private functions nothing else uses: {unused}"
 
 
+ROOT = SRC.parents[1]
+#: exported names that only the tests read, kept there as reference oracles
+ORACLES = {
+    "green_potential": "the Green function; the ray tests check ray potentials with it",
+    "orbit_metric": "the paper's distance max |f^i(x) - f^i(y)|, which rho_n minimizes "
+                    "over cyclic alignments",
+    "periodic_angles": "the angles k/(2^n - 1); the ray tests enumerate the portrait "
+                       "candidates from them",
+}
+
+
+def test_every_export_is_reached():
+    # a name the package exports must be read by another module of it, by a
+    # tool, by a benchmark workload or by an acceptance test, or be a named
+    # oracle; a definition's own body does not count
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exports = {alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readers = [*MODULES, *sorted((ROOT / "tools").glob("*.py")),
+               ROOT / "bench" / "workloads.py", ROOT / "tests" / "test_acceptance.py"]
+    reached = set()
+    for path in readers:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = [(node.name, node.lineno, node.end_lineno) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        reached |= {name for name, line in _references(tree)
+                    if not any(name == own and lo <= line <= hi for own, lo, hi in spans)}
+    unreached = sorted(exports - reached - set(ORACLES))
+    assert not unreached, f"exported names nothing outside the tests reads: {unreached}"
+    assert set(ORACLES) <= exports
+
+
 # Importing the package, and the orbits, pressure, portrait, render,
 # near-point and disc-pattern commands, load numpy and nothing heavier: the
 # orbit-set counts run on numpy arrays alone.  scipy takes 0.5-1 s to import

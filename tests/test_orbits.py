@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 
 from quadray import orbits as orbits_mod
 from quadray import (DEFAULT_CONFIG, AmbiguousOrbitError,
-                     IncompleteEnumerationError, IterateRoots, PeriodicOrbit,
-                     PrecisionConfig, QuadraticMap,
-                     alpha_beta_fixed_points, classify_orbit,
+                     IncompleteEnumerationError, IterateRoots,
+                     PrecisionConfig, QuadraticMap, alpha_beta_fixed_points,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
 from quadray.cli import run_command
 from quadray.dynamics import orbit_with_derivative
-from tests.conftest import GOLDEN_ALPHA, GOLDEN_C, GOLDEN_LAMBDA
+from tests.conftest import GOLDEN_C, GOLDEN_LAMBDA
 from tests.test_compare_orbits import compare_orbits
 
 
@@ -149,9 +148,10 @@ def test_circle_multipliers_squaring(squaring):
 
 
 def test_classify_repelling(squaring):
-    o = PeriodicOrbit(points=(1.0 + 0j,), minimal_period=1,
-                      multiplier=2.0 + 0j, stability="")
-    assert classify_orbit(o) == "repelling"
+    assert orbits_mod._classify_multiplier(2.0 + 0j, orbits_mod.DEFAULT_CLASS_TOL) == "repelling"
+    # group_into_orbits classifies the same way: at c = 0, beta = 1 has
+    # multiplier 2 and alpha = 0, which is attracting, is dropped
+    assert [o.stability for o in julia_orbits(squaring, 1)] == ["repelling"]
 
 
 def test_classify_parabolic_airplane(airplane_root):
@@ -165,9 +165,8 @@ def test_classify_parabolic_airplane(airplane_root):
 
 
 def test_classify_golden_siegel_indifferent(golden_siegel):
-    o = PeriodicOrbit(points=(GOLDEN_ALPHA,), minimal_period=1,
-                      multiplier=GOLDEN_LAMBDA, stability="")
-    assert classify_orbit(o) == "indifferent_candidate"
+    assert orbits_mod._classify_multiplier(
+        GOLDEN_LAMBDA, orbits_mod.DEFAULT_CLASS_TOL) == "indifferent_candidate"
 
 
 def test_parabolic_total_count(airplane_root):
@@ -311,9 +310,9 @@ def test_first_seed_round_holds_tree_of_depth_n(name, request):
 
 def test_budget_refuses_before_allocating(squaring, monkeypatch):
     from quadray import QuadrayError
-    # extended precision used to lift the level cap to 28, a 2^31-seed round
+    # level 28 would run a 2^31-seed round
     with pytest.raises(QuadrayError, match="budget"):
-        fixed_points_of_iterate(squaring, 28, PrecisionConfig(mantissa_bits=120))
+        fixed_points_of_iterate(squaring, 28)
     monkeypatch.setattr(orbits_mod, "ENUMERATION_BUDGET_BYTES", orbits_mod.enumeration_bytes(5))
     assert fixed_points_of_iterate(squaring, 5).multiplicity.sum() == 32
     with pytest.raises(QuadrayError, match="budget"):
@@ -439,11 +438,24 @@ def _fails_at(check, error, reason):
                  marks=_fails_at("image match", AmbiguousOrbitError,
                                  "near-Cremer alpha: an image lands 2.03e-8 off"),
                  id="near-cremer-3-1-1e8-n4"),
+    pytest.param(_rotation_parameter([2, 3, 10 ** 8]), 7,
+                 r"matches no enumerated point \(min dist 1\.28e-08\)",
+                 marks=_fails_at("image match", AmbiguousOrbitError,
+                                 "near-Cremer alpha: an image lands 1.28e-8 off"),
+                 id="near-cremer-2-3-1e8-n7"),
+    pytest.param(_rotation_parameter([2, 3, 10 ** 8]), 14,
+                 r"matches no enumerated point \(min dist 1\.08e-08\)",
+                 marks=_fails_at("image match", AmbiguousOrbitError,
+                                 "near-Cremer alpha: an image lands 1.08e-8 off"),
+                 id="near-cremer-2-3-1e8-n14"),
     pytest.param(-2 + 0j, 11, "matches two points within tolerance",
                  marks=_fails_at("image match", AmbiguousOrbitError,
                                  "two roots lie 2.3 dedup_tol apart near 2"),
                  id="-2-n11"),
-    pytest.param(-2 + 0j, 12, "found 4095 of 4096 roots",
+    # the merged pair is 2 cos(2 pi 2047/4095) and 2 cos(2 pi 2048/4097)
+    pytest.param(-2 + 0j, 12, r"found 4095 of 4096 roots .*; dedup merged "
+                 r"\(-1\.9999994114384159\+0j\) into \(-1\.9999994120129025\+0j\), "
+                 r"5\.74e-10 \(0\.29 dedup_tol\) apart",
                  marks=_fails_at("root count", IncompleteEnumerationError,
                                  "dedup merges two roots 5.7e-10 apart"),
                  id="-2-n12"),

@@ -424,22 +424,23 @@ def test_scalar_descent_matches_reference(c):
     for theta in REFERENCE_ANGLES:
         for g_min, g_max in ((20.0, ANCHOR_POTENTIAL), (0.3, ANCHOR_POTENTIAL),
                              (1e-7, ANCHOR_POTENTIAL), (1e-12, 0.5)):
-            trace = trace_ray(qmap, theta, g_min, g_max)
+            trace = trace_ray(qmap, theta, g_min)
             assert trace.status == "ok", (theta, g_min)
+            samples = [(g, z) for g, z in trace.samples if g <= g_max * (1.0 + 1e-12)]
             ref_samples, _ = ref_trace(qmap, theta, g_min, g_max)
-            assert [g for g, _ in trace.samples[:len(ref_samples)]] == [
-                g for g, _ in ref_samples]
-            for (_, z), (_, ref_z) in zip(trace.samples, ref_samples):
+            assert [g for g, _ in samples[:len(ref_samples)]] == [g for g, _ in ref_samples]
+            for (_, z), (_, ref_z) in zip(samples, ref_samples):
                 assert abs(z - ref_z) <= 1e-11 * (1.0 + abs(z)), (theta, g_min)
             # g_max drops the samples above it; step counts from the anchor
-            first = len(trace.samples) - rays_mod._levels_below_anchor(g_min) * SUBSTEPS - 1
-            for j, (g, z) in enumerate(trace.samples):
+            first = len(samples) - rays_mod._levels_below_anchor(g_min) * SUBSTEPS - 1
+            for j, (g, z) in enumerate(samples):
                 step = j - first
-                if step % SUBSTEPS and j < len(trace.samples) - 1:
+                if step % SUBSTEPS and j < len(samples) - 1:
                     continue
                 root = mp_ray_root(c, theta, g, -(-step // SUBSTEPS), z)
                 assert abs(z - root) <= 1e-12 * (1.0 + abs(z)), (theta, g_min, step)
-            last = trace_ray(qmap, theta, g_min, math.inf).samples[-1][1]
+            # trace_ray keeps no sample above the anchor band (g_min = 20)
+            last = rays_mod._ray_samples(qmap, theta, g_min)[1][-1]
             assert ray_point(qmap, theta, g_min) == last
         # A periodic ray may leave the descent at a stall and be refined from
         # an earlier level point: on a repelling landing the root agrees to
@@ -795,11 +796,12 @@ def test_landing_period_comes_from_the_chain(monkeypatch):
     qmap = QuadraticMap(-1.0)
     est = estimate_landing(qmap, Angle(1, 10 ** 9 + 7))
     assert periods == [] and 2 <= est.levels <= MAX_HALVINGS
-    # with landing_tol = inf the descent stops at its second level and the
-    # level point is refined once, on the period the chain gives
+    # with a landing tolerance of inf the descent stops at its second level
+    # and the level point is refined once, on the period the chain gives
+    monkeypatch.setattr(rays_mod, "DEFAULT_LANDING_TOL", math.inf)
     for den in range(1, 2001, 2):
         periods.clear()
-        estimate_landing(qmap, Angle(1, den), landing_tol=math.inf)
+        estimate_landing(qmap, Angle(1, den))
         m = angle_period(Angle(1, den))
         assert periods == ([m] if m <= MAX_HALVINGS + 1 else []), den
 
