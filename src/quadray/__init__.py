@@ -25,4 +25,4 @@ from .pressure import (PressureCurve, PressureEstimate,
                        pressure_comparison, tree_pressure_estimate)
 from .rays import (CircleOrderReport, LandingEstimate, RayTrace, TruncatedRay,
                    circle_exit_cyclic_order, estimate_landing,
-                   portrait_at_orbit, ray_point, trace_ray)
+                   portrait_at_orbit, ray_point, trace_ray, trace_rays)

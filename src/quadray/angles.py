@@ -307,6 +307,8 @@ def bryuno_sums(alpha: float, n_terms: int) -> ContinuedFractionReport:
     """
     if n_terms < 2:
         raise ValueError("n_terms must be >= 2")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     x = Fraction(alpha) - math.floor(alpha)
     quotients: list[int] = []
     for _ in range(n_terms + 1):

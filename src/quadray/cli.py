@@ -7,7 +7,8 @@ itself carries the non-deterministic wall time and is not compared).
 Each command names the keys it reads (the map, the seed, the precision
 keys, render's layer keys, bryuno's alpha); setting any other away from its
 default is a usage error, and so is a null key outside NULLABLE_KEYS, a
-malformed number or an integer below INT_FLOORS.  No command reads
+malformed number, an integer below INT_FLOORS, a non-finite float or grid
+value, or a value of POSITIVE_KEYS that is not above 0.  No command reads
 mantissa_bits or max_iter; they stay so that older manifests replay.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
@@ -34,7 +35,7 @@ from .orbits import (PeriodicOrbit, alpha_beta_fixed_points,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
 from .pressure import (MODE_PERIODIC, MODE_TREE, default_tree_basepoint,
                        pressure_comparison)
-from .rays import portrait_at_orbit, trace_ray
+from .rays import portrait_at_orbit, trace_rays
 from .scene import (Viewport, julia_point_cloud, markers_svg, point_cloud_svg,
                     polyline_svg, pressure_curve_svg, render_scene)
 
@@ -81,6 +82,8 @@ def parse_grid(text: str) -> list[float]:
         if len(bits) != 3:
             raise UsageError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (_number(float, b, "grid value") for b in bits)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"grid bounds must be finite, got {text!r}")
         if step <= 0:
             raise UsageError("grid step must be positive")
         out = []
@@ -203,6 +206,8 @@ RENDER_LAYER_KEYS = {"julia": ("points",), "rays": ("angles", "g_min"),
 NULLABLE_KEYS = ("c", "preset", "ray_period_cap", "basepoint", "quotients", "marker_period")
 #: least values of integer keys (distortion's n may be 0; parse_int_grid checks bunches')
 INT_FLOORS = {"n": 1, "p": 1, "period": 1, "samples": 1, "points": 1, "seed": 0}
+#: float keys that must be > 0; every float key and grid value must be finite
+POSITIVE_KEYS = {"g_min", "r", "r0", "match_tol", "C", "delta"}
 
 
 def _convert(command: str, key: str, value):
@@ -259,6 +264,14 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
         least = 0 if (command, key) == ("distortion", "n") else INT_FLOORS[key]
         if type(params[key]) is not int or params[key] < least:
             raise UsageError(f"{key} must be an integer >= {least}, got {params[key]!r}")
+    grids = GRID_KEYS.get(command, set())
+    for key in FLOAT_KEYS & params.keys() | grids:
+        values = parse_grid(str(params[key])) if key in grids else [params[key]]
+        positive = key in POSITIVE_KEYS
+        if not all(type(v) in (int, float) and math.isfinite(v) and (v > 0 or not positive)
+                   for v in values):
+            raise UsageError(f"{key} must be a finite number{' > 0' if positive else ''}, "
+                             f"got {params[key]!r}")
     return params
 
 
@@ -346,8 +359,8 @@ def cmd_rays(params: dict, outdir: Path) -> list[str]:
     if not angles:
         raise UsageError("no angles given")
     outputs = []
-    for theta in angles:
-        trace = trace_ray(qmap, theta, float(params["g_min"]))
+    for trace in trace_rays(qmap, angles, float(params["g_min"])):
+        theta = trace.angle
         name = f"ray_{theta.numerator}_{theta.denominator}.csv"
         write_csv(outdir / name, ["G", "re_z", "im_z"],
                   [[g, z.real, z.imag] for g, z in trace.samples])
@@ -537,10 +550,9 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
             elements += point_cloud_svg(julia_point_cloud(
                 qmap, count=int(params["points"]), seed=int(params["seed"])), vp)
         elif name == "rays":
-            for i, theta in enumerate(angles):
-                trace = trace_ray(qmap, theta, float(params["g_min"]))
+            for i, trace in enumerate(trace_rays(qmap, angles, float(params["g_min"]))):
                 elements += polyline_svg([z for _, z in trace.samples], vp,
-                                         palette[i % len(palette)], str(theta))
+                                         palette[i % len(palette)], str(trace.angle))
         else:
             orbits = julia_orbits(qmap, int(period), cfg)
             elements += markers_svg([z for o in orbits for z in o.points],

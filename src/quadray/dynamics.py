@@ -30,14 +30,6 @@ class QuadraticMap:
         object.__setattr__(self, "c", complex(self.c))
         _require_finite(self.c, "parameter c")
 
-    def __call__(self, z: complex) -> complex:
-        """One application of the map, z^2 + c, for finite z."""
-        z = complex(z)
-        _require_finite(z, "z")
-        w = z * z + self.c
-        _require_finite(w, f"the image of z={z!r}")
-        return w
-
     @property
     def escape_radius(self) -> float:
         """Radius beyond which |f(z)| > |z| is guaranteed: max(4, 2|c|)."""

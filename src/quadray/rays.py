@@ -8,33 +8,34 @@ infinity, where the conformal coordinate is the identity plus an explicit
 
 One schedule walks every ray down from a potential g_top in the band:
 substep j sits at potential g_top * 2^(-j/SUBSTEPS) on level
-k = ceil(j/SUBSTEPS).  `_pullback` solves its equation by backward iteration
-over the ray's doubling chain theta, 2 theta, ..., 2^L theta, L the levels
-walked: the point of 2^i theta at a substep of level k is the square root
-of (the point of 2^(i+1) theta at that substep of level k - 1) - c on the
-branch nearer its point at the previous substep, and level 0 holds the
-anchor points.  The angles are exact (r <- 2r mod den, the float r/den
-correctly rounded).  The chain stops where it closes on itself, so rays of
-one cycle share rows, and it never exceeds L + 1 rows, whatever the period
+k = ceil(j/SUBSTEPS).  One kernel, `_pullback`, solves its equations by
+backward iteration over doubling chains theta, 2 theta, ..., 2^L theta (L
+the levels walked) laid end to end: the point of 2^i theta at a substep of
+level k is the square root of (the point of 2^(i+1) theta at that substep
+of level k - 1) - c nearer its point at the previous substep, and level 0
+holds the anchors.  The angles are exact (r <- 2r mod den, the float r/den
+correctly rounded).  A chain stops where it closes on itself, so the rays
+of one cycle share rows, and never exceeds L + 1 rows, whatever the period
 (1/(10^9 + 7) has about 5e8).  Backward iteration contracts, so the points
-stay within rounding of the root where Newton on f^k from the previous
-point runs out of precision.  A branch is ambiguous when
-|y - x| >= BRANCH_RATIO |y + x|, x the previous point.  A sample that reads
-an ambiguous branch or a non-finite value, in its own row or in a row it is
-pulled back from, ends the descent: `trace_ray` keeps the samples above it
-with status precision_exhausted, and `ray_point` raises PrecisionError.  The
-circle-exit bisection needs points off the schedule; `_ray_point_near` pulls
-them back too, on the branches nearer the forward orbit of a sample below.
+stay within rounding of the root where Newton on f^k runs out of
+precision.  A branch is ambiguous when |y - x| >= BRANCH_RATIO |y + x|, x
+the previous point.  A sample that reads an ambiguous branch or a
+non-finite value, in its own row or in a row it is pulled back from, ends
+its ray: `trace_rays` keeps the samples above it with status
+precision_exhausted, and `ray_point` raises PrecisionError.  A ray gets the
+same bits in any batch; the twelve rays of the two criterion-8 families at
+c = -1 took 2.1 ms in one descent against 13 ms one by one (2-vCPU Xeon).
+The circle-exit bisection needs points off the schedule; `_ray_point_near`
+pulls them back on the branches nearer the forward orbit of a sample below.
 
 Rays that land on one cycle are permuted by doubling, and f maps
 R_theta(g) onto R_2theta(2g).  A portrait screen lists one ray per doubling
 cycle, the smallest angle, picked by integer rotations of its binary word;
 the cycles are counted before any candidate is built, against
-PORTRAIT_CANDIDATE_BUDGET.  `_batch_landing` descends every member of those
-cycles by the same pullback, but substep by substep over one flat array
-(level blocks ran 20-40 % slower on screens of 400-4,400 cycles), and
-reads the tails of the other rays of a cycle off the images of its ray's
-tail under f.
+PORTRAIT_CANDIDATE_BUDGET.  `_batch_landing` descends the whole cycles
+(airplane and c = i at n = 3, cap 12: 28 ms each, golden Siegel at n = 4,
+cap 8: 2.5 ms; a substep-by-substep loop took 24, 24 and 4.7 ms) and reads
+the tails of the other rays of a cycle off the images of its ray's tail.
 
 A ray landing on a repelling point converges geometrically level by level;
 on a parabolic point the residuals shrink like 1/k^2, so their ratio tends
@@ -80,11 +81,11 @@ TAIL_SLACK = 4.0
 #: 2-vCPU Xeon), not n = 6.
 PORTRAIT_CANDIDATE_BUDGET = 2 ** 16
 #: Working memory of one screen chunk of whole cycles, and what one cycle
-#: member takes of it: SUBSTEPS + 1 complex and 7 float arrays.  Chunks of
-#: 2 MiB ran fastest on a 2-vCPU Xeon (n = 4, cap 16: 0.49 s; 0.66 s with
-#: one 16 MiB chunk).
+#: member takes of it (tracemalloc: 766 bytes on three screens).  Chunks of
+#: 1-3 MiB ran fastest on a 2-vCPU Xeon with a 4 MiB L2 (n = 4, cap 16:
+#: 0.40 s at 2 MiB, 0.48 s at 4 MiB, 0.60 s at 16 MiB).
 SCREEN_CHUNK_BYTES = 2 ** 21
-_SCREEN_MEMBER_BYTES = 16 * (SUBSTEPS + 1) + 8 * 7
+_SCREEN_MEMBER_BYTES = 768
 #: A screen cycle leaves the screen when a pullback picks a square root y
 #: with |y - x| >= BRANCH_RATIO |y + x|, x the point at the previous substep:
 #: both roots nearly as far from x.
@@ -147,17 +148,15 @@ def _levels_below_anchor(potential: float) -> int:
     return max(0, int(math.ceil(math.log2(ANCHOR_POTENTIAL / potential))))
 
 
-def _level_potentials(g_top: float, k: int) -> list[float]:
-    """Potentials of the SUBSTEPS substeps on level k of a descent from g_top."""
-    return [g_top * 2.0 ** (-j / SUBSTEPS)
-            for j in range((k - 1) * SUBSTEPS + 1, k * SUBSTEPS + 1)]
+def _potentials(g_top: float, levels: int) -> list[float]:
+    """Potentials of g_top and of the substeps of a descent `levels` deep."""
+    return [g_top * 2.0 ** (-j / SUBSTEPS) for j in range(levels * SUBSTEPS + 1)]
 
 
-def _level_zero(c: complex, turns: np.ndarray, g_top: float) -> list[np.ndarray]:
-    """Level 0 of a pullback from g_top: for each substep g of the first
-    level, the anchor points of the angles `turns` at the potential 2g; the
-    last substep's sit at g_top itself."""
-    return [_anchor_seed(c, turns, 2.0 * g) for g in _level_potentials(g_top, 1)]
+def _level_zero(c: complex, turns: np.ndarray, g_top: float) -> np.ndarray:
+    """Level 0 of a pullback from g_top, (SUBSTEPS, rows): the anchors of `turns`
+    at 2g for the first level's substeps g, the last at g_top itself."""
+    return np.array([_anchor_seed(c, turns, 2.0 * g) for g in _potentials(g_top, 1)[1:]])
 
 
 def _stable_sqrt(w: np.ndarray, re: np.ndarray, im: np.ndarray, norm: np.ndarray,
@@ -220,57 +219,79 @@ def _doubling_chain(theta: Angle, levels: int):
     return np.array(turns), image
 
 
-def _pullback(c: complex, turns: np.ndarray, image: np.ndarray, g_top: float, levels: int):
-    """The ray of the `_doubling_chain` (turns, image) descended by pullback
-    from g_top (see the module docstring).
-
-    Yields the anchor at g_top as a list of one point, then the points at
-    the SUBSTEPS substeps of each level k = 1..levels; a level cut short is
-    the last.  Level k descends the chain rows i <= levels - k (all rows of
-    a chain that closes sooner) as a (SUBSTEPS, rows) block: the roots
-    nearer the previous substep are the principal roots u_s times the
-    running product of the `_branch` signs of u_s against u_(s-1), u_0 the
-    previous level's last point.  Flipping a sign leaves `_branch`'s
-    ambiguity margin alone.  Sample j of row 0 reads row i at sample
-    j - i SUBSTEPS and before, so a failure there cuts the descent at j.
-    """
-    prev = np.array(_level_zero(c, turns, g_top))
-    yield prev[-1, :1].tolist()
-    bad = math.inf  # the first sample of row 0 that reads a failure
-    for k in range(1, levels + 1):
-        rows = min(len(turns), levels - k + 1)
-        w = prev[:, image[:rows]] - c
-        y = np.empty((SUBSTEPS + 1, rows), dtype=complex)
-        y[0] = prev[-1, :rows]
-        norm = np.empty((SUBSTEPS + 1, rows))
+def _pullback(c: complex, prev: np.ndarray, image: np.ndarray, levels: int):
+    """Yields the (SUBSTEPS, rows) blocks of the points and `_branch` margins
+    of levels 1..levels of chains descended from their `_level_zero` prev:
+    row i at a substep is the square root of (row image[i] at that substep
+    of the level before) - c nearer row i at the substep before, the
+    principal roots u_s times the running product of the `_branch` signs of
+    u_s against u_(s-1), u_0 the previous level's last point.  Flipping a
+    sign leaves the margin alone."""
+    for _ in range(levels):
+        y = np.empty((SUBSTEPS + 1, len(image)), dtype=complex)
+        y[0] = prev[-1]
+        norm = np.empty(y.shape)
+        w = np.take(prev, image, axis=1)
         sign, margin = np.empty(w.shape), np.empty(w.shape)
         with np.errstate(all="ignore"):
+            w -= c
             norm[0] = np.abs(y[0]) ** 2
             _stable_sqrt(w, y.real[1:], y.imag[1:], norm[1:], sign, margin)
+            del w
             _branch(y.real[1:], y.imag[1:], y.real[:-1], y.imag[:-1], norm[1:], norm[:-1],
                     sign, margin)
-            y[1:] *= np.cumprod(sign, axis=0)
+            for s in range(1, SUBSTEPS):  # np.cumprod along axis 0 ran 10x slower
+                sign[s] *= sign[s - 1]
+            y[1:] *= sign
+        prev = y[1:]
+        yield prev, margin
+
+
+def _descend(c: complex, chains: list, g_top: float, levels: int):
+    """The head rows of the `_doubling_chain`s, laid end to end, descended by
+    one `_pullback` from g_top: the heads' anchors at g_top, then per level
+    the (SUBSTEPS, chains) head points and how many lie above each cut,
+    until every chain is cut.  Sample j of a head reads row i of its chain
+    at sample j - i SUBSTEPS and before, so a failed margin there cuts it at
+    j.  The last row of an open chain points anywhere, so its row i goes
+    wrong at level levels - i + 1, which cuts no sample."""
+    sizes = [len(turns) for turns, _ in chains]
+    start = np.cumsum(sizes) - sizes
+    turns = np.concatenate([turns for turns, _ in chains])
+    image = np.concatenate([image + s for (_, image), s in zip(chains, start)]) % len(turns)
+    chain = np.repeat(np.arange(len(chains)), sizes)
+    offset = np.arange(len(turns)) - start[chain]
+    prev = _level_zero(c, turns, g_top)
+    yield prev[-1, start]
+    bad = np.full(len(chains), levels * SUBSTEPS + 1)  # first sample past a cut
+    for k, (y, margin) in enumerate(_pullback(c, prev, image, levels), 1):
         ok = margin > 0
         if not ok.all():
             s, i = np.nonzero(~ok)
-            bad = min(bad, int(np.min((k - 1 + i) * SUBSTEPS + s + 1)))
-        reached = min(SUBSTEPS, max(0, bad - (k - 1) * SUBSTEPS - 1))
-        yield y[1:reached + 1, 0].tolist()
-        if reached < SUBSTEPS:
+            np.minimum.at(bad, chain[i], (k - 1 + offset[i]) * SUBSTEPS + s + 1)
+        reached = np.clip(bad - (k - 1) * SUBSTEPS - 1, 0, SUBSTEPS)
+        yield y[:, start], reached
+        if reached.max() < SUBSTEPS:
             return
-        prev = y[1:]
 
 
-def _ray_samples(qmap: QuadraticMap, theta: Angle, g_min: float):
-    """Potentials and points of ray theta from the anchor band down to
-    g_min, and whether the descent reached g_min."""
+def _rays_samples(c: complex, thetas: list[Angle], g_min: float):
+    """Potentials from the anchor band down to g_min, and each ray's points
+    above its cut, all from one `_descend`."""
     if g_min <= 0:
         raise ValueError("potential must be positive")
     levels = _levels_below_anchor(g_min)
     g_top = g_min * 2.0 ** levels
-    descent = _pullback(qmap.c, *_doubling_chain(theta, levels), g_top, levels)
-    points = [z for block in descent for z in block]
-    potentials = [g_top] + [g for k in range(1, levels + 1) for g in _level_potentials(g_top, k)]
+    anchors, *blocks = _descend(c, [_doubling_chain(theta, levels) for theta in thetas],
+                                g_top, levels)
+    points = np.concatenate([anchors[None]] + [heads for heads, _ in blocks])
+    count = sum((reached for _, reached in blocks), np.ones(len(thetas), dtype=int))
+    return _potentials(g_top, levels), [points[:n, j].tolist() for j, n in enumerate(count.tolist())]
+
+
+def _ray_samples(qmap: QuadraticMap, theta: Angle, g_min: float):
+    """`_rays_samples` of one ray, cut to its points, and whether it reached g_min."""
+    potentials, (points,) = _rays_samples(qmap.c, [theta], g_min)
     return potentials[:len(points)], points, len(points) == len(potentials)
 
 
@@ -284,14 +305,20 @@ def ray_point(qmap: QuadraticMap, theta: Angle, potential: float) -> complex:
     return points[-1]
 
 
+def trace_rays(qmap: QuadraticMap, thetas: list[Angle], g_min: float) -> list[RayTrace]:
+    """Sampled rays from the anchor potential down to g_min, descended together
+    (one sample per substep, potentials strictly decreasing); a ray whose
+    descent fails keeps the samples above it, status precision_exhausted."""
+    potentials, points = _rays_samples(qmap.c, thetas, g_min)
+    return [RayTrace(angle=theta, samples=[s for s in zip(potentials, pts)
+                                           if s[0] <= ANCHOR_POTENTIAL * (1.0 + 1e-12)],
+                     status=STATUS_OK if len(pts) == len(potentials) else STATUS_PRECISION)
+            for theta, pts in zip(thetas, points)]
+
+
 def trace_ray(qmap: QuadraticMap, theta: Angle, g_min: float) -> RayTrace:
-    """Sampled ray from the anchor potential down to g_min (one sample per
-    pullback substep, potentials strictly decreasing); a descent that fails
-    keeps the samples above the failure, with status precision_exhausted."""
-    potentials, points, reached = _ray_samples(qmap, theta, g_min)
-    samples = [s for s in zip(potentials, points) if s[0] <= ANCHOR_POTENTIAL * (1.0 + 1e-12)]
-    return RayTrace(angle=theta, samples=samples,
-                    status=STATUS_OK if reached else STATUS_PRECISION)
+    """The trace of one ray; see `trace_rays`."""
+    return trace_rays(qmap, [theta], g_min)[0]
 
 
 def estimate_landing(qmap: QuadraticMap, theta: Angle) -> LandingEstimate:
@@ -314,9 +341,10 @@ def estimate_landing(qmap: QuadraticMap, theta: Angle) -> LandingEstimate:
     residual = math.inf
     turns, image = _doubling_chain(theta, MAX_HALVINGS)
     m = len(turns) if image[-1] == 0 else None
-    descent = _pullback(qmap.c, turns, image, ANCHOR_POTENTIAL, MAX_HALVINGS)
-    x = next(descent)[0]
-    for block in descent:
+    descent = _descend(qmap.c, [(turns, image)], ANCHOR_POTENTIAL, MAX_HALVINGS)
+    x = complex(next(descent)[0])
+    for heads, reached in descent:
+        block = heads[:reached[0], 0].tolist()
         x = block[-1] if block else x
         if len(block) < SUBSTEPS:
             exhausted = True
@@ -375,16 +403,13 @@ def _refine_periodic(qmap, z0, m, iters=90):
 
 
 def _batch_landing(qmap: QuadraticMap, r: np.ndarray, den: np.ndarray, levels: int):
-    """Screen tails of the rays r/den, den = 2^m - 1 with m <= 20, at
-    potential ANCHOR_POTENTIAL * 2^-levels, descended by pullback.
-
-    Each ray is descended with the rest of its doubling cycle, in chunks of
-    whole cycles that fit SCREEN_CHUNK_BYTES.  Returns (points, alive): alive
-    is False for a ray whose cycle met a non-finite value or an ambiguous
-    branch, and its point is 0.  Used as a screen before per-ray refinement.
-    """
-    r = np.asarray(r, dtype=np.int64)
-    den = np.asarray(den, dtype=np.int64)
+    """Screen tails (points, alive) of the rays r/den, den = 2^m - 1 with
+    m <= 20, at potential ANCHOR_POTENTIAL * 2^-levels: each ray descends
+    with the rest of its doubling cycle, a chain whose last row wraps to its
+    first, in chunks of whole cycles that fit SCREEN_CHUNK_BYTES.  A ray
+    whose cycle met a non-finite value or an ambiguous branch anywhere is
+    not alive, and its point is 0."""
+    r, den = np.asarray(r, dtype=np.int64), np.asarray(den, dtype=np.int64)
     if np.any((den < 1) | (den & (den + 1) != 0)):
         raise ValueError("screen denominators must be 2^m - 1, the rays' periods m")
     m = np.frexp(den + 1.0)[1] - 1  # den = 2^m - 1 is exact in a double
@@ -395,68 +420,22 @@ def _batch_landing(qmap: QuadraticMap, r: np.ndarray, den: np.ndarray, levels: i
     window //= max(1, SCREEN_CHUNK_BYTES // _SCREEN_MEMBER_BYTES)
     starts = np.flatnonzero(np.diff(window, prepend=-1)).tolist()
     for lo, hi in zip(starts, starts[1:] + [len(r)]):
-        points[lo:hi], alive[lo:hi] = _pullback_cycles(qmap.c, r[lo:hi], den[lo:hi],
-                                                       m[lo:hi], levels)
-    return points, alive
-
-
-def _pullback_cycles(c: complex, r: np.ndarray, den: np.ndarray, m: np.ndarray,
-                     levels: int):
-    """Points and alive flags of the rays r/den of period m after `levels`
-    levels of pullback; see _batch_landing.
-
-    The members theta 2^i of a cycle sit in consecutive rows, the first its
-    ray; the image of a row under doubling is the next row, wrapping to the
-    first at the last.  Level 0 holds each member's anchor points at the
-    potentials 2g of the first level's substeps g.  The point at substep s of
-    level k is the square root of (its image's point at substep s of level
-    k - 1) - c nearer the point at the previous substep, as in `_pullback`,
-    but walked substep by substep over one flat array.  Both kernels give
-    the same bits, but `_pullback`'s level blocks, run in the same
-    SCREEN_CHUNK_BYTES chunks with the shift-and-wrap image rule, took
-    0.56-0.77 s on the n = 4, cap 16 screens (4,448 cycles; golden Siegel
-    and rabbit parameters) against 0.42-0.54 s here, and 48 against 37 ms
-    on the airplane and c = i screens at n = 3 (402 cycles), on a 2-vCPU
-    Xeon.  A gather through an image-row index took about 20 % longer than
-    this shift-and-wrap on a 4,448-cycle screen.
-    """
-    first = np.cumsum(m) - m
-    last = first + m - 1
-    pts = _member_anchors(c, r, den, m, first)
-    real, imag = [p.real for p in pts], [p.imag for p in pts]
-    w = np.empty_like(pts[0])
-    norm, lower, upper, sign, margin = (np.empty(len(w)) for _ in range(5))
-    ref_norm = np.abs(pts[-1]) ** 2
-    worst = np.full(len(w), np.inf)
-    with np.errstate(all="ignore"):
-        for _ in range(levels):
-            for s in range(SUBSTEPS):
-                y = pts[s]
-                np.subtract(y[1:], c, out=w[:-1])
-                w[last] = y[first] - c
-                _stable_sqrt(w, real[s], imag[s], norm, upper, lower)
-                _branch(real[s], imag[s], real[s - 1], imag[s - 1], norm, ref_norm,
-                        sign, margin)
-                real[s] *= sign
-                imag[s] *= sign
-                np.minimum(worst, margin, out=worst)
-                ref_norm, norm = norm, ref_norm
-    points = pts[-1][first]
-    alive = (np.minimum.reduceat(worst, first) > 0) & np.isfinite(points)
+        first = np.cumsum(m[lo:hi]) - m[lo:hi]
+        cycle = np.repeat(np.arange(lo, hi), m[lo:hi])
+        image = np.arange(1, len(cycle) + 1)
+        # the members r 2^i / den, i < m: r < 2^m and m <= 20, so r 2^i fits int64
+        turns = (r[cycle] << (image - 1 - first[cycle - lo])) % den[cycle] / den[cycle]
+        image[first + m[lo:hi] - 1] = first
+        del cycle
+        worst = np.full(len(turns), np.inf)
+        for y, margin in _pullback(qmap.c, _level_zero(qmap.c, turns, ANCHOR_POTENTIAL),
+                                   image, levels):
+            np.minimum(worst, margin.min(axis=0), out=worst)
+        points[lo:hi] = y[-1, first]
+        alive[lo:hi] = (np.minimum.reduceat(worst, first) > 0) & np.isfinite(points[lo:hi])
+        del y, margin  # freed before the next chunk's descent
     points[~alive] = 0.0
     return points, alive
-
-
-def _member_anchors(c, r, den, m, first):
-    """Level 0 of a pullback: for each substep g of the first level, the
-    anchor points at potential 2g of the members r 2^i / den, i < m, of each
-    cycle, in consecutive rows from `first`.  Its index arrays are freed
-    before the descent, which SCREEN_CHUNK_BYTES does not count."""
-    cycle = np.repeat(np.arange(len(m)), m)
-    shift = np.arange(len(cycle)) - first[cycle]
-    # r < 2^m and i < m <= 20, so r 2^i fits int64
-    theta = (r[cycle] << shift) % den[cycle] / den[cycle]
-    return _level_zero(c, theta, ANCHOR_POTENTIAL)
 
 
 def _cycle_count(m: int) -> int:
@@ -652,12 +631,8 @@ def circle_exit_cyclic_order(qmap: QuadraticMap, rays: list[RayTrace],
     order_inf = tuple(sorted(idx, key=lambda i: rays[i].angle.as_fraction()))
     order_circ = tuple(sorted(
         idx, key=lambda i: cmath.phase(truncated[i].exit_point - center) % (2.0 * math.pi)))
-    match = _cyclically_equal(order_inf, order_circ)
+    match = any(order_inf == order_circ[i:] + order_circ[:i] for i in idx)
     return CircleOrderReport(order_at_circle=order_circ,
                              order_at_infinity=order_inf,
                              match=match,
                              truncated=tuple(truncated))
-
-
-def _cyclically_equal(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return len(a) == len(b) and any(a == b[i:] + b[:i] for i in range(len(b)))

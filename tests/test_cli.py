@@ -406,6 +406,37 @@ def test_malformed_or_out_of_range_number_is_a_usage_error(tmp_path, capsys, arg
     assert not (out.exists() and any(out.iterdir()))
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["rays", "--preset", "basilica", "--angles", "1/3"], "g_min", "0"),
+    (["rays", "--preset", "basilica", "--angles", "1/3"], "g_min", "-1"),
+    (["rays", "--preset", "basilica", "--angles", "1/3"], "g_min", "inf"),
+    (["rays", "--preset", "basilica", "--angles", "1/3"], "g_min", "nan"),
+    (["render", "--preset", "basilica", "--layers", "rays", "--angles", "1/3"], "g_min", "0"),
+    (["render", "--preset", "basilica", "--layers", "rays", "--angles", "1/3"], "g_min", "nan"),
+    (["near-point", "--preset", "basilica", "--n", "4"], "delta", "nan"),
+    (["near-point", "--preset", "basilica", "--n", "4"], "r0", "-1"),
+    (["distortion", "--preset", "basilica", "--n", "4"], "r", "0"),
+    (["distortion", "--preset", "basilica", "--n", "4"], "r", "nan"),
+    (["disc-pattern", "--c", "0,0", "--period", "1", "--n", "4"], "C", "0"),
+    (["portrait", "--preset", "basilica", "--period", "2"], "match_tol", "nan"),
+    (["orbits", "--preset", "basilica", "--n", "3"], "newton_tol", "inf"),
+    (["bunches", "--preset", "basilica", "--n", "4"], "delta", "0"),
+    (["bunches", "--preset", "basilica"], "n", "inf"),
+    (["pressure", "--preset", "basilica", "--n", "4"], "t", "0,nan"),
+    (["pressure", "--preset", "basilica", "--n", "4"], "t", "0:inf:1"),
+    (["bryuno", "--terms", "5"], "alpha", "inf"),
+    (["bryuno", "--terms", "5"], "alpha", "1e400"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_non_finite_or_non_positive_float_is_a_usage_error(tmp_path, capsys, argv, key, value):
+    # refused before any work, and with no traceback
+    out = tmp_path / "out"
+    rc = run_command(argv + [f"--{key.replace('_', '-')}", value, "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("usage error:") and "Traceback" not in err, err
+    assert "must be finite" in err or "must be a finite number" in err, err
+    assert not (out.exists() and any(out.iterdir()))
+
+
 @pytest.mark.parametrize("argv, key", [
     (["render", "--preset", "basilica", "--layers", "julia", "--g-min", "1e-3"], "g_min"),
     (["render", "--preset", "basilica", "--layers", "julia", "--angles", "1/3"], "angles"),

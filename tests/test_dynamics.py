@@ -23,20 +23,6 @@ def sorted_leaves(leaves):
     return leaves[np.lexsort((leaves.imag, leaves.real))]
 
 
-def test_evaluate_direct_substitution():
-    assert QuadraticMap(-1.0)(0.0) == -1.0
-    assert QuadraticMap(0.0)(1.0) == 1.0
-    assert QuadraticMap(-1.75)(0.5) == pytest.approx(-1.5)
-
-
-def test_evaluate_rejects_nonfinite():
-    from quadray import QuadrayError
-    with pytest.raises(QuadrayError):
-        QuadraticMap(0.0)(complex(float("inf"), 0.0))
-    with pytest.raises(QuadrayError):
-        QuadraticMap(0.0)(1e200)
-
-
 def test_iterate_angle_doubling_on_circle(squaring):
     z = cmath.exp(2j * math.pi / 7.0)
     # angles double each step; after three doublings 8/7 == 1/7 mod 1
@@ -102,7 +88,7 @@ def test_green_chebyshev_joukowski(chebyshev):
 def test_green_functional_equation(basilica):
     for z in (0.3 + 1.2j, 2.0 - 0.5j, -1.9 + 0.1j):
         g = green_potential(basilica, z)
-        gf = green_potential(basilica, basilica(z))
+        gf = green_potential(basilica, z * z + basilica.c)
         assert abs(gf - 2.0 * g) < 10.0 * DEFAULT_CONFIG.newton_tol
 
 

@@ -6,14 +6,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadray import (DEFAULT_CONFIG, Angle, OrbitPortrait, PortraitError, PrecisionError,
                      QuadraticMap, QuadrayError, angle_period,
                      circle_exit_cyclic_order, classify_portrait,
                      estimate_landing, green_potential, julia_orbits,
-                     periodic_angles, portrait_at_orbit, ray_point, trace_ray,
+                     periodic_angles, portrait_at_orbit, ray_point, trace_ray, trace_rays,
                      validate_formal_portrait)
 from quadray import rays as rays_mod
 from quadray.angles import doubling_orbit
@@ -498,10 +498,11 @@ def test_batch_descent_is_a_batch_of_one_cycle(monkeypatch):
     qmap = QuadraticMap(1j)
     r, den = portrait_candidate_angles(3, 12).T
     chunks = []
-    pullback = rays_mod._pullback_cycles
+    pullback = rays_mod._pullback
     monkeypatch.setattr(rays_mod, "SCREEN_CHUNK_BYTES", 2 ** 18)
-    monkeypatch.setattr(rays_mod, "_pullback_cycles",
-                        lambda c, r, *args: chunks.append(len(r)) or pullback(c, r, *args))
+    # the last row of each cycle, and no other, points back at an earlier row
+    monkeypatch.setattr(rays_mod, "_pullback", lambda c, prev, image, *args: chunks.append(
+        int(np.sum(image <= np.arange(len(image))))) or pullback(c, prev, image, *args))
     points, alive = _batch_landing(qmap, r, den, 40)
     assert len(chunks) > 2 and sum(chunks) == len(r)
     for i in [*range(0, len(r), 5), len(r) - 1]:
@@ -750,6 +751,37 @@ def test_trace_samples_satisfy_the_functional_equation(theta, c, g_min):
     else:
         with pytest.raises(PrecisionError):
             ray_point(qmap, theta, g_min)
+
+
+#: chains of every kind: periodic, preperiodic (5/12), open at any depth
+#: (1/(10^9 + 7)), and at c = 1/2 the rays 0 and 1/2, whose own branches turn
+#: ambiguous, and 1/4 and 1/8, which are cut from a deeper row
+KERNEL_ANGLES = [Angle(1, 3), Angle(11, 63), Angle(5, 12), Angle(1, 10 ** 9 + 7),
+                 Angle(0), Angle(1, 2), Angle(1, 4), Angle(1, 8)]
+DEEP = ANCHOR_POTENTIAL * 2.0 ** -MAX_HALVINGS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(KERNEL_ANGLES), _rational_angles()),
+                min_size=1, max_size=6),
+       st.sampled_from((0.5, -1.0, -1.75, 1j, 0.25)), st.sampled_from((0.3, 1e-4, 1e-8, DEEP)))
+@example(KERNEL_ANGLES, 0.5, DEEP)
+@example(KERNEL_ANGLES[::-1], 0.5, 1e-8)
+@example(KERNEL_ANGLES, -1.0, 1e-8)
+def test_rays_descended_together_match_each_alone(thetas, c, g_min):
+    # one descent of many chains laid end to end gives every ray the points,
+    # cut, samples and status it gets alone, bit for bit
+    qmap = QuadraticMap(c)
+    _, points = rays_mod._rays_samples(qmap.c, thetas, g_min)
+    traces = trace_rays(qmap, thetas, g_min)
+    for theta, pts, trace in zip(thetas, points, traces):
+        assert repr(pts) == repr(rays_mod._ray_samples(qmap, theta, g_min)[1]), theta
+        alone = trace_ray(qmap, theta, g_min)
+        assert trace.angle == theta
+        assert (repr(trace.samples), trace.status) == (repr(alone.samples), alone.status)
+        # 1/8 is cut two levels below 1/2, which is cut above G(0)
+        if c == 0.5 and theta in KERNEL_ANGLES[4:] and g_min < green_potential(qmap, 0j) / 4:
+            assert trace.status == "precision_exhausted", theta
 
 
 @settings(max_examples=60, deadline=None)
