@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import cmath
+import functools
 import json
 import math
 import sys
@@ -576,7 +577,10 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs about 2 ms."""
     parser = argparse.ArgumentParser(
         prog="quadray",
         description="periodic orbits, external rays, portraits and pressure "

@@ -4,30 +4,38 @@ and stability classification.
 The enumeration is Newton-from-seeds on g(z) = f^n(z) - z, never on expanded
 polynomial coefficients (those overflow binary64 past n ~ 12).  Seeds come
 from backward trees, which accumulate on the Julia set: first
-tree(beta, n + 2) (it holds tree(beta, n)), alpha, beta and the critical orbit
-(interior attracting cycles, Siegel boundaries); then, if 2^n roots are not
-yet found, tree(beta, n + 3) and tree(alpha, n + 1).
+tree(-beta, n + 1), alpha, beta and the critical orbit (interior attracting
+cycles, Siegel boundaries); then, if 2^n roots are not yet found,
+tree(beta, n + 3) and tree(alpha, n + 1).  Since f^-1(beta) = {beta, -beta},
+tree(-beta, n + 1) is the half of tree(beta, n + 2) that does not repeat
+tree(beta, n + 1).  That repeated half is the worse one: at c = -2, where
+beta = 2 = f^2(0), every leaf of tree(beta, n + 1) but beta itself is
+precritical, with (f^n)' = 0, and no leaf of tree(-beta, n + 1) is.
 
 Each seed round runs Newton in passes, and the root count is checked after
 each.  The first pass takes FIRST_PASS_STEPS steps and keeps only the seeds
-that settled (their last step fell below 1e-13 (1 + |z|)); on a level with
-simple roots they already account for all 2^n roots, and the count stops the
-enumeration there.  Otherwise a second pass continues the seeds still moving
-for the rest of NEWTON_STEPS.  Newton iterates only the seeds that still
-move.  Unsettled points near super-repelling chains are polished in software
-floating point, one per cluster near a multiple root.
+that settled (their last step fell below 1e-13 (1 + |z|)); if the count is
+still short, a second pass continues the seeds still moving for the rest of
+NEWTON_STEPS.  Newton iterates only the seeds that still move.  Unsettled
+points near super-repelling chains are polished in software floating point,
+one per cluster near a multiple root.  Every pass ends by closing the found
+roots under f, which permutes Fix(f^n): the images with no found root
+nearby are polished by Newton and join the found roots, then their images,
+until none is new.  So the seeds need to reach each cycle once, not each
+root; on the census cells the first pass and its closure already account
+for all 2^n roots.
 
 Within a pass, dedup keeps the first of each close group in (re, im) order,
-solved over the close pairs.  Earlier roots win the merge: a pass's roots
-join the found ones only where no found root lies within dedup_tol, and the
-roots of seeds that never settled join after those of the settled ones, so
-a plausible but unconverged copy never replaces a converged root.
-Parabolic collisions are merged and counted by winding number.  Once the
-count holds, a UserWarning names any two roots within RESOLUTION_MARGIN
-dedup_tol of each other; when it fails, the error names the widest merge.
-Levels whose seed rounds would pass ENUMERATION_BUDGET_BYTES are refused up
-front.  The roots leave enumeration as `IterateRoots`, two aligned arrays:
-the points and their multiplicities.
+solved over the close pairs.  Earlier roots win the merge: the roots of a
+pass or of a closure step join the found ones only where no found root lies
+within dedup_tol, and the roots of seeds that never settled join after
+those of the settled ones, so a plausible but unconverged copy never
+replaces a converged root.  Parabolic collisions are merged and counted by
+winding number.  Once the count holds, a UserWarning names any two roots
+within RESOLUTION_MARGIN dedup_tol of each other; when it fails, the error
+names the widest merge.  Levels whose seed rounds would pass
+ENUMERATION_BUDGET_BYTES are refused up front.  The roots leave enumeration
+as `IterateRoots`, two aligned arrays: the points and their multiplicities.
 
 f maps Fix(f^n) onto itself and so permutes the enumerated points; the
 cycles of that permutation are the periodic orbits, and their lengths the
@@ -35,8 +43,9 @@ minimal periods.  `group_into_orbits` builds it from the points close to
 each image, and raises AmbiguousOrbitError when an image matches no point or
 two, when it is not a bijection, or when its n-th power is not the identity.
 
-Both find close points with `_radius_pairs`, a binary search over the
-points sorted by their projection on a fixed direction.
+Dedup, the closure and grouping find close points with `_radius_pairs`, a
+binary search over the points sorted by their projection on a fixed
+direction.
 """
 
 from __future__ import annotations
@@ -270,9 +279,12 @@ def _radius_pairs(z: np.ndarray, radius: np.ndarray,
         lo = np.arange(1, len(z) + 1)  # sorted positions after each point's own
         hi = np.searchsorted(key, key + reach, side="right")
     else:
+        # a binary search over sorted queries runs several times faster
         at = project(w)
-        lo = np.searchsorted(key, at - reach, side="left")
-        hi = np.searchsorted(key, at + reach, side="right")
+        by_at = np.argsort(at)
+        lo, hi = np.empty_like(by_at), np.empty_like(by_at)
+        lo[by_at] = np.searchsorted(key, at[by_at] - reach, side="left")
+        hi[by_at] = np.searchsorted(key, at[by_at] + reach, side="right")
     count = hi - lo
     total = int(count.sum())
     if total * BYTES_PER_CANDIDATE > ENUMERATION_BUDGET_BYTES:
@@ -347,6 +359,36 @@ def _unseen(found: np.ndarray, new: np.ndarray, tol: float, merges: list) -> np.
     return _dedup(new, tol, merges)
 
 
+def _close_under_f(qmap: QuadraticMap, n: int, found: np.ndarray, cfg: PrecisionConfig,
+                   merges: list) -> np.ndarray:
+    """`found` with the roots its images under f lead to: f permutes Fix(f^n),
+    so one root of a cycle gives the whole cycle.
+
+    An image with no found root within dedup_tol max(1, |f(z)|) is polished
+    by a last Newton pass and joins through `_unseen`, so earlier roots win
+    the merge; then only the new roots' images are followed.  A cycle has at
+    most n points, so n steps reach every point of every cycle met; the
+    steps stop early once nothing is new.  Near a multiple root the images
+    can add copies of it, which `_merge_parabolic` collapses.
+    """
+    new = found
+    for _ in range(n):
+        if not len(new):
+            break
+        image = new * new + qmap.c
+        hit, _ = _radius_pairs(found, cfg.dedup_tol * np.maximum(
+            1.0, np.hypot(image.real, image.imag)), image)
+        image = np.delete(image, hit)
+        if not len(image):
+            break
+        added = []
+        for roots in _newton_roots(qmap, n, image, cfg, NEWTON_STEPS, last=True):
+            added.append(_unseen(found, roots, cfg.dedup_tol, merges))
+            found = np.concatenate([found, added[-1]])
+        new = np.concatenate(added)
+    return found
+
+
 def _winding_multiplicity(qmap: QuadraticMap, n: int, z0: complex,
                           radius: float, samples: int = 512) -> int:
     """Root multiplicity of g_n at z0 as the winding number of g_n around a
@@ -400,12 +442,15 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     """All roots of f^n(z) = z, deduplicated, with multiplicity summing to 2^n,
     as the aligned columns of an IterateRoots.
 
-    Each seed round runs a first Newton pass of FIRST_PASS_STEPS and, only
-    when its settled roots leave the count short of 2^n, a second pass that
-    continues its stragglers for the rest of NEWTON_STEPS.  A pass's roots
-    join the found ones through `_unseen`, those of never-settled seeds
-    last, then the parabolic merge; the count is checked after every pass.
-    A UserWarning names the closest two roots when they lie within
+    Seed round 1 is tree(-beta, n + 1) with alpha, beta and the critical tail;
+    round 2, reached only when round 1 leaves the count short of 2^n, is
+    tree(beta, n + 3) with tree(alpha, n + 1).  Each round runs a first Newton
+    pass of FIRST_PASS_STEPS and, only when the count is still short, a second
+    pass that continues its stragglers for the rest of NEWTON_STEPS.  A pass's
+    roots join the found ones through `_unseen`, those of never-settled seeds
+    last; then `_close_under_f` adds the roots the images of the found ones
+    lead to, and the parabolic merge runs; the count is checked after every
+    pass.  A UserWarning names the closest two roots when they lie within
     RESOLUTION_MARGIN dedup_tol max(1, |z|).
 
     Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
@@ -425,9 +470,10 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
         return preimage_tree(qmap, base, depth)[0]
 
     rounds = [
-        lambda: np.concatenate([tree(fp.beta, n + 2), [fp.alpha, fp.beta],
+        lambda: np.concatenate([tree(-fp.beta, n + 1), [fp.alpha, fp.beta],
                                 _critical_orbit_tail(qmap)]),
-        # needed: round 1 alone finds 1,023 of 1,024 roots at c = -1.99, n = 10 (criterion 2)
+        # a fallback: round 1, closed under f, completes every level tried
+        # (c = -2 under tight tolerances fails at n = 14 with or without it)
         lambda: np.concatenate([tree(fp.beta, n + 3), tree(fp.alpha, n + 1)]),
     ]
 
@@ -443,6 +489,7 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     for groups in passes():
         for roots in groups:
             found = np.concatenate([found, _unseen(found, roots, cfg.dedup_tol, merges)])
+        found = _close_under_f(qmap, n, found, cfg, merges)
         found, mult = _merge_parabolic(qmap, n, found, cfg)
         if int(mult.sum()) == 2 ** n:
             _warn_unresolved(found, n, cfg)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,24 @@ def test_orbits_command(tmp_path):
 def test_usage_error_missing_map(tmp_path):
     rc = run_command(["orbits", "--n", "4", "--output-dir", str(tmp_path)])
     assert rc == 2
+
+
+def test_parser_reused_after_a_usage_error(tmp_path, capsys):
+    # the parser is built once per process: after an argparse usage error and
+    # --help, a good command writes what it writes in a fresh process
+    argv = ["orbits", "--c", "-1,0", "--n", "5", "--output-dir"]
+    assert run_command(["orbits", "--no-such-flag", "1"]) == 2
+    assert run_command(["orbits", "--help"]) == 0
+    assert run_command(argv + [str(tmp_path / "reused")]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "quadray.cli", *argv, str(tmp_path / "fresh")],
+                   env=env, check=True)
+    assert hashes(tmp_path / "reused") == hashes(tmp_path / "fresh")
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --no-such-flag 1" in err
+    assert out.startswith("usage: quadray orbits")
 
 
 def test_domain_error_exit_code(tmp_path):
