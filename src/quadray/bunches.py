@@ -10,33 +10,34 @@ threshold r, with the largest connected component of the graph
 
 Only the pairs with rho_n < r are ever computed in full.  Each orbit is
 rotated to its anchor, the point of least real part, and each cyclic
-rotation of an orbit is a vector in R^(2n) (real and imaginary parts).  A
-KD-tree holds only the rotations whose base point lies within 2r of their
-orbit's least real part; every aligned pair with rho_n < r passes through
-one of them (the proof is in _close_pairs).  Since max(|Re w|, |Im w|) <=
-|w|, the L-infinity distance between an anchored orbit and a rotation never
-exceeds the sup distance at that alignment, so a KD-tree query for
-L-infinity distance <= r returns every (orbit, orbit, shift) triple with
-rho_n < r, and usually few others; rho_n is then evaluated exactly on those
-candidates only.  A sweep over several thresholds (bunch_sweep) searches
-once, at the largest, and each threshold keeps the pairs below it.
+rotation of an orbit is a vector in R^(2n) (real and imaginary parts).  Only
+the rotations whose base point lies within 2r of their orbit's least real
+part are searched; every aligned pair with rho_n < r passes through one of
+them.  Since max(|Re w|, |Im w|) <= |w|, such a pair differs by less than r
+in each of the 2n coordinates.  So each anchored orbit takes as candidates
+the rotations within r of it in one coordinate, read off that coordinate's
+sorted order (the coordinate that admits the fewest), drops those that
+differ by r or more in any coordinate, and evaluates rho_n exactly on the
+rest (the proofs are in _close_pairs).  A sweep over several thresholds
+(bunch_sweep) searches once, at the largest, and each threshold keeps the
+pairs below it; the components of {rho_n < r} come from label propagation
+over those pairs.
 
 Complete linkage merges two clusters at the largest distance between their
 members, so every cluster below the cut is pairwise closer than r and lies
 inside one connected component of {rho_n < r}.  Components therefore never
 merge below the cut, and clustering each component on its own (with the
 same distances, in the same index order) gives the clusters of clustering
-all orbits at once.
+all orbits at once.  The linkage is scipy's nearest-neighbour chain, ported
+with its tie rule, so that tied distances (the self-conjugate orbits of a
+real c make many) merge as scipy merges them.
 
-scipy (linkage, sparse components, the KD-tree) loads on first use, so
-importing the package stays cheap: the first clustering in a process pays
-for it.  The scipy functions then live on as module attributes
-(`bunches.linkage`, `bunches.fcluster`, ...), which can be patched.
+Everything here runs on numpy; only distortion_ratio imports scipy, for
+the scipy.stats.qmc sampler, on its first call.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 
@@ -51,11 +52,12 @@ MODE_BMS = "BMS"
 
 DISTORTION_SAMPLE_PAIRS = 2048
 
-#: Peak bytes per point held by _close_pairs: its rows anchored rotations,
-#: the K anchored orbits and the doubled copy of all K orbits, (rows + 3 K) n
-#: points.  tracemalloc measures 1.1-1.4 complex numbers per point at the
-#: peak of the search (n = 8..14, delta = 0.02..0.3); two bound it.
-BYTES_PER_ROTATION_ENTRY = 2 * 16
+#: Peak bytes per point held by _close_pairs before its candidates: the
+#: doubled copy of the K orbits, the K anchored ones and the rows searched
+#: while they are built, then the K anchored orbits and the rows searched,
+#: each as complex numbers and as coordinates, and each coordinate's sort
+#: order: at most (3 rows + 3 K) n points of 16 bytes.
+BYTES_PER_ROTATION_ENTRY = 16
 #: a rotation enters the close-pair search when its base point's real part
 #: exceeds its orbit's least one by at most 2 r ANCHOR_SLACK; the slack
 #: covers rounding (see _close_pairs)
@@ -64,35 +66,24 @@ ANCHOR_SLACK = 1.0 + 2.0 ** -40
 #: 2^n / n: searches that would pass this many bytes are refused before any
 #: is built.
 CLUSTER_BUDGET_BYTES = 2 ** 31
-#: rho_n is evaluated over the candidate triples of _close_pairs in chunks of
-#: this many bytes of gathered points, however many candidates there are.
-CHUNK_BYTES = 2 ** 20
+#: _close_pairs gathers and filters its candidates in chunks of this many,
+#: however many there are
+CHUNK_CANDIDATES = 2 ** 15
+#: Peak bytes per candidate of a chunk: its query, row and sort position,
+#: then its coordinate differences; tracemalloc measures about 47 (n = 8..14,
+#: delta = 0.02..0.3); eight doubles bound it.
+BYTES_PER_CANDIDATE = 8 * 8
+#: Bytes of array headers and small temporaries, which outweigh the rest
+#: of a search over a few dozen orbits
+BYTES_PER_SEARCH = 2 ** 14
+#: Peak bytes per (orbit, orbit, shift) triple found: its (a, b, rho) in the
+#: chunk's list and in their concatenation, the sort order and the sorted
+#: copies, seven doubles.
+BYTES_PER_TRIPLE = 7 * 8
 #: Peak bytes per entry of a component's K x K rho_n matrix: tracemalloc
 #: measures 41 bytes per entry while the matrix is built, linked and
 #: certified (K = 335, n = 12); six doubles bound it.
 BYTES_PER_DISTANCE_ENTRY = 6 * 8
-
-#: where each scipy name used here is imported from, on first use
-_SCIPY = {"linkage": "scipy.cluster.hierarchy", "fcluster": "scipy.cluster.hierarchy",
-          "coo_matrix": "scipy.sparse", "connected_components": "scipy.sparse.csgraph",
-          "cKDTree": "scipy.spatial"}
-
-
-def __getattr__(name: str):
-    """Import a scipy name of _SCIPY on first access and bind it here, so
-    later lookups (and patches) go through the module globals."""
-    if name not in _SCIPY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_SCIPY[name]), name)
-    globals()[name] = value
-    return value
-
-
-def _scipy(name: str):
-    """The scipy function `name` as this module binds it now, patched or
-    not; imported on first use."""
-    return globals()[name] if name in globals() else __getattr__(name)
-
 
 @dataclass(frozen=True)
 class BunchReport:
@@ -230,24 +221,33 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     threshold, each pair once, sorted by (a, b).
 
     A is the (K, n) array of orbit points.  Each orbit y is queried once,
-    rotated to its anchor m (a point of least real part), against a KD-tree
-    of the rotations of _anchor_mask only; rho_n is then computed exactly for
-    the candidates, in chunks of CHUNK_BYTES of gathered points.
+    rotated to its anchor m (a point of least real part), against the
+    rotations of _anchor_mask only.  Of its 2n real coordinates, the query
+    takes the one whose window, the rows within r = threshold of it in that
+    coordinate's sorted order, holds the fewest rows.  The windows are
+    counted, and checked against CLUSTER_BUDGET_BYTES, before any is
+    gathered; then, in chunks, candidates differing by r or more in some
+    coordinate are dropped and rho_n is computed exactly for the rest.
 
-    No pair is lost.  Let rho_n(x, y) < r = threshold at shift s, that is
-    |x_(s+i) - y_i| < r for all i.  The tree row that meets anchored y is
-    x rotated by s + m, with base point x_(s+m).  Floating point first: the
-    computed |w| is a faithful rounding of hypot(Re w, Im w) >= |Re w|, a
-    float, so it is >= |Re w|; and Re w = fl(Re x - Re y) is within a factor
-    1 + u of the exact difference (u = 2^-53).  So every aligned pair has
-    |Re x - Re y| < r / (1 - u) exactly.  With k a point of least real part
-    of x, min Re y <= Re y_(k-s) < min Re x + r / (1 - u), and then
-    Re x_(s+m) < Re y_m + r / (1 - u) < min Re x + 2 r / (1 - u).  The mask
-    computes fl(Re x_(s+m) - min Re x) <= (Re x_(s+m) - min Re x)(1 + u)
-    < 2 r (1 + u) / (1 - u), and compares it with fl(2 r ANCHOR_SLACK) >=
-    2 r (1 + 2^-40)(1 - u), which is larger.  So that rotation is in the
-    tree, and the KD-tree returns it, as its L-infinity distance to anchored
-    y is max |Re w|, |Im w| < r.
+    No pair is lost.  Let rho_n(x, y) < r at shift s, that is |x_(s+i) -
+    y_i| < r for all i.  The row that meets anchored y is x rotated by s + m,
+    with base point x_(s+m).  Floating point first: the computed |w| is a
+    faithful rounding of hypot(Re w, Im w) >= |Re w|, a float, so it is >=
+    |Re w|, and likewise >= |Im w|; Re w = fl(Re x - Re y) is what the
+    coordinate filter computes, so the filter keeps the row.  Re w is also
+    within a factor 1 + u of the exact difference (u = 2^-53), so every
+    aligned pair has |Re x - Re y| < r / (1 - u) exactly.  With k a point of
+    least real part of x, min Re y <= Re y_(k-s) < min Re x + r / (1 - u),
+    and then Re x_(s+m) < Re y_m + r / (1 - u) < min Re x + 2 r / (1 - u).
+    The mask computes fl(Re x_(s+m) - min Re x) <= (Re x_(s+m) - min Re x)(1
+    + u) < 2 r (1 + u) / (1 - u), and compares it with fl(2 r ANCHOR_SLACK)
+    >= 2 r (1 + 2^-40)(1 - u), which is larger.  So that row is searched.
+    Last, the window holds it: in each coordinate, with x and q the row's and
+    the query's values, fl(x - q) < r implies x - q < r exactly, since
+    rounding is monotone and r is a float, and then x <= fl(q + r) by
+    monotone rounding again; likewise fl(x - q) > -r gives x >= fl(q - r).
+    The window runs from the first row >= fl(q - r) (side "left") to the
+    last row <= fl(q + r) (side "right").
     """
     K, n = A.shape
     mask = _anchor_mask(A, threshold)
@@ -258,41 +258,71 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     anchored = rotations[np.arange(K), np.argmin(A.real, axis=1)]
     rotated = rotations[mask]
     del rotations
-
-    def tree(Z):
-        # interleaved (Re, Im) coordinates, which the L-infinity metric does
-        # not mind; the tree keeps the view, so no copy is made.  At n = 14
-        # (28 dimensions) leaves of 64 query 1.5-3x faster than the default 16
-        return _scipy("cKDTree")(Z.view(float), leafsize=64)
-
-    cand = tree(anchored).sparse_distance_matrix(tree(rotated), threshold, p=np.inf,
-                                                 output_type="ndarray")
-    b, j = cand["i"].astype(np.intp), cand["j"].astype(np.intp)
-    del cand
-    a = owner[j]
-    other = a != b  # every orbit meets its own anchor row
-    a, b, j = a[other], b[other], j[other]
-    rho = np.empty(len(j))
-    step = max(1, CHUNK_BYTES // (16 * n))
-    for lo in range(0, len(j), step):
-        part = slice(lo, lo + step)
-        gap = rotated[j[part]]
-        gap -= anchored[b[part]]
-        rho[part] = np.abs(gap).max(axis=1)
-    keep = rho < threshold
-    a, b, rho = a[keep], b[keep], rho[keep]
+    # the 2n interleaved (Re, Im) coordinates, one contiguous row each:
+    # Q[d, b] of anchored orbit b, X[d, j] of searched row j
+    Q, X = anchored.view(float).T.copy(), rotated.view(float).T.copy()
+    rows = X.shape[1]
+    order = np.empty((2 * n, rows), dtype=np.intp)  # each coordinate's sort
+    axis = np.zeros(K, dtype=np.intp)  # the query's window coordinate,
+    lo = np.zeros(K, dtype=np.intp)    # its window's first sorted position
+    count = np.full(K, rows)           # and length
+    admitted = np.empty(2 * n)         # all windows of each coordinate
+    for d in range(2 * n):
+        order[d] = np.argsort(X[d], kind="stable")
+        ranked = X[d, order[d]]
+        left = np.searchsorted(ranked, Q[d] - threshold, side="left")
+        size = np.maximum(np.searchsorted(ranked, Q[d] + threshold, side="right") - left, 0)
+        fewer = size < count
+        axis[fewer], lo[fewer], count[fewer] = d, left[fewer], size[fewer]
+        admitted[d] = size.sum()
+    total = int(count.sum())
+    _check_budget(close_pair_bytes(K, n, rows, total),
+                  f"the close-pair search over {total} candidates")
+    ends = np.cumsum(count)
+    # candidate t (counted over all queries) of query b is row
+    # order.flat[t + base[b]]
+    base = axis * rows + lo - (ends - count)
+    found = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
+    kept = 0
+    for start in range(0, total, CHUNK_CANDIDATES):
+        stop = min(start + CHUNK_CANDIDATES, total)
+        q = slice(np.searchsorted(ends, start, side="right"),
+                  np.searchsorted(ends, stop - 1, side="right") + 1)
+        span = np.minimum(ends[q], stop) - np.maximum(ends[q] - count[q], start)
+        b = np.repeat(np.arange(q.start, q.stop), span)
+        j = np.repeat(base[q], span)
+        j += np.arange(start, stop)
+        j = order.take(j)
+        for d in np.argsort(admitted, kind="stable"):  # the most selective first
+            near = np.abs(X[d].take(j) - Q[d].take(b)) < threshold
+            b, j = b[near], j[near]
+        rho = np.zeros(len(j))
+        for i in range(n):
+            np.maximum(rho, np.abs(rotated[j, i] - anchored[b, i]), out=rho)
+        a = owner[j]
+        keep = (rho < threshold) & (a != b)  # every orbit meets its own anchor row
+        found.append((a[keep], b[keep], rho[keep]))
+        kept += len(found[-1][0])
+        _check_budget(close_pair_bytes(K, n, rows, total, kept),
+                      f"the close-pair search with {kept} close triples")
+    del Q, X, anchored, rotated, order
+    a, b, rho = (np.concatenate(col) for col in zip(*found))
+    del found
     # a pair found at several shifts keeps the least rho, which is rho_n
-    order = np.lexsort((rho, b, a))
-    a, b, rho = a[order], b[order], rho[order]
+    by_pair = np.lexsort((rho, b, a))
+    a, b, rho = a[by_pair], b[by_pair], rho[by_pair]
     first = np.ones(len(a), dtype=bool)
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     return a[first], b[first], rho[first]
 
 
-def close_pair_bytes(K: int, n: int, rows: int) -> int:
+def close_pair_bytes(K: int, n: int, rows: int, candidates: int = 0, found: int = 0) -> int:
     """Peak bytes of the close-pair search over K orbits of period n, of
-    which `rows` rotations are searched (the count of _anchor_mask)."""
-    return BYTES_PER_ROTATION_ENTRY * (rows + 3 * K) * n
+    which `rows` rotations are searched (the count of _anchor_mask), whose
+    windows hold `candidates` rows in all, once `found` (orbit, orbit,
+    shift) triples have passed."""
+    return (BYTES_PER_SEARCH + BYTES_PER_ROTATION_ENTRY * (3 * rows + 3 * K) * n
+            + BYTES_PER_CANDIDATE * min(candidates, CHUNK_CANDIDATES) + BYTES_PER_TRIPLE * found)
 
 
 def distance_matrix_bytes(k: int) -> int:
@@ -301,22 +331,83 @@ def distance_matrix_bytes(k: int) -> int:
     return BYTES_PER_DISTANCE_ENTRY * k * k
 
 
+def _check_budget(need: int, what: str) -> None:
+    """Raise QuadrayError when `what` needs more than CLUSTER_BUDGET_BYTES."""
+    if need > CLUSTER_BUDGET_BYTES:
+        raise QuadrayError(f"{what}: about {need / 2 ** 30:.1f} GiB, over the "
+                           f"{CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+
+
+def _components(K: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the undirected graph on K vertices with
+    edges (a[i], b[i]), numbered 0, 1, ... in order of their least vertex.
+
+    Each vertex holds the least vertex it has heard of: a round passes
+    labels along every edge, then jumps each label to its label's label.
+    Labels only fall and stay inside the component, so the fixed point is
+    each component's least vertex."""
+    label = np.arange(K)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        np.minimum.at(low, b, label[a])
+        low = low[low]
+        if np.array_equal(low, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = low
+
+
+def _complete_linkage(D: np.ndarray, cut: float) -> np.ndarray:
+    """Flat cluster labels of complete linkage over the symmetric distance
+    matrix D, joining the merges of height <= cut: the partition
+    scipy.cluster.hierarchy gives as fcluster(linkage(condensed D,
+    "complete"), cut, "distance").
+
+    A port of scipy's nearest-neighbour chain.  The chain grows from the
+    least live cluster; its top x steps to its nearest live cluster y, the
+    lowest index among equals, unless none is strictly nearer than the
+    element below x, which is then y.  Mutual neighbours merge: the lower
+    index dies, the higher takes the union, and the union's distance to each
+    cluster i is max(D[x, i], D[y, i]).  Complete linkage never merges below
+    a child merge's height, so joining the merges of height <= cut in any
+    order gives fcluster's clusters."""
+    k = len(D)
+    D = np.array(D, dtype=float)
+    np.fill_diagonal(D, np.inf)  # and a dead cluster's row and column
+    live = np.ones(k, dtype=bool)
+    label = np.arange(k)
+    chain = []
+    for _ in range(k - 1):
+        if not chain:
+            chain.append(int(np.argmax(live)))
+        while True:
+            x = chain[-1]
+            y = int(np.argmin(D[x]))
+            if len(chain) > 1 and not D[x, y] < D[x, chain[-2]]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        if D[x, y] <= cut:
+            label[label == label[x]] = label[y]
+        D[y] = D[:, y] = np.maximum(D[x], D[y])
+        D[x] = D[:, x] = np.inf
+        live[x] = False
+    return label
+
+
 def _clusters(A: np.ndarray, comp_labels: np.ndarray,
               threshold: float) -> tuple[tuple[int, ...], ...]:
     """Complete-linkage clusters cut strictly below threshold, component by
     component, each re-certified pairwise; largest first."""
     cut = np.nextafter(threshold, 0.0)  # strict rho_n < threshold
-    groups = []
-    linkage, fcluster = _scipy("linkage"), _scipy("fcluster")
-    order = np.argsort(comp_labels, kind="stable")
-    for members in np.split(order, np.cumsum(np.bincount(comp_labels))[:-1]):
-        if len(members) == 1:
-            groups.append(members.tolist())
-            continue
+    sizes = np.bincount(comp_labels)
+    groups = [[i] for i in np.flatnonzero(sizes[comp_labels] == 1).tolist()]
+    for label in np.flatnonzero(sizes > 1):
+        members = np.flatnonzero(comp_labels == label)
         D = _orbit_distance_matrix(A[members])
-        condensed = D[np.triu_indices(len(members), 1)]
-        labels = fcluster(linkage(condensed, method="complete"), t=cut,
-                          criterion="distance")
+        labels = _complete_linkage(D, cut)
         for lab in np.unique(labels):
             local = np.flatnonzero(labels == lab)
             if not (D[np.ix_(local, local)] < threshold).all():
@@ -340,9 +431,10 @@ def bunch_sweep(orbits: list[PeriodicOrbit], mode: str, params: list[float],
     search at the largest threshold serves every param.  Every emitted
     cluster is re-certified pairwise; a violation means the clustering step
     is buggy and raises.  Raises QuadrayError when close_pair_bytes of the
-    anchored rotations exceeds CLUSTER_BUDGET_BYTES, before the search, and
-    when distance_matrix_bytes of the largest component at any param does,
-    before any distance matrix is built.
+    anchored rotations exceeds CLUSTER_BUDGET_BYTES, before the search; when
+    it does with the search's candidates, before they are gathered; and when
+    distance_matrix_bytes of the largest component at any param does, before
+    any distance matrix is built.
     """
     if mode not in (MODE_H, MODE_BMS):
         raise ValueError("mode must be 'H' or 'BMS'")
@@ -358,23 +450,13 @@ def bunch_sweep(orbits: list[PeriodicOrbit], mode: str, params: list[float],
     K = len(orbits)
     widest = max(thresholds)
     rows = int(_anchor_mask(A, widest).sum())
-    if close_pair_bytes(K, n, rows) > CLUSTER_BUDGET_BYTES:
-        raise QuadrayError(
-            f"{K} orbits of period {n} need about {close_pair_bytes(K, n, rows) / 2 ** 30:.1f} GiB "
-            f"for the close-pair search, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+    _check_budget(close_pair_bytes(K, n, rows),
+                  f"the close-pair search over {K} orbits of period {n}")
     a, b, rho = _close_pairs(A, widest)
-    comp_labels = []
-    for t in thresholds:
-        near = rho < t
-        graph = _scipy("coo_matrix")((np.ones(near.sum(), dtype=bool), (a[near], b[near])),
-                                     shape=(K, K))
-        comp_labels.append(_scipy("connected_components")(graph, directed=False)[1])
+    comp_labels = [_components(K, a[rho < t], b[rho < t]) for t in thresholds]
     comp_max = [int(np.bincount(labels).max()) for labels in comp_labels]
-    if distance_matrix_bytes(max(comp_max)) > CLUSTER_BUDGET_BYTES:
-        raise QuadrayError(
-            f"a component of {max(comp_max)} orbits needs about "
-            f"{distance_matrix_bytes(max(comp_max)) / 2 ** 30:.1f} GiB for its distance "
-            f"matrix, over the {CLUSTER_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+    _check_budget(distance_matrix_bytes(max(comp_max)),
+                  f"the distance matrix of a component of {max(comp_max)} orbits")
     reports = []
     for t, bound, labels, cmax in zip(thresholds, bounds, comp_labels, comp_max):
         clusters = _clusters(A, labels, t)

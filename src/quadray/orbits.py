@@ -319,7 +319,7 @@ def _dedup(points: np.ndarray, tol: float, merges: list | None = None) -> np.nda
     """
     if len(points) == 0:
         return points
-    pts = points[np.lexsort((points.imag, points.real))]
+    pts = points[np.argsort(points, kind="stable")]
     pts = pts[np.concatenate([[True], pts[1:] != pts[:-1]])]
     # np.hypot rounds |z| as Python's abs does; np.abs can differ by an ulp
     i, j = _radius_pairs(pts, tol * np.maximum(1.0, np.hypot(pts.real, pts.imag)))
@@ -556,7 +556,7 @@ def group_into_orbits(roots: IterateRoots, qmap: QuadraticMap, n: int,
     of 2 z along it.  Cycle lengths and heads come from n vectorized steps of
     pi in O(N) memory, so Python loops once per orbit, not once per point.
     """
-    order = np.lexsort((roots.z.imag, roots.z.real))
+    order = np.argsort(roots.z, kind="stable")
     z, mult = roots.z[order], roots.multiplicity[order]
     image = z * z + qmap.c
     # Multiple roots carry the ~sqrt(eps) accuracy floor of a collapsed

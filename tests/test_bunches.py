@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -146,14 +147,19 @@ def test_cluster_certificate_rejects_faulty_linkage(squaring, monkeypatch):
     # step that lumps each component into one cluster must be caught
     orbits = julia_orbits(squaring, 8)
     assert bunch_sweep(orbits, "BMS", [1.95])[0].component_max == 30
-    monkeypatch.setattr(bunches, "fcluster",
-                        lambda Z, t, criterion: np.ones(len(Z) + 1, dtype=int))
+    monkeypatch.setattr(bunches, "_complete_linkage",
+                        lambda D, cut: np.zeros(len(D), dtype=int))
     with pytest.raises(QuadrayError, match="pairwise certificate"):
         bunch_sweep(orbits, "BMS", [1.95])[0]
 
 
-def test_close_pair_bytes_bounds_the_search(basilica):
-    # the search as bunch_sweep runs it, measured with tracemalloc
+def test_close_pair_bytes_bounds_the_search(basilica, monkeypatch):
+    # the search as bunch_sweep runs it, measured with tracemalloc, against
+    # the bound it last checked: its candidates and the triples it found
+    checked = []
+    close_pair_bytes = bunches.close_pair_bytes
+    monkeypatch.setattr(bunches, "close_pair_bytes",
+                        lambda *args: checked.append(args) or close_pair_bytes(*args))
     for n in (10, 12):
         orbits = julia_orbits(basilica, n)
         tracemalloc.start()
@@ -164,7 +170,8 @@ def test_close_pair_bytes_bounds_the_search(basilica):
         finally:
             tracemalloc.stop()
         rows = int(bunches._anchor_mask(A, math.exp(-0.1 * n)).sum())
-        bound = bunches.close_pair_bytes(len(orbits), n, rows)
+        assert checked[-1][:3] == (len(orbits), n, rows)
+        bound = close_pair_bytes(*checked[-1])
         assert 0.5 * bound <= peak <= bound, (n, peak, bound)
     # every level the enumeration budget admits (n <= 20) fits: fewer than
     # 2^20 / 20 orbits of minimal period 20, with all their rotations searched
@@ -299,19 +306,74 @@ def test_bunches_command_searches_once_per_level(tmp_path, monkeypatch):
 
 
 def test_distance_matrix_budget_refuses_before_building(squaring, monkeypatch):
-    # at r = 2.5 the K = 186 orbits of z^2 at n = 11 form one component,
-    # whose 186 x 186 matrix outweighs the close-pair search
+    # at r = 2.5 the K = 186 orbits of z^2 at n = 11 form one component; the
+    # close-pair search is let through, and the component's 186 x 186 matrix
+    # is refused before it is built
     orbits = julia_orbits(squaring, 11)
     K = len(orbits)
-    assert bunches.distance_matrix_bytes(K) > bunches.close_pair_bytes(K, 11, K * 11)
 
     def build(*_):
         raise AssertionError("distance matrix built past the budget")
 
     monkeypatch.setattr(bunches, "_orbit_distance_matrix", build)
+    monkeypatch.setattr(bunches, "close_pair_bytes", lambda *_: 0)
     monkeypatch.setattr(bunches, "CLUSTER_BUDGET_BYTES", bunches.distance_matrix_bytes(K) - 1)
-    with pytest.raises(QuadrayError, match="budget"):
+    with pytest.raises(QuadrayError, match="distance matrix .* budget"):
         bunch_sweep(orbits, "BMS", [2.5])[0]
+
+
+@st.composite
+def distance_matrices(draw):
+    """A symmetric k x k matrix with zero diagonal whose entries come from a
+    few levels (many ties, as the self-conjugate orbits of a real c give)
+    or from anywhere in [0, 4]."""
+    k = draw(st.integers(2, 14))
+    anywhere = st.floats(0.0, 4.0)
+    entry = draw(st.sampled_from([st.sampled_from(draw(st.lists(anywhere, min_size=1, max_size=3))),
+                                  anywhere]))
+    D = np.zeros((k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        D[i, j] = D[j, i] = draw(entry)
+    return D
+
+
+def _partition(labels):
+    """The clusters of a label array, as sorted index tuples."""
+    return sorted(tuple(np.flatnonzero(labels == lab).tolist()) for lab in np.unique(labels))
+
+
+@settings(max_examples=400, deadline=None)
+@given(distance_matrices(), st.data())
+def test_linkage_and_components_match_scipy(D, data):
+    # scipy serves as the oracle only: the tie rule of its nearest-neighbour
+    # chain decides which of several equally near clusters merge
+    k = len(D)
+    condensed = D[np.triu_indices(k, 1)]
+    cut = data.draw(st.sampled_from(condensed.tolist()) | st.floats(0.0, 4.0))
+    cut = data.draw(st.sampled_from([cut, np.nextafter(cut, 0.0), np.nextafter(cut, 5.0)]))
+    assert _partition(bunches._complete_linkage(D, cut)) == \
+        _partition(fcluster(linkage(condensed, method="complete"), t=cut, criterion="distance"))
+    a, b = np.nonzero((D < cut) & ~np.eye(k, dtype=bool))
+    want = connected_components(D < cut, directed=False)[1]
+    assert np.array_equal(bunches._components(k, a, b), want)
+    # one direction of each edge suffices
+    assert np.array_equal(bunches._components(k, a[a < b], b[a < b]), want)
+
+
+#: sha256 of bunches.json from the two bunch-sweep jobs of the benchmark
+#: (bench/workloads.py, seed 0): n = 14, delta = 0.1, 0.2, 0.3
+BENCH_BUNCHES = [
+    (["--c", "-1.0,0.0"], "3a796cce43cd1cccc4dd09358c3a3c42b2d3f81da8604b92d2381a6fdeffcabb"),
+    (["--c", "-1.749,0.0", "--newton-tol", "1e-12", "--dedup-tol", "2e-11"],
+     "3f1cbc46bfeee23f429777cad3311a5fe8607300f52283c191398c568035de0f"),
+]
+
+
+@pytest.mark.parametrize("cargs, digest", BENCH_BUNCHES, ids=["c=-1", "c=-1.749"])
+def test_bench_bunches_output_is_pinned(tmp_path, cargs, digest):
+    assert run_command(["bunches", "--n", "14", "--delta", "0.1,0.2,0.3", *cargs,
+                        "--output-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "bunches.json").read_bytes()).hexdigest() == digest
 
 
 def test_bunches_bms_mode(squaring):

@@ -135,11 +135,11 @@ def test_every_export_is_reached():
 
 
 # Importing the package, and the orbits, pressure, portrait, render,
-# near-point and disc-pattern commands, load numpy and nothing heavier: the
-# orbit-set counts run on numpy arrays alone.  scipy takes 0.5-1 s to import
-# and mpmath about 0.1 s.  scipy loads when bunches first clusters, and
-# scipy.stats (with the scipy.optimize it pulls in) only for the sampler of
-# distortion_ratio.
+# near-point, disc-pattern and bunches commands, load numpy and nothing
+# heavier: the orbit-set counts, the close-pair search, the components and
+# the linkage run on numpy arrays alone.  scipy takes 0.5-1 s to import and
+# mpmath about 0.1 s.  scipy.stats (with the scipy.optimize it pulls in)
+# loads only for the sampler of distortion_ratio.
 _LOADED = """
 import sys
 import quadray, quadray.cli
@@ -177,6 +177,5 @@ def test_startup_defers_scipy_stats(tmp_path):
     assert at_import == [], f"import quadray, quadray.cli loads {at_import}"
     assert after_commands == [], (
         f"orbits, pressure, portrait, render, near-point and disc-pattern load {after_commands}")
-    assert "scipy.cluster.hierarchy" in after_bunches
-    assert "scipy.stats" not in after_bunches
+    assert after_bunches == [], f"bunches loads {after_bunches}"
     assert "scipy.stats" in after_distortion

@@ -577,6 +577,17 @@ def test_first_round_completes_near_chebyshev(c, n, cfg, monkeypatch):
     assert len(trees) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3.0, 3.0),
+                          st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3.0, 3.0)),
+                max_size=60))
+def test_complex_argsort_orders_as_lexsort(parts):
+    # _dedup and group_into_orbits order points by (real, imag) with one
+    # stable complex argsort; duplicates and signed zeros keep lexsort's order
+    z = np.array([complex(re, im) for re, im in parts], dtype=complex)
+    assert np.array_equal(np.argsort(z, kind="stable"), np.lexsort((z.imag, z.real)))
+
+
 def _sweep_dedup(points, tol):
     """Reference dedup: sweep the (re, im) sorted list and keep a point unless
     a kept one lies within tol * max(1, |z|) of it."""
