@@ -50,6 +50,9 @@ PRESETS = {
     "golden_siegel": _golden_lambda / 2.0 - _golden_lambda ** 2 / 4.0,
 }
 
+#: Most values of a start:stop:step grid; also stops one whose v += step never moves v.
+MAX_GRID = 10_000
+
 COMMANDS = ("orbits", "rays", "portrait", "pressure", "bunches",
             "near-point", "disc-pattern", "distortion", "bryuno", "render")
 
@@ -90,6 +93,8 @@ def parse_grid(text: str) -> list[float]:
         out = []
         v = start
         while v <= stop + step / 2.0:
+            if len(out) == MAX_GRID:
+                raise UsageError(f"grid {text!r} has more than {MAX_GRID} values")
             out.append(round(v, 12))
             v += step
         return out
@@ -231,9 +236,11 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
 
     if config_path:
         cp = configparser.ConfigParser()
-        read = cp.read(config_path)
-        if not read:
-            raise UsageError(f"config file not found: {config_path}")
+        try:
+            if not cp.read(config_path):
+                raise UsageError(f"config file not found: {config_path}")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise UsageError(f"unreadable config file {config_path}: {exc}") from exc
         for section in ("quadray", command):
             if cp.has_section(section):
                 for key, value in cp.items(section):
@@ -243,7 +250,12 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
                     params[key] = _convert(command, key, value)
 
     if manifest_path:
-        doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise UsageError(f"unreadable manifest {manifest_path}: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+            raise UsageError(f"manifest {manifest_path} is not an object with a params object")
         if doc.get("command") != command:
             raise UsageError(
                 f"manifest records command {doc.get('command')!r}, not {command!r}")

@@ -2,17 +2,16 @@
 and stability classification.
 
 The enumeration is Newton-from-seeds on g(z) = f^n(z) - z, never on expanded
-polynomial coefficients (those overflow binary64 past n ~ 12).  Seeds come
-from backward trees, which accumulate on the Julia set: first
-tree(-beta, n + 1), alpha, beta and the critical orbit (interior attracting
-cycles, Siegel boundaries); then, if 2^n roots are not yet found,
-tree(beta, n + 3) and tree(alpha, n + 1).  Since f^-1(beta) = {beta, -beta},
-tree(-beta, n + 1) is the half of tree(beta, n + 2) that does not repeat
-tree(beta, n + 1).  That repeated half is the worse one: at c = -2, where
-beta = 2 = f^2(0), every leaf of tree(beta, n + 1) but beta itself is
-precritical, with (f^n)' = 0, and no leaf of tree(-beta, n + 1) is.
+polynomial coefficients (those overflow binary64 past n ~ 12).  The seeds
+are one set: tree(-beta, n + 1), alpha, beta and the critical orbit
+(interior attracting cycles, Siegel boundaries).  Backward trees accumulate
+on the Julia set, and since f^-1(beta) = {beta, -beta}, tree(-beta, n + 1) is
+the half of tree(beta, n + 2) that does not repeat tree(beta, n + 1).  That
+repeated half is the worse one: at c = -2, where beta = 2 = f^2(0), every
+leaf of tree(beta, n + 1) but beta itself is precritical, with (f^n)' = 0,
+and no leaf of tree(-beta, n + 1) is.
 
-Each seed round runs Newton in passes, and the root count is checked after
+Newton runs on the seeds in two passes, and the root count is checked after
 each.  The first pass takes FIRST_PASS_STEPS steps and keeps only the seeds
 that settled (their last step fell below 1e-13 (1 + |z|)); if the count is
 still short, a second pass continues the seeds still moving for the rest of
@@ -33,7 +32,7 @@ those of the settled ones, so a plausible but unconverged copy never
 replaces a converged root.  Parabolic collisions are merged and counted by
 winding number.  Once the count holds, a UserWarning names any two roots
 within RESOLUTION_MARGIN dedup_tol of each other; when it fails, the error
-names the widest merge.  Levels whose seed rounds would pass
+names the widest merge.  Levels whose enumeration would pass
 ENUMERATION_BUDGET_BYTES are refused up front.  The roots leave enumeration
 as `IterateRoots`, two aligned arrays: the points and their multiplicities.
 
@@ -62,20 +61,23 @@ from .dynamics import (DEFAULT_CONFIG, PrecisionConfig, QuadraticMap,
                        orbit_with_derivative, preimage_tree)
 from .errors import AmbiguousOrbitError, IncompleteEnumerationError, QuadrayError
 
-#: Newton steps a seed may take in one seed round, over both passes.
+#: Newton steps a seed may take, over both passes.
 NEWTON_STEPS = 140
-#: Steps of a round's first pass.  Converged seeds already account for all
+#: Steps of the first pass.  Converged seeds already account for all
 #: 2^n roots after 5-10 steps on the census cells; 16 closed all twelve.
 FIRST_PASS_STEPS = 16
 #: Roots closer than this many dedup_tol * max(1, |z|) are warned about:
 #: the level is near the resolution of the tolerances.
 RESOLUTION_MARGIN = 10.0
 
-#: Peak bytes per seed of the largest round: Newton's first pass holds 9.6-10.7
-#: complex arrays of the seeds' size (tracemalloc, n = 8..13); twelve bound it.
+#: Critical-orbit points among the seeds, at most.
+CRITICAL_TAIL = 256
+#: Peak bytes per seed of a whole enumeration: 8.2-9.3 complex arrays of the
+#: seeds' size (tracemalloc, n = 6..17); twelve bound it.  Dedup over many
+#: near-copies of one root can pass it at small n (0.31 MB, golden, n = 8).
 BYTES_PER_SEED = 12 * 16
-#: 2^n root finding is exponential work: levels whose seed rounds would pass
-#: this many bytes (n > 20) are refused before anything is allocated.
+#: 2^n root finding is exponential work: levels whose enumeration would pass
+#: this many bytes (n > 22) are refused before anything is allocated.
 ENUMERATION_BUDGET_BYTES = 2 ** 31
 
 #: Peak bytes per candidate pair of `_radius_pairs`: index arrays, gathered
@@ -143,18 +145,17 @@ def alpha_beta_fixed_points(qmap: QuadraticMap) -> FixedPoints:
     return FixedPoints(alpha=alpha, beta=beta, degenerate=abs(r1 - r2) == 0.0)
 
 
-def _critical_orbit_tail(qmap: QuadraticMap, keep: int = 256, total: int = 1200) -> list[complex]:
-    """Late critical-orbit points: attracting cycles and Siegel boundaries
-    live here; empty when the critical orbit escapes."""
+def _critical_orbit_tail(qmap: QuadraticMap) -> list[complex]:
+    """The last CRITICAL_TAIL of 1,200 critical-orbit points: attracting
+    cycles and Siegel boundaries live here; empty when the orbit escapes."""
     z = 0.0j
-    tail: list[complex] = []
-    for k in range(total):
+    orbit: list[complex] = []
+    for _ in range(1200):
         z = z * z + qmap.c
         if abs(z) > 1e8:
             return []
-        if k >= total - keep:
-            tail.append(z)
-    return tail
+        orbit.append(z)
+    return orbit[-CRITICAL_TAIL:]
 
 
 def _mp_polish_root(c: complex, z0: complex, n: int, bits: int = 120, iters: int = 80) -> complex:
@@ -431,10 +432,11 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
 
 
 def enumeration_bytes(n: int) -> int:
-    """Peak bytes of the seed rounds at level n: the last round's 2^(n+3) +
-    2^(n+1) seeds and the temporaries of its first Newton pass, which
-    iterates them all (the straggler pass iterates fewer)."""
-    return BYTES_PER_SEED * (2 ** (n + 3) + 2 ** (n + 1))
+    """Peak bytes of fixed_points_of_iterate at level n: its 2^(n+1) + 2 +
+    CRITICAL_TAIL seeds and the first Newton pass over them all, its largest
+    step.  n = 22 needs 1.5 GiB and n = 23 3.0 GiB, so the 2 GiB budget first
+    refuses n = 23."""
+    return BYTES_PER_SEED * (2 ** (n + 1) + 2 + CRITICAL_TAIL)
 
 
 def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
@@ -442,47 +444,36 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     """All roots of f^n(z) = z, deduplicated, with multiplicity summing to 2^n,
     as the aligned columns of an IterateRoots.
 
-    Seed round 1 is tree(-beta, n + 1) with alpha, beta and the critical tail;
-    round 2, reached only when round 1 leaves the count short of 2^n, is
-    tree(beta, n + 3) with tree(alpha, n + 1).  Each round runs a first Newton
-    pass of FIRST_PASS_STEPS and, only when the count is still short, a second
-    pass that continues its stragglers for the rest of NEWTON_STEPS.  A pass's
-    roots join the found ones through `_unseen`, those of never-settled seeds
-    last; then `_close_under_f` adds the roots the images of the found ones
-    lead to, and the parabolic merge runs; the count is checked after every
-    pass.  A UserWarning names the closest two roots when they lie within
-    RESOLUTION_MARGIN dedup_tol max(1, |z|).
+    The seeds are tree(-beta, n + 1) with alpha, beta and the critical tail.
+    A first Newton pass of FIRST_PASS_STEPS runs on them all and, only when
+    the count is still short, a second pass continues the stragglers for the
+    rest of NEWTON_STEPS.  A pass's roots join the found ones through
+    `_unseen`, those of never-settled seeds last; then `_close_under_f` adds
+    the roots the images of the found ones lead to, the parabolic merge runs
+    and the count is checked.  A UserWarning names the closest two roots
+    when they lie within RESOLUTION_MARGIN dedup_tol max(1, |z|).
 
     Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
     IncompleteEnumerationError, whose `found` holds the partial IterateRoots,
-    when the seed-escalation rounds fail to account for the full degree; its
-    message names the widest pair of distinct roots that dedup merged.
+    when both passes fail to account for the full degree; its message names
+    the widest pair of distinct roots that dedup merged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if enumeration_bytes(n) > ENUMERATION_BUDGET_BYTES:
         raise QuadrayError(
-            f"level {n} needs about {enumeration_bytes(n) / 2 ** 30:.1f} GiB for its "
-            f"seed rounds, over the {ENUMERATION_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
+            f"level {n} needs about {enumeration_bytes(n) / 2 ** 30:.1f} GiB to "
+            f"enumerate, over the {ENUMERATION_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
     fp = alpha_beta_fixed_points(qmap)
 
-    def tree(base: complex, depth: int) -> np.ndarray:
-        return preimage_tree(qmap, base, depth)[0]
-
-    rounds = [
-        lambda: np.concatenate([tree(-fp.beta, n + 1), [fp.alpha, fp.beta],
-                                _critical_orbit_tail(qmap)]),
-        # a fallback: round 1, closed under f, completes every level tried
-        # (c = -2 under tight tolerances fails at n = 14 with or without it)
-        lambda: np.concatenate([tree(fp.beta, n + 3), tree(fp.alpha, n + 1)]),
-    ]
-
     def passes():
-        for build in rounds:
-            roots, stragglers = _newton_roots(qmap, n, build(), cfg, FIRST_PASS_STEPS)
-            yield (roots,)
-            yield _newton_roots(qmap, n, stragglers, cfg, NEWTON_STEPS - FIRST_PASS_STEPS,
-                                last=True)
+        roots, stragglers = _newton_roots(
+            qmap, n, np.concatenate([preimage_tree(qmap, -fp.beta, n + 1)[0],
+                                     [fp.alpha, fp.beta], _critical_orbit_tail(qmap)]),
+            cfg, FIRST_PASS_STEPS)
+        yield (roots,)
+        yield _newton_roots(qmap, n, stragglers, cfg, NEWTON_STEPS - FIRST_PASS_STEPS,
+                            last=True)
 
     found = np.array([], dtype=complex)
     merges = [(0.0, None, None)]
@@ -493,17 +484,13 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
         found, mult = _merge_parabolic(qmap, n, found, cfg)
         if int(mult.sum()) == 2 ** n:
             _warn_unresolved(found, n, cfg)
-            break
-    total = int(mult.sum())
-    roots = IterateRoots(z=found, multiplicity=mult)
-    if total != 2 ** n:
-        ratio, kept, dropped = max(merges, key=lambda m: m[0])
-        widest = (f"; dedup merged {dropped!r} into {kept!r}, {abs(kept - dropped):.2e} "
-                  f"({ratio:.2f} dedup_tol) apart" if ratio > 0 else "")
-        raise IncompleteEnumerationError(
-            f"found {total} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}{widest}",
-            found=roots)
-    return roots
+            return IterateRoots(z=found, multiplicity=mult)
+    ratio, kept, dropped = max(merges, key=lambda m: m[0])
+    widest = (f"; dedup merged {dropped!r} into {kept!r}, {abs(kept - dropped):.2e} "
+              f"({ratio:.2f} dedup_tol) apart" if ratio > 0 else "")
+    raise IncompleteEnumerationError(
+        f"found {int(mult.sum())} of {2 ** n} roots of f^{n}(z) = z at c = {qmap.c}{widest}",
+        found=IterateRoots(z=found, multiplicity=mult))
 
 
 def _warn_unresolved(found: np.ndarray, n: int, cfg: PrecisionConfig) -> None:

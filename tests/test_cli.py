@@ -31,6 +31,16 @@ def test_parse_grid():
     assert parse_grid("0.1,0.3") == [0.1, 0.3]
 
 
+@pytest.mark.parametrize("text", ["0:1:1e-12", "1e20:2e20:1", "1e20:1e20:1"])
+def test_parse_grid_refuses_runaway_grids(text):
+    # too many values, and a step below the rounding of start (v += step
+    # never moves v): both stop at the cap instead of filling memory
+    from quadray.cli import MAX_GRID, UsageError
+    assert len(parse_grid(f"1:{MAX_GRID}:1")) == MAX_GRID
+    with pytest.raises(UsageError, match=f"more than {MAX_GRID} values"):
+        parse_grid(text)
+
+
 def test_presets_golden_fixed_point():
     c = PRESETS["golden_siegel"]
     # alpha = lambda/2 must be a fixed point with |f'| = 1
@@ -167,6 +177,27 @@ def test_config_file_merge_and_flag_priority(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "bryuno.json").read_text())
     assert len(doc["convergent_denominators"]) == 10  # command section wins
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--from-manifest", None),
+    ("--from-manifest", b"[1,2]"),
+    ("--from-manifest", b"{not json"),
+    ("--from-manifest", b'{"command": "bryuno", "params": [1]}'),
+    ("--from-manifest", b'{"command": "bryuno", "params": {"terms": "\xff"}}'),
+    ("--config", b"terms = 12\n"),
+    ("--config", b"[bryuno]\nterms = \xff\n"),
+], ids=["missing", "list", "not-json", "params-list", "not-utf8", "no-section",
+        "config-not-utf8"])
+def test_unreadable_manifest_or_config_is_a_usage_error(tmp_path, capsys, flag, text):
+    path = tmp_path / "given"
+    if text is not None:
+        path.write_bytes(text)
+    out = tmp_path / "out"
+    rc = run_command(["bryuno", flag, str(path), "--output-dir", str(out)])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import re
@@ -226,11 +227,11 @@ def ref_newton_roots(qmap, n, seeds, cfg, maxit, last=False):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_near_parabolic_cluster_polished_once(n, airplane_root, monkeypatch, tmp_path):
-    # the straggler pass of the seed round tree(beta, n + 2), alpha, beta and
-    # the critical tail at the airplane root: its unsettled seeds crowd around
+    # the straggler pass of the seeds tree(beta, n + 2), alpha, beta and the
+    # critical tail at the airplane root: its unsettled seeds crowd around
     # the double roots of the parabolic 3-cycle, so one polish per cluster,
     # and the same orbits as polishing each of them (about 75 calls).  The
-    # enumeration's own round is closed under f and needs no straggler pass.
+    # enumeration's own seeds are closed under f and need no straggler pass.
     calls = []
     polish = orbits_mod._mp_polish_root
 
@@ -280,35 +281,47 @@ def test_alpha_beta_degenerate():
     assert fp.alpha == pytest.approx(fp.beta)
 
 
-def test_level_cap_enforced(squaring):
+def test_level_cap_enforced(squaring, monkeypatch):
+    # the first level over the budget is refused before its seeds are built
     from quadray import QuadrayError
-    with pytest.raises(QuadrayError):
-        fixed_points_of_iterate(squaring, 21)
+    budget = orbits_mod.ENUMERATION_BUDGET_BYTES
+    level = next(n for n in range(1, 64) if orbits_mod.enumeration_bytes(n) > budget)
+    monkeypatch.setattr(orbits_mod, "preimage_tree",
+                        lambda *args: pytest.fail("seeds built past the budget"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadrayError, match="budget"):
+            fixed_points_of_iterate(squaring, level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
-def test_enumeration_bytes_bounds_the_largest_round(basilica):
-    # the last round as fixed_points_of_iterate builds it, measured with tracemalloc
-    fp = alpha_beta_fixed_points(basilica)
-    for n in (8, 10):
+def test_enumeration_bytes_bounds_the_whole_enumeration():
+    # the traced peak of fixed_points_of_iterate, its seeds included
+    for (c, cfg), n in itertools.product(
+            [(0j, DEFAULT_CONFIG), (-1 + 0j, DEFAULT_CONFIG), (-1.749 + 0j, TIGHT)], range(8, 15)):
         tracemalloc.start()
         try:
-            seeds = np.concatenate([preimage_tree(basilica, fp.beta, n + 3)[0],
-                                    preimage_tree(basilica, fp.alpha, n + 1)[0]])
-            orbits_mod._newton_roots(basilica, n, seeds, DEFAULT_CONFIG,
-                                     orbits_mod.FIRST_PASS_STEPS)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fixed_points_of_iterate(QuadraticMap(c), n, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0.5 * orbits_mod.enumeration_bytes(n) <= peak <= orbits_mod.enumeration_bytes(n)
-    assert orbits_mod.enumeration_bytes(20) <= orbits_mod.ENUMERATION_BUDGET_BYTES
-    assert orbits_mod.enumeration_bytes(21) > orbits_mod.ENUMERATION_BUDGET_BYTES
+        bound = orbits_mod.enumeration_bytes(n)
+        assert 0.5 * bound <= peak <= bound, (c, n, peak / bound)
+    # the first level refused, as enumeration_bytes documents
+    assert orbits_mod.enumeration_bytes(22) <= orbits_mod.ENUMERATION_BUDGET_BYTES
+    assert orbits_mod.enumeration_bytes(23) > orbits_mod.ENUMERATION_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("name", ["squaring", "basilica", "chebyshev",
                                   "airplane_root", "golden_siegel"])
 def test_first_seed_round_holds_tree_of_depth_n(name, request):
     # f^-1(beta) = {beta, -beta}, so tree(beta, n + 2) is tree(beta, n + 1)
-    # and tree(-beta, n + 1): the first round's tree(-beta, n + 1) is the half
+    # and tree(-beta, n + 1): the seeds' tree(-beta, n + 1) is the half
     # of the deeper tree that does not repeat tree(beta, n + 1)
     from scipy.spatial import cKDTree
 
@@ -327,7 +340,7 @@ def test_first_seed_round_holds_tree_of_depth_n(name, request):
 
 def test_budget_refuses_before_allocating(squaring, monkeypatch):
     from quadray import QuadrayError
-    # level 28 would run a 2^31-seed round
+    # level 28 would build 2^29 seeds
     with pytest.raises(QuadrayError, match="budget"):
         fixed_points_of_iterate(squaring, 28)
     monkeypatch.setattr(orbits_mod, "ENUMERATION_BUDGET_BYTES", orbits_mod.enumeration_bytes(5))
@@ -337,8 +350,8 @@ def test_budget_refuses_before_allocating(squaring, monkeypatch):
 
 
 def test_incomplete_enumeration_carries_partial_columns(squaring, monkeypatch):
-    # Newton loses the roots of z^8 = z with Re z >= 0.1 in every pass of
-    # every seed round, so the level stays incomplete
+    # Newton loses the roots of z^8 = z with Re z >= 0.1 in both passes and
+    # in the closure, so the level stays incomplete
     newton = orbits_mod._newton_roots
 
     def lossy(*args, **kwargs):
@@ -439,6 +452,12 @@ def _rotation_parameter(quotients):
     return lam / 2.0 - lam ** 2 / 4.0
 
 
+# the merged pair is 2 cos(2 pi 2047/4095) and 2 cos(2 pi 2048/4097)
+CHEBYSHEV_12_MESSAGE = (r"found 4095 of 4096 roots .*; dedup merged "
+                        r"\(-1\.9999994114384159-0j\) into \(-1\.9999994120129025\+0j\), "
+                        r"5\.74e-10 \(0\.29 dedup_tol\) apart")
+
+
 def _fails_at(check, error, reason):
     return pytest.mark.xfail(strict=True, raises=error, reason=f"{check}: {reason}")
 
@@ -464,10 +483,7 @@ def _fails_at(check, error, reason):
                  marks=_fails_at("image match", AmbiguousOrbitError,
                                  "two roots lie 2.3 dedup_tol apart near 2"),
                  id="-2-n11"),
-    # the merged pair is 2 cos(2 pi 2047/4095) and 2 cos(2 pi 2048/4097)
-    pytest.param(-2 + 0j, 12, r"found 4095 of 4096 roots .*; dedup merged "
-                 r"\(-1\.9999994114384159-0j\) into \(-1\.9999994120129025\+0j\), "
-                 r"5\.74e-10 \(0\.29 dedup_tol\) apart",
+    pytest.param(-2 + 0j, 12, CHEBYSHEV_12_MESSAGE,
                  marks=_fails_at("root count", IncompleteEnumerationError,
                                  "dedup merges two roots 5.7e-10 apart"),
                  id="-2-n12"),
@@ -557,23 +573,39 @@ def test_closure_does_not_invent_a_dropped_cycle(name, n, cfg, request):
     assert len(z) == len(kept) == len(complete) - n
 
 
+def _count_seed_trees(monkeypatch):
+    """A list that gets the arguments of each preimage tree orbits builds."""
+    trees = []
+    tree = orbits_mod.preimage_tree
+    monkeypatch.setattr(orbits_mod, "preimage_tree", lambda *args: trees.append(args) or tree(*args))
+    return trees
+
+
 @pytest.mark.parametrize("c, n, cfg", [(-1.99 + 0j, n, DEFAULT_CONFIG) for n in (10, 13, 14)]
                          + [(-2 + 0j, n, TIGHT) for n in range(10, 14)])
 def test_first_round_completes_near_chebyshev(c, n, cfg, monkeypatch):
-    # the round from tree(-beta, n + 1), closed under f, finds every root
+    # the seeds from tree(-beta, n + 1), closed under f, find every root
     # (tree(beta, n + 2) alone left c = -1.99 at n = 10 one root short)
-    trees = []
-    tree = orbits_mod.preimage_tree
-
-    def counted(*args):
-        trees.append(args)
-        return tree(*args)
-
-    monkeypatch.setattr(orbits_mod, "preimage_tree", counted)
+    trees = _count_seed_trees(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         roots = fixed_points_of_iterate(QuadraticMap(c), n, cfg)
     assert roots.multiplicity.sum() == 2 ** n
+    assert len(trees) == 1
+
+
+@pytest.mark.parametrize("c, n", [(-1 + 0j, 10), (-2 + 0j, 12)])
+def test_one_seed_tree_per_enumeration(c, n, monkeypatch):
+    # a complete level and a failing one each build one preimage tree: no
+    # second seed set runs when the count stays short
+    trees = _count_seed_trees(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if c == -2:
+            with pytest.raises(IncompleteEnumerationError, match=CHEBYSHEV_12_MESSAGE):
+                fixed_points_of_iterate(QuadraticMap(c), n)
+        else:
+            assert fixed_points_of_iterate(QuadraticMap(c), n).multiplicity.sum() == 2 ** n
     assert len(trees) == 1
 
 
