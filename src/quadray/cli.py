@@ -4,11 +4,13 @@ Every run writes its outputs plus a manifest.json recording the fully
 resolved configuration, tool version and wall time; re-running a command
 from its manifest reproduces the output files byte for byte (the manifest
 itself carries the non-deterministic wall time and is not compared).
-Each command names the keys it reads (the map, the seed, the precision
-keys, render's layer keys, bryuno's alpha); setting any other away from its
-default is a usage error, and so is a null key outside NULLABLE_KEYS, a
-malformed number, an integer below INT_FLOORS, a non-finite float or grid
-value, or a value of POSITIVE_KEYS that is not above 0.  No command reads
+KEYS gives each command one table, key -> (default, kind).  A kind turns a
+key's text from a flag or config file, or its JSON value from a manifest,
+into an int with an optional floor, a finite float (optionally > 0), a
+checked grid kept as text, or a string; anything else is a usage error, and
+so is a null key whose default is not None.  Each command names the common
+keys it reads; setting another (output_dir aside), or a command key the run
+leaves unread, away from its default is a usage error.  No command reads
 mantissa_bits or max_iter; they stay so that older manifests replay.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
@@ -53,10 +55,6 @@ PRESETS = {
 #: Most values of a start:stop:step grid; also stops one whose v += step never moves v.
 MAX_GRID = 10_000
 
-COMMANDS = ("orbits", "rays", "portrait", "pressure", "bunches",
-            "near-point", "disc-pattern", "distortion", "bryuno", "render")
-
-
 class UsageError(Exception):
     pass
 
@@ -71,12 +69,12 @@ def parse_complex(text: str) -> complex:
         raise UsageError(f"bad complex literal {text!r}") from exc
 
 
-def _number(kind, text: str, what: str):
-    """kind(text), int or float; a usage error when text is not one."""
+def _number(cast, value, what: str):
+    """cast(value), int or float; a usage error when value is not one."""
     try:
-        return kind(text)
-    except ValueError as exc:
-        raise UsageError(f"bad {what} {text!r}") from exc
+        return cast(value)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a huge JSON int
+        raise UsageError(f"bad {what} {value!r}") from exc
 
 
 def parse_grid(text: str) -> list[float]:
@@ -169,70 +167,95 @@ def write_json(path: Path, obj) -> None:
 # --------------------------------------------------------------------------
 # parameter resolution: defaults < config file < manifest < explicit flags
 
-COMMON_PARAMS = {
-    "c": None,
-    "preset": None,
-    "output_dir": ".",
-    "seed": 0,
-    "mantissa_bits": 53,
-    "newton_tol": 1e-9,
-    "dedup_tol": 1e-9,
-    "max_iter": 4096,
+def integer(least: int | None = None):
+    """The kind of an int key, at least `least` when that is given."""
+    def kind(key: str, value) -> int:
+        v = _number(int, value, key) if isinstance(value, str) else value
+        if type(v) is not int or (least is not None and v < least):  # bool is refused
+            floor = "" if least is None else f" >= {least}"
+            raise UsageError(f"{key} must be an integer{floor}, got {value!r}")
+        return v
+    return kind
+
+
+def real(positive: bool = False):
+    """The kind of a float key: finite, and > 0 when `positive`."""
+    def kind(key: str, value) -> float:
+        v = _number(float, value, key) if type(value) in (str, int, float) else math.nan
+        if not math.isfinite(v) or (positive and v <= 0):
+            raise UsageError(f"{key} must be a finite number{' > 0' if positive else ''}, "
+                             f"got {value!r}")
+        return v
+    return kind
+
+
+def text(key: str, value) -> str:
+    """The kind of a string key."""
+    if not isinstance(value, str):
+        raise UsageError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def grid(positive: bool = False):
+    """The kind of a grid key: parse_grid text whose values are real(positive),
+    kept as text."""
+    check = real(positive)
+
+    def kind(key: str, value) -> str:
+        for v in parse_grid(text(key, value)):
+            check(key, v)
+        return value
+    return kind
+
+
+#: the default of a key that every run sets
+REQUIRED = object()
+
+COMMON_KEYS = {
+    "c": (None, text),
+    "preset": (None, text),
+    "output_dir": (".", text),
+    "seed": (0, integer(0)),
+    "mantissa_bits": (53, integer()),
+    "newton_tol": (1e-9, real()),
+    "dedup_tol": (1e-9, real()),
+    "max_iter": (4096, integer()),
 }
 
-COMMAND_PARAMS: dict[str, dict] = {
-    "orbits": {"n": None},
-    "rays": {"angles": "1/3,2/3", "g_min": 1e-8},
-    "portrait": {"period": None, "orbit_index": 0, "match_tol": 1e-6,
-                 "ray_period_cap": None},
-    "pressure": {"t": "0:2:0.5", "n": 10, "basepoint": None},
-    "bunches": {"n": None, "delta": "0.1", "mode": "H"},
-    "near-point": {"z0": "beta", "p": 1, "n": None, "delta": 0.3, "r0": 0.5},
-    "disc-pattern": {"period": None, "n": None, "delta": 0.3, "r0": 0.5,
-                     "C": 2.0, "orbit_index": 0},
-    "distortion": {"center": "alpha", "r": 1e-4, "n": 20, "samples": 2048,
-                   "period": 1},
-    "bryuno": {"alpha": "golden", "quotients": None, "terms": 20},
-    "render": {"layers": "julia", "angles": "", "points": 20000,
-               "viewport": "-2.2:2.2:-1.7:1.7", "g_min": 1e-6,
-               "marker_period": None},
-}
+#: each command's keys, key -> (default, kind); a key may be null only where
+#: its default is None
+KEYS: dict[str, dict[str, tuple]] = {command: {**COMMON_KEYS, **own} for command, own in {
+    "orbits": {"n": (REQUIRED, integer(1))},
+    "rays": {"angles": ("1/3,2/3", text), "g_min": (1e-8, real(True))},
+    "portrait": {"period": (REQUIRED, integer(1)), "orbit_index": (0, integer()),
+                 "match_tol": (1e-6, real(True)), "ray_period_cap": (None, integer(1))},
+    "pressure": {"t": ("0:2:0.5", grid()), "n": (10, integer(1)), "basepoint": (None, text)},
+    # parse_int_grid checks that n holds positive integers
+    "bunches": {"n": (REQUIRED, grid()), "delta": ("0.1", grid(True)), "mode": ("H", text)},
+    "near-point": {"z0": ("beta", text), "p": (1, integer(1)), "n": (REQUIRED, integer(1)),
+                   "delta": (0.3, real(True)), "r0": (0.5, real(True))},
+    "disc-pattern": {"period": (REQUIRED, integer(1)), "n": (REQUIRED, integer(1)),
+                     "delta": (0.3, real(True)), "r0": (0.5, real(True)),
+                     "C": (2.0, real(True)), "orbit_index": (0, integer())},
+    "distortion": {"center": ("alpha", text), "r": (1e-4, real(True)), "n": (20, integer(0)),
+                   "samples": (2048, integer(1)), "period": (1, integer(1))},
+    "bryuno": {"alpha": ("golden", text), "quotients": (None, text), "terms": (20, integer())},
+    "render": {"layers": ("julia", text), "angles": ("", text), "points": (20000, integer(1)),
+               "viewport": ("-2.2:2.2:-1.7:1.7", text), "g_min": (1e-6, real(True)),
+               "marker_period": (None, integer(1))},
+}.items()}
 
-INT_KEYS = {"seed", "mantissa_bits", "max_iter", "orbit_index", "p",
-            "period", "samples", "terms", "points", "marker_period",
-            "ray_period_cap", "n"}
-FLOAT_KEYS = {"newton_tol", "dedup_tol", "g_min", "match_tol", "r0", "C", "r",
-              "delta"}
-#: per-command keys that accept grid syntax and stay textual
-GRID_KEYS = {"bunches": {"n", "delta"}, "pressure": {"t"}}
 #: the render keys that only one layer reads
 RENDER_LAYER_KEYS = {"julia": ("points",), "rays": ("angles", "g_min"),
                      "orbits": ("marker_period",)}
-#: the only keys that may be null, from a default or a manifest
-NULLABLE_KEYS = ("c", "preset", "ray_period_cap", "basepoint", "quotients", "marker_period")
-#: least values of integer keys (distortion's n may be 0; parse_int_grid checks bunches')
-INT_FLOORS = {"n": 1, "p": 1, "period": 1, "samples": 1, "points": 1, "seed": 0}
-#: float keys that must be > 0; every float key and grid value must be finite
-POSITIVE_KEYS = {"g_min", "r", "r0", "match_tol", "C", "delta"}
-
-
-def _convert(command: str, key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in GRID_KEYS.get(command, ()):
-        return value
-    if key in INT_KEYS:
-        return _number(int, value, key)
-    if key in FLOAT_KEYS:
-        return _number(float, value, key)
-    return value
 
 
 def resolve_params(command: str, flag_values: dict, config_path: str | None,
                    manifest_path: str | None) -> dict:
-    allowed = dict(COMMON_PARAMS)
-    allowed.update(COMMAND_PARAMS[command])
-    params = dict(allowed)
+    """Defaults < config file < manifest < flags, each value then put
+    through its key's kind once."""
+    table = KEYS[command]
+    params = {key: default for key, (default, _) in table.items()}
 
     if config_path:
         cp = configparser.ConfigParser()
@@ -244,10 +267,10 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
         for section in ("quadray", command):
             if cp.has_section(section):
                 for key, value in cp.items(section):
-                    if key not in allowed:
+                    if key not in table:
                         raise UsageError(
                             f"unknown key {key!r} in config section [{section}]")
-                    params[key] = _convert(command, key, value)
+                    params[key] = value
 
     if manifest_path:
         try:
@@ -260,53 +283,33 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
             raise UsageError(
                 f"manifest records command {doc.get('command')!r}, not {command!r}")
         for key, value in doc.get("params", {}).items():
-            if key not in allowed:
+            if key not in table:
                 raise UsageError(f"unknown key {key!r} in manifest")
             params[key] = value
 
-    for key, value in flag_values.items():
-        if value is not None:
-            if key not in allowed:
-                raise UsageError(f"unknown parameter {key!r}")
-            params[key] = _convert(command, key, value)
-
-    missing = [k for k, v in params.items() if v is None and k not in NULLABLE_KEYS]
+    params.update((key, value) for key, value in flag_values.items() if value is not None)
+    missing = [k for k, v in params.items()
+               if v is REQUIRED or (v is None and table[k][0] is not None)]
     if missing:
         raise UsageError(f"missing or null parameter(s): {', '.join(missing)}")
-    for key in INT_FLOORS.keys() & params.keys() - GRID_KEYS.get(command, set()):
-        least = 0 if (command, key) == ("distortion", "n") else INT_FLOORS[key]
-        if type(params[key]) is not int or params[key] < least:
-            raise UsageError(f"{key} must be an integer >= {least}, got {params[key]!r}")
-    grids = GRID_KEYS.get(command, set())
-    for key in FLOAT_KEYS & params.keys() | grids:
-        values = parse_grid(str(params[key])) if key in grids else [params[key]]
-        positive = key in POSITIVE_KEYS
-        if not all(type(v) in (int, float) and math.isfinite(v) and (v > 0 or not positive)
-                   for v in values):
-            raise UsageError(f"{key} must be a finite number{' > 0' if positive else ''}, "
-                             f"got {params[key]!r}")
-    return params
+    return {k: v if v is None else table[k][1](k, v) for k, v in params.items()}
 
 
 def resolve_map(params: dict) -> QuadraticMap:
-    if params.get("preset") and params.get("c"):
+    c, preset = params["c"], params["preset"]
+    if preset and c:
         raise UsageError("give --c or --preset, not both")
-    if params.get("preset"):
-        name = params["preset"]
-        if name not in PRESETS:
-            raise UsageError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
-        return QuadraticMap(PRESETS[name])
-    if params.get("c"):
-        c = params["c"]
-        return QuadraticMap(parse_complex(c) if isinstance(c, str) else complex(*c))
+    if preset:
+        if preset not in PRESETS:
+            raise UsageError(f"unknown preset {preset!r}; choices: {sorted(PRESETS)}")
+        return QuadraticMap(PRESETS[preset])
+    if c:
+        return QuadraticMap(parse_complex(c))
     raise UsageError("need --c re,im or --preset")
 
 
-#: the keys that name the map, and PrecisionConfig's two keys with the two unread ones
+#: the keys that name the map
 MAP_KEYS = ("c", "preset")
-PRECISION_KEYS = ("mantissa_bits", "newton_tol", "dedup_tol", "max_iter")
-#: the common keys a command may leave unread; it names the ones it reads
-OPTIONAL_KEYS = MAP_KEYS + ("seed",) + PRECISION_KEYS
 #: what the enumeration of Fix(f^n) reads
 ENUMERATION_KEYS = MAP_KEYS + ("newton_tol", "dedup_tol")
 
@@ -315,40 +318,35 @@ def resolve_precision(command: str, params: dict, reads: tuple[str, ...],
                       unread: tuple[str, ...] = ()) -> PrecisionConfig:
     """The PrecisionConfig of a command that reads the common keys `reads`.
 
-    Any other key of OPTIONAL_KEYS, or a command key this run leaves
+    Any other common key but output_dir, or a command key this run leaves
     `unread`, set away from its default, by a flag, a config file or a
     manifest, is a usage error, so no knob is accepted and then ignored; the
     keys stay in every manifest, which replays when they hold their defaults.
     """
-    defaults = {**COMMON_PARAMS, **COMMAND_PARAMS[command]}
-    ignored = [k for k in OPTIONAL_KEYS + unread
-               if k not in reads and params[k] != defaults[k]]
+    table = KEYS[command]
+    ignored = [k for k in (*COMMON_KEYS, *unread)
+               if k not in reads and k != "output_dir" and params[k] != table[k][0]]
     if ignored:
         raise UsageError(f"{command} does not use {', '.join(ignored)}; "
                          "leave them at their defaults")
     try:
-        return PrecisionConfig(newton_tol=float(params["newton_tol"]),
-                               dedup_tol=float(params["dedup_tol"]))
+        return PrecisionConfig(newton_tol=params["newton_tol"],
+                               dedup_tol=params["dedup_tol"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_point(token, qmap: QuadraticMap) -> complex:
-    if isinstance(token, str):
-        fp = alpha_beta_fixed_points(qmap)
-        if token == "alpha":
-            return fp.alpha
-        if token == "beta":
-            return fp.beta
-        return parse_complex(token)
-    return complex(*token) if isinstance(token, (list, tuple)) else complex(token)
+def _resolve_point(token: str, qmap: QuadraticMap) -> complex:
+    if token in ("alpha", "beta"):
+        return getattr(alpha_beta_fixed_points(qmap), token)
+    return parse_complex(token)
 
 
 def _select_orbit(orbits: list[PeriodicOrbit], period: int, params: dict) -> PeriodicOrbit:
     """orbits[orbit_index]; a usage error unless 0 <= orbit_index < len(orbits)."""
     if not orbits:
         raise QuadrayError(f"no minimal-period-{period} orbit on the Julia set")
-    idx = int(params["orbit_index"])
+    idx = params["orbit_index"]
     if not 0 <= idx < len(orbits):
         raise UsageError(f"orbit_index {idx} out of range ({len(orbits)} orbits)")
     return orbits[idx]
@@ -360,7 +358,7 @@ def _select_orbit(orbits: list[PeriodicOrbit], period: int, params: dict) -> Per
 def cmd_orbits(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("orbits", params, ENUMERATION_KEYS)
-    n = int(params["n"])
+    n = params["n"]
     write_orbits(outdir, group_into_orbits(fixed_points_of_iterate(qmap, n, cfg), qmap, n, cfg))
     return ["orbits.csv", "orbits.jsonl"]
 
@@ -372,7 +370,7 @@ def cmd_rays(params: dict, outdir: Path) -> list[str]:
     if not angles:
         raise UsageError("no angles given")
     outputs = []
-    for trace in trace_rays(qmap, angles, float(params["g_min"])):
+    for trace in trace_rays(qmap, angles, params["g_min"]):
         theta = trace.angle
         name = f"ray_{theta.numerator}_{theta.denominator}.csv"
         write_csv(outdir / name, ["G", "re_z", "im_z"],
@@ -384,13 +382,10 @@ def cmd_rays(params: dict, outdir: Path) -> list[str]:
 def cmd_portrait(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("portrait", params, ENUMERATION_KEYS)
-    n = int(params["period"])
+    n = params["period"]
     orbit = _select_orbit(julia_orbits(qmap, n, cfg), n, params)
-    cap = params.get("ray_period_cap")
-    portrait = portrait_at_orbit(
-        qmap, orbit, n,
-        match_tol=float(params["match_tol"]),
-        ray_period_cap=int(cap) if cap else None)
+    portrait = portrait_at_orbit(qmap, orbit, n, match_tol=params["match_tol"],
+                                 ray_period_cap=params["ray_period_cap"])
     cls = classify_portrait(portrait)
     doc = json.loads(portrait.to_json())
     doc.update({"schema": "v1", "ray_period": portrait.ray_period,
@@ -403,9 +398,9 @@ def cmd_portrait(params: dict, outdir: Path) -> list[str]:
 def cmd_pressure(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("pressure", params, ENUMERATION_KEYS)
-    t_grid = parse_grid(str(params["t"]))
-    n = int(params["n"])
-    base = params.get("basepoint")
+    t_grid = parse_grid(params["t"])
+    n = params["n"]
+    base = params["basepoint"]
     z = _resolve_point(base, qmap) if base else default_tree_basepoint(qmap)
     curve = pressure_comparison(qmap, z, t_grid, n, cfg)
     rows = [[e.t, e.n, e.mode, e.value] for e in curve.estimates]
@@ -423,13 +418,11 @@ def cmd_pressure(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_bunches(params: dict, outdir: Path) -> list[str]:
-    # only Hypothesis H is checked; the key stays so older manifests replay
-    if params["mode"] != "H":
-        raise UsageError(f"bunches mode {params['mode']!r} is not supported; only 'H' is")
     qmap = resolve_map(params)
-    cfg = resolve_precision("bunches", params, ENUMERATION_KEYS)
-    n_values = parse_int_grid(str(params["n"]))
-    deltas = parse_grid(str(params["delta"]))
+    # only Hypothesis H is checked; mode stays so older manifests replay
+    cfg = resolve_precision("bunches", params, ENUMERATION_KEYS, unread=("mode",))
+    n_values = parse_int_grid(params["n"])
+    deltas = parse_grid(params["delta"])
     reports = []
     for n in n_values:
         orbits = julia_orbits(qmap, n, cfg, minimal_only=True)
@@ -455,10 +448,7 @@ def cmd_near_point(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("near-point", params, ENUMERATION_KEYS)
     z0 = _resolve_point(params["z0"], qmap)
-    p = int(params["p"])
-    n = int(params["n"])
-    delta = float(params["delta"])
-    r0 = float(params["r0"])
+    p, n, delta, r0 = params["p"], params["n"], params["delta"], params["r0"]
     count = count_orbits_near_point(qmap, z0, p, n, delta, r0, cfg)
     write_json(outdir / "near_point.json", {
         "schema": "v1", "z0": [z0.real, z0.imag], "p": p, "n": n,
@@ -470,12 +460,9 @@ def cmd_near_point(params: dict, outdir: Path) -> list[str]:
 def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("disc-pattern", params, ENUMERATION_KEYS)
-    p = int(params["period"])
-    n = int(params["n"])
-    delta = float(params["delta"])
-    r0 = float(params["r0"])
+    p, n, delta, r0 = params["period"], params["n"], params["delta"], params["r0"]
     orbit = _select_orbit(julia_orbits(qmap, p, cfg), p, params)
-    pattern = DiscPattern.around_orbit(orbit, n, delta, r0, C=float(params["C"]))
+    pattern = DiscPattern.around_orbit(orbit, n, delta, r0, C=params["C"])
     if not pattern.separation_ok(r0, delta):
         raise QuadrayError("pattern violates the separation inequality")
     report = count_orbits_in_disc_pattern(qmap, pattern, cfg)
@@ -492,10 +479,8 @@ def cmd_distortion(params: dict, outdir: Path) -> list[str]:
     resolve_precision("distortion", params, MAP_KEYS + ("seed",))
     qmap = resolve_map(params)
     center = _resolve_point(params["center"], qmap)
-    report = distortion_ratio(
-        qmap, center, float(params["r"]), int(params["n"]),
-        samples=int(params["samples"]), period=int(params["period"]),
-        seed=int(params["seed"]))
+    report = distortion_ratio(qmap, center, params["r"], params["n"], samples=params["samples"],
+                              period=params["period"], seed=params["seed"])
     write_json(outdir / "distortion.json", {
         "schema": "v1", "center": [report.center.real, report.center.imag],
         "r": report.r, "n": report.n,
@@ -505,14 +490,13 @@ def cmd_distortion(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
-    resolve_precision("bryuno", params, reads=(),
-                      unread=("alpha",) if params.get("quotients") else ())
-    terms = int(params["terms"])
+    quotients, terms = params["quotients"], params["terms"]
+    resolve_precision("bryuno", params, reads=(), unread=("alpha",) if quotients else ())
     alpha = {"golden": GOLDEN_ROTATION, "silver": math.sqrt(2.0) - 1.0}.get(
         params["alpha"], params["alpha"])
     try:
-        if params.get("quotients"):
-            quots = [int(tok) for tok in str(params["quotients"]).split(",") if tok.strip()]
+        if quotients:
+            quots = [int(tok) for tok in quotients.split(",") if tok.strip()]
             report = bryuno_sums_from_quotients(quots, terms)
         else:
             report = bryuno_sums(float(alpha), terms)
@@ -529,7 +513,7 @@ def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
 
 
 def cmd_render(params: dict, outdir: Path) -> list[str]:
-    layer_names = [s.strip() for s in str(params["layers"]).split(",") if s.strip()]
+    layer_names = [s.strip() for s in params["layers"].split(",") if s.strip()]
     # only the julia layer samples and only the orbits layer enumerates
     cfg = resolve_precision("render", params, MAP_KEYS
                             + (("seed",) if "julia" in layer_names else ())
@@ -538,7 +522,7 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
                                          if layer not in layer_names for k in keys))
     qmap = resolve_map(params)
     try:
-        vp_bits = [float(b) for b in str(params["viewport"]).split(":")]
+        vp_bits = [float(b) for b in params["viewport"].split(":")]
     except ValueError as exc:
         raise UsageError(f"bad viewport {params['viewport']!r}") from exc
     if len(vp_bits) != 4:
@@ -553,21 +537,21 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
     angles = parse_angles(params["angles"])
     if "rays" in layer_names and not angles:
         raise UsageError("rays layer needs --angles")
-    period = params.get("marker_period")
-    if "orbits" in layer_names and not period:
+    period = params["marker_period"]
+    if "orbits" in layer_names and period is None:
         raise UsageError("orbits layer needs --marker-period")
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     elements: list[str] = []
     for name in layer_names:
         if name == "julia":
             elements += point_cloud_svg(julia_point_cloud(
-                qmap, count=int(params["points"]), seed=int(params["seed"])), vp)
+                qmap, count=params["points"], seed=params["seed"]), vp)
         elif name == "rays":
-            for i, trace in enumerate(trace_rays(qmap, angles, float(params["g_min"]))):
+            for i, trace in enumerate(trace_rays(qmap, angles, params["g_min"])):
                 elements += polyline_svg([z for _, z in trace.samples], vp,
                                          palette[i % len(palette)], str(trace.angle))
         else:
-            orbits = julia_orbits(qmap, int(period), cfg)
+            orbits = julia_orbits(qmap, period, cfg)
             elements += markers_svg([z for o in orbits for z in o.points],
                                     [f"p{o.minimal_period}" for o in orbits for _ in o.points],
                                     vp)
@@ -599,13 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "for z^2 + c")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in KEYS:
         sp = sub.add_parser(command)
         sp.add_argument("--config")
         sp.add_argument("--from-manifest", dest="from_manifest")
-        for key in COMMON_PARAMS:
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key)
-        for key in COMMAND_PARAMS[command]:
+        for key in KEYS[command]:
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key)
     return parser
 
@@ -653,7 +635,7 @@ def run_command(argv: list[str]) -> int:
         "schema": "v1",
         "version": __version__,
         "command": command,
-        "params": {k: v for k, v in params.items()},
+        "params": params,
         "outputs": outputs,
         "wall_time_s": round(time.monotonic() - started, 6),
     }

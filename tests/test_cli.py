@@ -135,10 +135,11 @@ def test_bunches_single_json(tmp_path):
     assert doc["component_max"] >= doc["max_cluster"] >= 1
 
 
-def test_bunches_rejects_unsupported_mode(tmp_path):
+def test_bunches_rejects_unsupported_mode(tmp_path, capsys):
     rc = run_command(["bunches", "--preset", "basilica", "--n", "6",
                       "--mode", "BMS", "--output-dir", str(tmp_path)])
     assert rc == 2
+    assert "does not use mode" in capsys.readouterr().err
     assert not (tmp_path / "bunches.json").exists()
 
 
@@ -215,6 +216,17 @@ def test_near_point_command(tmp_path):
     assert doc["count"] == 0 and doc["pass"] is True
 
 
+def test_alpha_is_zero_at_c_zero(tmp_path):
+    # alpha = 0j at c = 0: a point lookup that tests truthiness would miss it
+    assert run_command(["near-point", "--c", "0,0", "--z0", "alpha", "--n", "6",
+                        "--output-dir", str(tmp_path / "np")]) == 0
+    assert json.loads((tmp_path / "np" / "near_point.json").read_text())["z0"] == [0.0, 0.0]
+    assert run_command(["distortion", "--c", "0,0", "--center", "alpha", "--n", "4",
+                        "--samples", "16", "--output-dir", str(tmp_path / "d")]) == 0
+    doc = json.loads((tmp_path / "d" / "distortion.json").read_text())
+    assert doc["center"] == [0.0, 0.0]
+
+
 def test_disc_pattern_command(tmp_path):
     rc = run_command(["disc-pattern", "--c", "0,0", "--period", "1", "--n", "5",
                       "--output-dir", str(tmp_path)])
@@ -234,18 +246,6 @@ def test_orbit_index_out_of_range_is_a_usage_error(tmp_path, capsys, command, in
     assert rc == 2
     assert f"orbit_index {index} out of range (2 orbits)" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
-
-
-def test_manifest_records_every_resolved_parameter(tmp_path):
-    from quadray.cli import COMMAND_PARAMS, COMMON_PARAMS
-    rc = run_command(["bryuno", "--alpha", "silver", "--terms", "10",
-                      "--output-dir", str(tmp_path)])
-    assert rc == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    expected = set(COMMON_PARAMS) | set(COMMAND_PARAMS["bryuno"])
-    assert set(manifest["params"]) == expected
-    assert manifest["version"]
-    assert manifest["outputs"] == ["bryuno.json", "bryuno.csv"]
 
 
 def test_rays_command_files(tmp_path):
@@ -341,6 +341,18 @@ RUNS["rays"] = ["rays", "--preset", "basilica", "--angles", "1/3"]
 SEED_READERS = ("distortion", "render-julia")
 
 
+def test_manifest_records_every_resolved_parameter(tmp_path):
+    from quadray.cli import KEYS
+    for label, argv in RUNS.items():
+        out = tmp_path / label
+        assert run_command(argv + ["--output-dir", str(out)]) == 0, label
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["params"]) == set(KEYS[argv[0]]), label
+        assert manifest["version"] and manifest["command"] == argv[0]
+        assert sorted(manifest["outputs"]) == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json"), label
+
+
 @pytest.mark.parametrize("argv, key, value", [
     *[pytest.param(argv, "seed", "7", id=f"{label}-seed")
       for label, argv in RUNS.items() if label not in SEED_READERS],
@@ -403,6 +415,20 @@ KEY_VALUES = {
     "render": {"layers": "rays", "angles": "1/5", "points": "200",
                "viewport": "-2:2:-2:2", "g_min": "1e-3", "marker_period": "3"},
 }
+#: each command's own numeric keys; with seed and the two tolerances these
+#: are the keys whose kind is not text, pinned so the set cannot shrink
+NUMERIC_KEYS = {
+    "orbits": {"n"},
+    "rays": {"g_min"},
+    "portrait": {"match_tol", "orbit_index", "period", "ray_period_cap"},
+    "pressure": {"n", "t"},
+    "bunches": {"delta", "n"},
+    "near-point": {"delta", "n", "p", "r0"},
+    "disc-pattern": {"C", "delta", "n", "orbit_index", "period", "r0"},
+    "distortion": {"n", "period", "r", "samples"},
+    "bryuno": {"terms"},
+    "render": {"g_min", "marker_period", "points"},
+}
 #: the basilica's 2-cycle is attracting and draws no marker, so the orbits
 #: layer is walked on its fixed points
 KEY_RUNS = dict(RUNS, **{"render-orbits": ["render", "--preset", "basilica", "--layers",
@@ -411,11 +437,12 @@ KEY_RUNS = dict(RUNS, **{"render-orbits": ["render", "--preset", "basilica", "--
 
 @pytest.mark.parametrize("label", KEY_RUNS)
 def test_every_command_key_is_read_or_rejected(tmp_path, capsys, label):
-    from quadray.cli import COMMAND_PARAMS, FLOAT_KEYS, GRID_KEYS, INT_KEYS
+    from quadray.cli import COMMON_KEYS, KEYS, text
     argv = KEY_RUNS[label]
     base = tmp_path / "base"
     assert run_command(argv + ["--output-dir", str(base)]) == 0
-    assert set(KEY_VALUES[argv[0]]) == set(COMMAND_PARAMS[argv[0]])
+    own = set(KEYS[argv[0]]) - set(COMMON_KEYS)
+    assert set(KEY_VALUES[argv[0]]) == own
     for key, value in KEY_VALUES[argv[0]].items():
         out = tmp_path / key
         rc = run_command(argv + [f"--{key.replace('_', '-')}", value, "--output-dir", str(out)])
@@ -424,8 +451,9 @@ def test_every_command_key_is_read_or_rejected(tmp_path, capsys, label):
         else:
             assert hashes(out) != hashes(base), key
     # every numeric key, common or the command's own, refuses a malformed number
-    numeric = (INT_KEYS | FLOAT_KEYS | GRID_KEYS.get(argv[0], set())) & (
-        set(COMMAND_PARAMS[argv[0]]) | {"seed", "newton_tol", "dedup_tol"})
+    common = {"seed", "newton_tol", "dedup_tol"}
+    numeric = {k for k, (_, kind) in KEYS[argv[0]].items() if kind is not text} & (own | common)
+    assert numeric == NUMERIC_KEYS[argv[0]] | common
     for key in sorted(numeric):
         out = tmp_path / f"bad-{key}"
         capsys.readouterr()
@@ -449,6 +477,10 @@ def test_every_command_key_is_read_or_rejected(tmp_path, capsys, label):
     ["distortion", "--preset", "basilica", "--n", "-1"],
     ["distortion", "--preset", "basilica", "--n", "4", "--seed", "-1"],
     ["render", "--preset", "basilica", "--layers", "julia", "--points", "-5"],
+    ["render", "--preset", "basilica", "--layers", "orbits", "--marker-period", "-2"],
+    ["render", "--preset", "basilica", "--layers", "orbits", "--marker-period", "0"],
+    ["portrait", "--preset", "basilica", "--period", "3", "--ray-period-cap", "0"],
+    ["portrait", "--preset", "basilica", "--period", "3", "--ray-period-cap", "-3"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
 def test_malformed_or_out_of_range_number_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -568,6 +600,39 @@ def test_null_key_in_manifest_is_a_usage_error(tmp_path, capsys, key):
                       "--output-dir", str(tmp_path / "b")])
     assert rc == 2
     assert f"null parameter(s): {key}" in capsys.readouterr().err
+
+
+#: a valid run, and a manifest key set to a value of the wrong JSON type
+MISTYPED = [
+    (["rays", "--preset", "basilica", "--angles", "1/3"], "angles", 5),
+    (["orbits", "--c", "-1,0", "--n", "2"], "c", 5),
+    (["orbits", "--preset", "basilica", "--n", "2"], "preset", ["basilica"]),
+    (["near-point", "--preset", "basilica", "--n", "4"], "z0", {"a": 1}),
+    (["near-point", "--preset", "basilica", "--n", "4"], "z0", [1, 2, 3]),
+    (["disc-pattern", "--c", "0,0", "--period", "1", "--n", "4"], "orbit_index", True),
+    (["disc-pattern", "--c", "0,0", "--period", "1", "--n", "4"], "orbit_index", 1.5),
+    (["bryuno", "--terms", "5"], "terms", 5.0),
+    (["bryuno", "--terms", "5"], "output_dir", 5),
+]
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    pytest.param(*case, id=f"{case[1]}={json.dumps(case[2])}") for case in MISTYPED])
+def test_mistyped_manifest_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                  argv, key, value):
+    # a manifest value of the wrong JSON type is refused before any work:
+    # no traceback, no silent coercion, and no output (output_dir 5 would be ./5)
+    assert run_command(argv + ["--output-dir", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    manifest["params"][key] = value
+    (tmp_path / "typed.json").write_text(json.dumps(manifest))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    replay = [argv[0], "--from-manifest", "typed.json"]
+    rc = run_command(replay if key == "output_dir" else replay + ["--output-dir", "b"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("usage error:") and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "typed.json"]
 
 
 def _oracle_orbit_files(outdir: Path, orbits) -> None:

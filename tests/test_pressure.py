@@ -35,6 +35,17 @@ def test_periodic_squaring_t2(squaring):
     assert est.value == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0])
+def test_periodic_chebyshev_closed_form(chebyshev, t):
+    # Fix(f^n) = {2 cos th : 2^n th = +-th mod 2 pi} and (f^n)'(2 cos th) =
+    # 2^n sin(2^n th) / sin th, so |(f^n)'| = 2^n at 2^n - 1 points and 4^n at
+    # beta = 2: the sum is (2^n - 1) 2^(-nt) + 4^(-nt) at every n
+    for n in range(1, 11):
+        want = math.log((2 ** n - 1) * 2.0 ** (-n * t) + 4.0 ** (-n * t))
+        got = periodic_pressure_estimate(chebyshev, t, n).log_sum
+        assert abs(got - want) <= 1e-12, (n, got, want)
+
+
 def test_tree_squaring_t1_exact_zero(squaring):
     est = tree_pressure_estimate(squaring, 1.0 + 0j, 1.0, 10)
     assert est.value == pytest.approx(0.0, abs=1e-10)
