@@ -4,7 +4,8 @@ Every run writes its outputs plus a manifest.json recording the fully
 resolved configuration, tool version and wall time; re-running a command
 from its manifest reproduces the output files byte for byte (the manifest
 itself carries the non-deterministic wall time and is not compared).
-KEYS gives each command one table, key -> (default, kind).  A kind turns a
+@subcommand registers each handler with one table, key -> (default, kind),
+kept in KEYS[command]; the parser's flags come from it.  A kind turns a
 key's text from a flag or config file, or its JSON value from a manifest,
 into an int with an optional floor, a finite float (optionally > 0), a
 checked grid kept as text, or a string; anything else is a usage error, and
@@ -54,6 +55,7 @@ PRESETS = {
 
 #: Most values of a start:stop:step grid; also stops one whose v += step never moves v.
 MAX_GRID = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -189,7 +191,7 @@ def real(positive: bool = False):
     return kind
 
 
-def text(key: str, value) -> str:
+def string(key: str, value) -> str:
     """The kind of a string key."""
     if not isinstance(value, str):
         raise UsageError(f"{key} must be a string, got {value!r}")
@@ -202,7 +204,7 @@ def grid(positive: bool = False):
     check = real(positive)
 
     def kind(key: str, value) -> str:
-        for v in parse_grid(text(key, value)):
+        for v in parse_grid(string(key, value)):
             check(key, v)
         return value
     return kind
@@ -212,9 +214,9 @@ def grid(positive: bool = False):
 REQUIRED = object()
 
 COMMON_KEYS = {
-    "c": (None, text),
-    "preset": (None, text),
-    "output_dir": (".", text),
+    "c": (None, string),
+    "preset": (None, string),
+    "output_dir": (".", string),
     "seed": (0, integer(0)),
     "mantissa_bits": (53, integer()),
     "newton_tol": (1e-9, real()),
@@ -222,28 +224,21 @@ COMMON_KEYS = {
     "max_iter": (4096, integer()),
 }
 
-#: each command's keys, key -> (default, kind); a key may be null only where
-#: its default is None
-KEYS: dict[str, dict[str, tuple]] = {command: {**COMMON_KEYS, **own} for command, own in {
-    "orbits": {"n": (REQUIRED, integer(1))},
-    "rays": {"angles": ("1/3,2/3", text), "g_min": (1e-8, real(True))},
-    "portrait": {"period": (REQUIRED, integer(1)), "orbit_index": (0, integer()),
-                 "match_tol": (1e-6, real(True)), "ray_period_cap": (None, integer(1))},
-    "pressure": {"t": ("0:2:0.5", grid()), "n": (10, integer(1)), "basepoint": (None, text)},
-    # parse_int_grid checks that n holds positive integers
-    "bunches": {"n": (REQUIRED, grid()), "delta": ("0.1", grid(True)), "mode": ("H", text)},
-    "near-point": {"z0": ("beta", text), "p": (1, integer(1)), "n": (REQUIRED, integer(1)),
-                   "delta": (0.3, real(True)), "r0": (0.5, real(True))},
-    "disc-pattern": {"period": (REQUIRED, integer(1)), "n": (REQUIRED, integer(1)),
-                     "delta": (0.3, real(True)), "r0": (0.5, real(True)),
-                     "C": (2.0, real(True)), "orbit_index": (0, integer())},
-    "distortion": {"center": ("alpha", text), "r": (1e-4, real(True)), "n": (20, integer(0)),
-                   "samples": (2048, integer(1)), "period": (1, integer(1))},
-    "bryuno": {"alpha": ("golden", text), "quotients": (None, text), "terms": (20, integer())},
-    "render": {"layers": ("julia", text), "angles": ("", text), "points": (20000, integer(1)),
-               "viewport": ("-2.2:2.2:-1.7:1.7", text), "g_min": (1e-6, real(True)),
-               "marker_period": (None, integer(1))},
-}.items()}
+#: each command's keys, key -> (default, kind), and its handler, both filled
+#: in by @subcommand; a key may be null only where its default is None
+KEYS: dict[str, dict[str, tuple]] = {}
+HANDLERS: dict = {}
+
+
+def subcommand(name: str, **own):
+    """Register the decorated handler as command `name`, whose keys are
+    COMMON_KEYS and `own`."""
+    def register(handler):
+        KEYS[name] = {**COMMON_KEYS, **own}
+        HANDLERS[name] = handler
+        return handler
+    return register
+
 
 #: the render keys that only one layer reads
 RENDER_LAYER_KEYS = {"julia": ("points",), "rays": ("angles", "g_min"),
@@ -252,8 +247,10 @@ RENDER_LAYER_KEYS = {"julia": ("points",), "rays": ("angles", "g_min"),
 
 def resolve_params(command: str, flag_values: dict, config_path: str | None,
                    manifest_path: str | None) -> dict:
-    """Defaults < config file < manifest < flags, each value then put
-    through its key's kind once."""
+    """Defaults < config file < manifest < flags, each merged value then put
+    through its key's kind (a config value also as it is read, so a bad one
+    fails even where a flag overrides it; a kind returns its own output
+    unchanged)."""
     table = KEYS[command]
     params = {key: default for key, (default, _) in table.items()}
 
@@ -270,7 +267,7 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
                     if key not in table:
                         raise UsageError(
                             f"unknown key {key!r} in config section [{section}]")
-                    params[key] = value
+                    params[key] = table[key][1](key, value)
 
     if manifest_path:
         try:
@@ -355,6 +352,7 @@ def _select_orbit(orbits: list[PeriodicOrbit], period: int, params: dict) -> Per
 # --------------------------------------------------------------------------
 # command implementations; each returns the list of output file names
 
+@subcommand("orbits", n=(REQUIRED, integer(1)))
 def cmd_orbits(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("orbits", params, ENUMERATION_KEYS)
@@ -363,6 +361,7 @@ def cmd_orbits(params: dict, outdir: Path) -> list[str]:
     return ["orbits.csv", "orbits.jsonl"]
 
 
+@subcommand("rays", angles=("1/3,2/3", string), g_min=(1e-8, real(True)))
 def cmd_rays(params: dict, outdir: Path) -> list[str]:
     resolve_precision("rays", params, MAP_KEYS)
     qmap = resolve_map(params)
@@ -379,6 +378,8 @@ def cmd_rays(params: dict, outdir: Path) -> list[str]:
     return outputs
 
 
+@subcommand("portrait", period=(REQUIRED, integer(1)), orbit_index=(0, integer()),
+            match_tol=(1e-6, real(True)), ray_period_cap=(None, integer(1)))
 def cmd_portrait(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("portrait", params, ENUMERATION_KEYS)
@@ -395,6 +396,7 @@ def cmd_portrait(params: dict, outdir: Path) -> list[str]:
     return ["portrait.json"]
 
 
+@subcommand("pressure", t=("0:2:0.5", grid()), n=(10, integer(1)), basepoint=(None, string))
 def cmd_pressure(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("pressure", params, ENUMERATION_KEYS)
@@ -417,6 +419,8 @@ def cmd_pressure(params: dict, outdir: Path) -> list[str]:
     return ["pressure.csv", "pressure.json", "pressure.svg"]
 
 
+# parse_int_grid checks that n holds positive integers
+@subcommand("bunches", n=(REQUIRED, grid()), delta=("0.1", grid(True)), mode=("H", string))
 def cmd_bunches(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     # only Hypothesis H is checked; mode stays so older manifests replay
@@ -444,6 +448,8 @@ def cmd_bunches(params: dict, outdir: Path) -> list[str]:
     return ["bunches.csv", "bunches.json"]
 
 
+@subcommand("near-point", z0=("beta", string), p=(1, integer(1)), n=(REQUIRED, integer(1)),
+            delta=(0.3, real(True)), r0=(0.5, real(True)))
 def cmd_near_point(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("near-point", params, ENUMERATION_KEYS)
@@ -457,6 +463,9 @@ def cmd_near_point(params: dict, outdir: Path) -> list[str]:
     return ["near_point.json"]
 
 
+@subcommand("disc-pattern", period=(REQUIRED, integer(1)), n=(REQUIRED, integer(1)),
+            delta=(0.3, real(True)), r0=(0.5, real(True)), C=(2.0, real(True)),
+            orbit_index=(0, integer()))
 def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
     qmap = resolve_map(params)
     cfg = resolve_precision("disc-pattern", params, ENUMERATION_KEYS)
@@ -475,6 +484,8 @@ def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
     return ["disc_pattern.json"]
 
 
+@subcommand("distortion", center=("alpha", string), r=(1e-4, real(True)),
+            n=(20, integer(0)), samples=(2048, integer(1)), period=(1, integer(1)))
 def cmd_distortion(params: dict, outdir: Path) -> list[str]:
     resolve_precision("distortion", params, MAP_KEYS + ("seed",))
     qmap = resolve_map(params)
@@ -489,6 +500,7 @@ def cmd_distortion(params: dict, outdir: Path) -> list[str]:
     return ["distortion.json"]
 
 
+@subcommand("bryuno", alpha=("golden", string), quotients=(None, string), terms=(20, integer()))
 def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
     quotients, terms = params["quotients"], params["terms"]
     resolve_precision("bryuno", params, reads=(), unread=("alpha",) if quotients else ())
@@ -512,6 +524,9 @@ def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
     return ["bryuno.json", "bryuno.csv"]
 
 
+@subcommand("render", layers=("julia", string), angles=("", string),
+            points=(20000, integer(1)), viewport=("-2.2:2.2:-1.7:1.7", string),
+            g_min=(1e-6, real(True)), marker_period=(None, integer(1)))
 def cmd_render(params: dict, outdir: Path) -> list[str]:
     layer_names = [s.strip() for s in params["layers"].split(",") if s.strip()]
     # only the julia layer samples and only the orbits layer enumerates
@@ -557,20 +572,6 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
                                     vp)
     (outdir / "scene.svg").write_text(render_scene(elements), encoding="utf-8")
     return ["scene.svg"]
-
-
-HANDLERS = {
-    "orbits": cmd_orbits,
-    "rays": cmd_rays,
-    "portrait": cmd_portrait,
-    "pressure": cmd_pressure,
-    "bunches": cmd_bunches,
-    "near-point": cmd_near_point,
-    "disc-pattern": cmd_disc_pattern,
-    "distortion": cmd_distortion,
-    "bryuno": cmd_bryuno,
-    "render": cmd_render,
-}
 
 
 @functools.cache

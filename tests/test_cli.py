@@ -201,6 +201,15 @@ def test_unreadable_manifest_or_config_is_a_usage_error(tmp_path, capsys, flag, 
     assert not out.exists()
 
 
+def test_bad_config_value_is_rejected_even_when_a_flag_wins(tmp_path, capsys):
+    cfg = tmp_path / "q.ini"
+    cfg.write_text("[bryuno]\nterms = abc\n")
+    out = tmp_path / "out"
+    rc = run_command(["bryuno", "--config", str(cfg), "--terms", "12", "--output-dir", str(out)])
+    assert rc == 2 and "abc" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[bryuno]\nnot_a_key = 1\n")
@@ -341,16 +350,33 @@ RUNS["rays"] = ["rays", "--preset", "basilica", "--angles", "1/3"]
 SEED_READERS = ("distortion", "render-julia")
 
 
+#: the outputs each of RUNS lists in its manifest, in order
+RUN_OUTPUTS = {
+    "orbits": ["orbits.csv", "orbits.jsonl"],
+    "portrait": ["portrait.json"],
+    "pressure": ["pressure.csv", "pressure.json", "pressure.svg"],
+    "bunches": ["bunches.json"],
+    "near-point": ["near_point.json"],
+    "disc-pattern": ["disc_pattern.json"],
+    "distortion": ["distortion.json"],
+    "bryuno": ["bryuno.json", "bryuno.csv"],
+    "render-julia": ["scene.svg"],
+    "render-orbits": ["scene.svg"],
+    "rays": ["ray_1_3.csv"],
+}
+
+
 def test_manifest_records_every_resolved_parameter(tmp_path):
     from quadray.cli import KEYS
+    assert set(RUN_OUTPUTS) == set(RUNS)
     for label, argv in RUNS.items():
         out = tmp_path / label
         assert run_command(argv + ["--output-dir", str(out)]) == 0, label
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["params"]) == set(KEYS[argv[0]]), label
         assert manifest["version"] and manifest["command"] == argv[0]
-        assert sorted(manifest["outputs"]) == sorted(
-            p.name for p in out.iterdir() if p.name != "manifest.json"), label
+        assert manifest["outputs"] == RUN_OUTPUTS[label], label
+        assert {p.name for p in out.iterdir()} == {*RUN_OUTPUTS[label], "manifest.json"}, label
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -416,7 +442,7 @@ KEY_VALUES = {
                "viewport": "-2:2:-2:2", "g_min": "1e-3", "marker_period": "3"},
 }
 #: each command's own numeric keys; with seed and the two tolerances these
-#: are the keys whose kind is not text, pinned so the set cannot shrink
+#: are the keys whose kind is not string, pinned so the set cannot shrink
 NUMERIC_KEYS = {
     "orbits": {"n"},
     "rays": {"g_min"},
@@ -437,7 +463,7 @@ KEY_RUNS = dict(RUNS, **{"render-orbits": ["render", "--preset", "basilica", "--
 
 @pytest.mark.parametrize("label", KEY_RUNS)
 def test_every_command_key_is_read_or_rejected(tmp_path, capsys, label):
-    from quadray.cli import COMMON_KEYS, KEYS, text
+    from quadray.cli import COMMON_KEYS, KEYS, string
     argv = KEY_RUNS[label]
     base = tmp_path / "base"
     assert run_command(argv + ["--output-dir", str(base)]) == 0
@@ -452,7 +478,7 @@ def test_every_command_key_is_read_or_rejected(tmp_path, capsys, label):
             assert hashes(out) != hashes(base), key
     # every numeric key, common or the command's own, refuses a malformed number
     common = {"seed", "newton_tol", "dedup_tol"}
-    numeric = {k for k, (_, kind) in KEYS[argv[0]].items() if kind is not text} & (own | common)
+    numeric = {k for k, (_, kind) in KEYS[argv[0]].items() if kind is not string} & (own | common)
     assert numeric == NUMERIC_KEYS[argv[0]] | common
     for key in sorted(numeric):
         out = tmp_path / f"bad-{key}"
