@@ -8,13 +8,14 @@ itself carries the non-deterministic wall time and is not compared).
 kept in KEYS[command]; the parser's flags come from it.  A kind turns a
 key's text from a flag or config file, or its JSON value from a manifest,
 into an int with an optional floor, a finite float (optionally > 0), a
-checked grid kept as text, or a string; anything else is a usage error, and
-so is a null key whose default is not None.  Each command names the common
-keys it reads; setting another (output_dir aside), or a command key the run
-leaves unread, away from its default is a usage error.  No command reads
+checked, non-empty grid kept as text, or a string; anything else is a usage
+error, and so is a null key whose default is not None.  Each command names the
+common keys it reads; setting another (output_dir aside), or a command key the
+run leaves unread, away from its default is a usage error.  No command reads
 mantissa_bits or max_iter; they stay so that older manifests replay.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error.  Each handler imports
+the modules it runs beyond dynamics, errors and orbits in its own body.
 """
 
 from __future__ import annotations
@@ -30,18 +31,10 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .angles import Angle, bryuno_sums, bryuno_sums_from_quotients, classify_portrait
-from .bunches import (MODE_H, DiscPattern, bunch_sweep, count_orbits_in_disc_pattern,
-                      count_orbits_near_point, distortion_ratio)
 from .dynamics import PrecisionConfig, QuadraticMap
 from .errors import QuadrayError
 from .orbits import (PeriodicOrbit, alpha_beta_fixed_points,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
-from .pressure import (MODE_PERIODIC, MODE_TREE, default_tree_basepoint,
-                       pressure_comparison)
-from .rays import portrait_at_orbit, trace_rays
-from .scene import (Viewport, julia_point_cloud, markers_svg, point_cloud_svg,
-                    polyline_svg, pressure_curve_svg, render_scene)
 
 GOLDEN_ROTATION = (math.sqrt(5.0) - 1.0) / 2.0
 _golden_lambda = cmath.exp(2j * math.pi * GOLDEN_ROTATION)
@@ -109,7 +102,8 @@ def parse_int_grid(text: str) -> list[int]:
     return out
 
 
-def parse_angles(text: str) -> list[Angle]:
+def parse_angles(text: str) -> list:
+    from .angles import Angle
     try:
         return [Angle.parse(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:  # not num/den, or a zero denominator
@@ -204,8 +198,8 @@ def grid(positive: bool = False):
     check = real(positive)
 
     def kind(key: str, value) -> str:
-        for v in parse_grid(string(key, value)):
-            check(key, v)
+        if not [check(key, v) for v in parse_grid(string(key, value))]:
+            raise UsageError(f"{key} needs at least one value, got {value!r}")
         return value
     return kind
 
@@ -363,6 +357,7 @@ def cmd_orbits(params: dict, outdir: Path) -> list[str]:
 
 @subcommand("rays", angles=("1/3,2/3", string), g_min=(1e-8, real(True)))
 def cmd_rays(params: dict, outdir: Path) -> list[str]:
+    from .rays import trace_rays
     resolve_precision("rays", params, MAP_KEYS)
     qmap = resolve_map(params)
     angles = parse_angles(params["angles"])
@@ -381,6 +376,8 @@ def cmd_rays(params: dict, outdir: Path) -> list[str]:
 @subcommand("portrait", period=(REQUIRED, integer(1)), orbit_index=(0, integer()),
             match_tol=(1e-6, real(True)), ray_period_cap=(None, integer(1)))
 def cmd_portrait(params: dict, outdir: Path) -> list[str]:
+    from .angles import classify_portrait
+    from .rays import portrait_at_orbit
     qmap = resolve_map(params)
     cfg = resolve_precision("portrait", params, ENUMERATION_KEYS)
     n = params["period"]
@@ -398,6 +395,8 @@ def cmd_portrait(params: dict, outdir: Path) -> list[str]:
 
 @subcommand("pressure", t=("0:2:0.5", grid()), n=(10, integer(1)), basepoint=(None, string))
 def cmd_pressure(params: dict, outdir: Path) -> list[str]:
+    from .pressure import MODE_PERIODIC, MODE_TREE, default_tree_basepoint, pressure_comparison
+    from .scene import pressure_curve_svg
     qmap = resolve_map(params)
     cfg = resolve_precision("pressure", params, ENUMERATION_KEYS)
     t_grid = parse_grid(params["t"])
@@ -422,6 +421,7 @@ def cmd_pressure(params: dict, outdir: Path) -> list[str]:
 # parse_int_grid checks that n holds positive integers
 @subcommand("bunches", n=(REQUIRED, grid()), delta=("0.1", grid(True)), mode=("H", string))
 def cmd_bunches(params: dict, outdir: Path) -> list[str]:
+    from .bunches import MODE_H, bunch_sweep
     qmap = resolve_map(params)
     # only Hypothesis H is checked; mode stays so older manifests replay
     cfg = resolve_precision("bunches", params, ENUMERATION_KEYS, unread=("mode",))
@@ -451,6 +451,7 @@ def cmd_bunches(params: dict, outdir: Path) -> list[str]:
 @subcommand("near-point", z0=("beta", string), p=(1, integer(1)), n=(REQUIRED, integer(1)),
             delta=(0.3, real(True)), r0=(0.5, real(True)))
 def cmd_near_point(params: dict, outdir: Path) -> list[str]:
+    from .bunches import count_orbits_near_point
     qmap = resolve_map(params)
     cfg = resolve_precision("near-point", params, ENUMERATION_KEYS)
     z0 = _resolve_point(params["z0"], qmap)
@@ -467,6 +468,7 @@ def cmd_near_point(params: dict, outdir: Path) -> list[str]:
             delta=(0.3, real(True)), r0=(0.5, real(True)), C=(2.0, real(True)),
             orbit_index=(0, integer()))
 def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
+    from .bunches import DiscPattern, count_orbits_in_disc_pattern
     qmap = resolve_map(params)
     cfg = resolve_precision("disc-pattern", params, ENUMERATION_KEYS)
     p, n, delta, r0 = params["period"], params["n"], params["delta"], params["r0"]
@@ -487,6 +489,7 @@ def cmd_disc_pattern(params: dict, outdir: Path) -> list[str]:
 @subcommand("distortion", center=("alpha", string), r=(1e-4, real(True)),
             n=(20, integer(0)), samples=(2048, integer(1)), period=(1, integer(1)))
 def cmd_distortion(params: dict, outdir: Path) -> list[str]:
+    from .bunches import distortion_ratio
     resolve_precision("distortion", params, MAP_KEYS + ("seed",))
     qmap = resolve_map(params)
     center = _resolve_point(params["center"], qmap)
@@ -502,6 +505,7 @@ def cmd_distortion(params: dict, outdir: Path) -> list[str]:
 
 @subcommand("bryuno", alpha=("golden", string), quotients=(None, string), terms=(20, integer()))
 def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
+    from .angles import bryuno_sums, bryuno_sums_from_quotients
     quotients, terms = params["quotients"], params["terms"]
     resolve_precision("bryuno", params, reads=(), unread=("alpha",) if quotients else ())
     alpha = {"golden": GOLDEN_ROTATION, "silver": math.sqrt(2.0) - 1.0}.get(
@@ -528,6 +532,8 @@ def cmd_bryuno(params: dict, outdir: Path) -> list[str]:
             points=(20000, integer(1)), viewport=("-2.2:2.2:-1.7:1.7", string),
             g_min=(1e-6, real(True)), marker_period=(None, integer(1)))
 def cmd_render(params: dict, outdir: Path) -> list[str]:
+    from . import scene
+    from .rays import trace_rays
     layer_names = [s.strip() for s in params["layers"].split(",") if s.strip()]
     # only the julia layer samples and only the orbits layer enumerates
     cfg = resolve_precision("render", params, MAP_KEYS
@@ -542,7 +548,7 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
         raise UsageError(f"bad viewport {params['viewport']!r}") from exc
     if len(vp_bits) != 4:
         raise UsageError("viewport must be remin:remax:immin:immax")
-    vp = Viewport(*vp_bits)
+    vp = scene.Viewport(*vp_bits)
     if not (all(map(math.isfinite, vp_bits))
             and vp.re_min < vp.re_max and vp.im_min < vp.im_max):
         raise UsageError("viewport needs finite remin < remax and immin < immax")
@@ -559,18 +565,18 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
     elements: list[str] = []
     for name in layer_names:
         if name == "julia":
-            elements += point_cloud_svg(julia_point_cloud(
+            elements += scene.point_cloud_svg(scene.julia_point_cloud(
                 qmap, count=params["points"], seed=params["seed"]), vp)
         elif name == "rays":
             for i, trace in enumerate(trace_rays(qmap, angles, params["g_min"])):
-                elements += polyline_svg([z for _, z in trace.samples], vp,
-                                         palette[i % len(palette)], str(trace.angle))
+                elements += scene.polyline_svg([z for _, z in trace.samples], vp,
+                                               palette[i % len(palette)], str(trace.angle))
         else:
             orbits = julia_orbits(qmap, period, cfg)
-            elements += markers_svg([z for o in orbits for z in o.points],
-                                    [f"p{o.minimal_period}" for o in orbits for _ in o.points],
-                                    vp)
-    (outdir / "scene.svg").write_text(render_scene(elements), encoding="utf-8")
+            elements += scene.markers_svg([z for o in orbits for z in o.points],
+                                          [f"p{o.minimal_period}" for o in orbits
+                                           for _ in o.points], vp)
+    (outdir / "scene.svg").write_text(scene.render_scene(elements), encoding="utf-8")
     return ["scene.svg"]
 
 

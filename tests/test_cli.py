@@ -516,6 +516,22 @@ def test_malformed_or_out_of_range_number_is_a_usage_error(tmp_path, capsys, arg
     assert not (out.exists() and any(out.iterdir()))
 
 
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--c", "0,0", "--t", "2:0:0.5", "--n", "4"],
+    ["pressure", "--c", "0,0", "--t", ",", "--n", "4"],
+    ["bunches", "--c", "-1,0", "--n", "4", "--delta", "0.3:0.1:0.1"],
+    ["bunches", "--c", "-1,0", "--n", "6:4:1", "--delta", "0.1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+def test_empty_grid_is_a_usage_error(tmp_path, capsys, argv):
+    # a grid with no values used to crash after writing some outputs, or to
+    # write empty reports; it is refused before any work
+    out = tmp_path / "out"
+    assert run_command(argv + ["--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "needs at least one value" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, key, value", [
     (["rays", "--preset", "basilica", "--angles", "1/3"], "g_min", "0"),
     (["rays", "--preset", "basilica", "--angles", "1/3"], "g_min", "-1"),

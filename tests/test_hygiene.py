@@ -1,6 +1,7 @@
 """Static checks on the package source, and on what importing it loads."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import quadray
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "quadray"
-# __init__.py imports names only to re-export them.
+# __init__.py only maps the exported names to their modules.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -117,9 +120,7 @@ def test_every_export_is_reached():
     # a name the package exports must be read by another module of it, by a
     # tool, by a benchmark workload or by an acceptance test, or be a named
     # oracle; a definition's own body does not count
-    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    exports = {alias.asname or alias.name for node in init.body
-               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exports = set(quadray._EXPORTS)
     readers = [*MODULES, *sorted((ROOT / "tools").glob("*.py")),
                ROOT / "bench" / "workloads.py", ROOT / "tests" / "test_acceptance.py"]
     reached = set()
@@ -134,25 +135,48 @@ def test_every_export_is_reached():
     assert set(ORACLES) <= exports
 
 
-# Importing the package, and the orbits, pressure, portrait, render,
-# near-point, disc-pattern and bunches commands, load numpy and nothing
-# heavier: the orbit-set counts, the close-pair search, the components and
-# the linkage run on numpy arrays alone.  scipy takes 0.5-1 s to import and
-# mpmath about 0.1 s.  scipy.stats (with the scipy.optimize it pulls in)
-# loads only for the sampler of distortion_ratio.
+def test_exports_resolve_lazily_to_their_definitions():
+    # each name is the object its module defines, is listed by dir() and
+    # __all__, and is looked up anew on every use rather than stored in the
+    # package, where a benchmark tracing wrapper would outlive uninstall()
+    assert quadray.__all__ == sorted(quadray._EXPORTS)
+    listed = dir(quadray)
+    for name, module in quadray._EXPORTS.items():
+        defining = importlib.import_module(f"quadray.{module}")
+        assert getattr(quadray, name) is vars(defining)[name], name
+        assert name in listed and name not in vars(quadray), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        quadray.no_such_name
+
+
+# Importing the package and the CLI loads dynamics, errors and orbits and no
+# other quadray module: each command imports what it runs, so orbits adds no
+# module and bunches adds quadray.bunches alone.  Those commands, and the
+# pressure, portrait, render, near-point and disc-pattern commands, load numpy
+# and nothing heavier: the orbit-set counts, the close-pair search, the
+# components and the linkage run on numpy arrays alone.  scipy takes 0.5-1 s
+# to import and mpmath about 0.1 s.  scipy.stats (with the scipy.optimize it
+# pulls in) loads only for the sampler of distortion_ratio.
 _LOADED = """
 import sys
 import quadray, quadray.cli
-from quadray import QuadraticMap, distortion_ratio
 
 def heavy():
     print(*sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
+
+def ours():
+    print(*sorted(m for m in sys.modules if m.startswith("quadray.")))
 
 def run(*argv):
     assert quadray.cli.run_command([*argv, "--output-dir", {out!r}]) == 0, argv
 
 heavy()
+ours()
 run("orbits", "--c", "0,0", "--n", "4")
+ours()
+run("bunches", "--c", "-1,0", "--n", "6", "--delta", "0.1,0.3")
+ours()
+heavy()
 run("pressure", "--c", "0,0", "--t", "0:1:1", "--n", "4")
 run("portrait", "--c", "0,0", "--period", "2")
 run("render", "--c", "0,0", "--layers", "julia,rays", "--angles", "1/3",
@@ -160,8 +184,7 @@ run("render", "--c", "0,0", "--layers", "julia,rays", "--angles", "1/3",
 run("near-point", "--c", "-1,0", "--z0", "beta", "--n", "4")
 run("disc-pattern", "--c", "0,0", "--period", "2", "--n", "2")
 heavy()
-run("bunches", "--c", "-1,0", "--n", "6", "--delta", "0.1,0.3")
-heavy()
+from quadray import QuadraticMap, distortion_ratio
 distortion_ratio(QuadraticMap(0j), 0.5, 1e-4, 1, samples=4)
 heavy()
 """
@@ -172,10 +195,15 @@ def test_startup_defers_scipy_stats(tmp_path):
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _LOADED.format(out=str(tmp_path))],
                          env=env, capture_output=True, text=True, check=True).stdout
-    at_import, after_commands, after_bunches, after_distortion = (
-        line.split() for line in out.split("\n")[:4])
+    (at_import, ours_at_import, ours_after_orbits, ours_after_bunches, after_bunches,
+     after_commands, after_distortion) = (line.split() for line in out.split("\n")[:7])
     assert at_import == [], f"import quadray, quadray.cli loads {at_import}"
+    assert ours_at_import == ["quadray.cli", "quadray.dynamics", "quadray.errors",
+                              "quadray.orbits"], ours_at_import
+    assert ours_after_orbits == ours_at_import, f"orbits loads {ours_after_orbits}"
+    assert ours_after_bunches == sorted(ours_at_import + ["quadray.bunches"]), (
+        f"bunches loads {ours_after_bunches}")
+    assert after_bunches == [], f"orbits and bunches load {after_bunches}"
     assert after_commands == [], (
-        f"orbits, pressure, portrait, render, near-point and disc-pattern load {after_commands}")
-    assert after_bunches == [], f"bunches loads {after_bunches}"
+        f"pressure, portrait, render, near-point and disc-pattern load {after_commands}")
     assert "scipy.stats" in after_distortion
