@@ -21,7 +21,6 @@ the modules it runs beyond dynamics, errors and orbits in its own body.
 from __future__ import annotations
 
 import argparse
-import configparser
 import cmath
 import functools
 import json
@@ -249,6 +248,7 @@ def resolve_params(command: str, flag_values: dict, config_path: str | None,
     params = {key: default for key, (default, _) in table.items()}
 
     if config_path:
+        import configparser  # only --config reads one, off the start-up path
         cp = configparser.ConfigParser()
         try:
             if not cp.read(config_path):
@@ -535,6 +535,8 @@ def cmd_render(params: dict, outdir: Path) -> list[str]:
     from . import scene
     from .rays import trace_rays
     layer_names = [s.strip() for s in params["layers"].split(",") if s.strip()]
+    if not layer_names:
+        raise UsageError("render needs at least one layer")
     # only the julia layer samples and only the orbits layer enumerates
     cfg = resolve_precision("render", params, MAP_KEYS
                             + (("seed",) if "julia" in layer_names else ())

@@ -9,7 +9,12 @@ on the Julia set, and since f^-1(beta) = {beta, -beta}, tree(-beta, n + 1) is
 the half of tree(beta, n + 2) that does not repeat tree(beta, n + 1).  That
 repeated half is the worse one: at c = -2, where beta = 2 = f^2(0), every
 leaf of tree(beta, n + 1) but beta itself is precritical, with (f^n)' = 0,
-and no leaf of tree(-beta, n + 1) is.
+and no leaf of tree(-beta, n + 1) is.  At real c <= 1/4, beta is real and the
+seed set is its own conjugate bit for bit; Newton's complex arithmetic
+commutes with conjugation in IEEE arithmetic, so Newton runs on the seeds
+with Im >= 0 only and each non-real root it returns also gives its
+conjugate, the root the mirrored seed would reach.  At real c > 1/4, beta is
+not real and every seed runs.
 
 Newton runs on the seeds in two passes, and the root count is checked after
 each.  The first pass takes FIRST_PASS_STEPS steps and keeps only the seeds
@@ -70,12 +75,18 @@ FIRST_PASS_STEPS = 16
 #: the level is near the resolution of the tolerances.
 RESOLUTION_MARGIN = 10.0
 
+#: Points one Newton pass may hand to the extended-precision polish; more
+#: raise QuadrayError.  At real c <= 1/4 only the points of the upper seeds
+#: are polished and counted: their mirror images need no polish.
+POLISH_CAP = 4096
 #: Critical-orbit points among the seeds, at most.
 CRITICAL_TAIL = 256
-#: Peak bytes per seed of a whole enumeration: 8.2-9.3 complex arrays of the
-#: seeds' size (tracemalloc, n = 6..17); twelve bound it.  Dedup over many
-#: near-copies of one root can pass it at small n (0.31 MB, golden, n = 8).
-BYTES_PER_SEED = 12 * 16
+#: Peak bytes per seed of a whole enumeration: 6.0-9.0 complex arrays of the
+#: seeds' size (tracemalloc, n = 8..17; the least at real c, where Newton runs
+#: on half of them); eleven bound it, within twice the least.  Dedup over many
+#: near-copies of one root can pass it at small n (0.31 MB, golden, n = 8;
+#: 21 arrays at c = -0.5 + 0.5i, n = 10).
+BYTES_PER_SEED = 11 * 16
 #: 2^n root finding is exponential work: levels whose enumeration would pass
 #: this many bytes (n > 22) are refused before anything is allocated.
 ENUMERATION_BUDGET_BYTES = 2 ** 31
@@ -193,7 +204,8 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray, cfg: PrecisionC
     seeds that never settled, to be merged after the settled ones.  Points
     whose final Newton step cannot certify dedup resolution (noise floor near
     super-repelling chains) are re-polished in extended precision; near a
-    multiple root, one per cluster, which counts with the rest.
+    multiple root, one per cluster, which counts with the rest.  More than
+    POLISH_CAP of them raise QuadrayError.
     """
     z = np.array(seeds, dtype=complex)
     active = np.arange(len(z))
@@ -223,27 +235,31 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray, cfg: PrecisionC
         plausible = (np.isfinite(z) & np.isfinite(g) & np.isfinite(gp)
                      & (g < 1e-3) & ((g < cfg.newton_tol) | (last_step < 1e-6)))
     z, moving = z[plausible], moving[plausible]
-    last_step = last_step[plausible]
+    g, gp, last_step = g[plausible], gp[plausible], last_step[plausible]
 
     unsettled = last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z))
-    if unsettled.sum() > 4096:
+    if unsettled.sum() > POLISH_CAP:
         raise QuadrayError(
             f"{unsettled.sum()} points unresolvable at level {n}; raise dedup_tol or precision")
     # _merge_parabolic collapses each cluster of points near a multiple root
     # into one point, so only the cluster's first is polished.
-    near = unsettled & (gp[plausible] < PARABOLIC_GATE)
+    near = unsettled & (gp < PARABOLIC_GATE)
     clusters = _dedup(z[near], PARABOLIC_MERGE_TOL)
     z = np.concatenate([z[~near], clusters])
     moving = np.concatenate([moving[~near], np.ones(len(clusters), dtype=bool)])
     polish = np.concatenate([unsettled[~near], np.ones(len(clusters), dtype=bool)])
+    # only the polished points move, so only they are evaluated again
+    fresh = np.zeros(len(clusters))
+    g, gp = np.concatenate([g[~near], fresh]), np.concatenate([gp[~near], fresh])
     for i in np.flatnonzero(polish):
         z[i] = _mp_polish_root(qmap.c, z[i], n)
 
     with np.errstate(all="ignore"):
-        w, d = orbit_with_derivative(qmap, z, n)
-        g = np.abs(w - z)
-        err = g / np.maximum(np.abs(d - 1.0), 1.0)
-        keep = np.isfinite(z) & np.isfinite(g) & (g < 1e-3) & (err < cfg.newton_tol)
+        if polish.any():
+            w, d = orbit_with_derivative(qmap, z[polish], n)
+            g[polish], gp[polish] = np.abs(w - z[polish]), np.abs(d - 1.0)
+        keep = (np.isfinite(z) & np.isfinite(g) & (g < 1e-3)
+                & (g / np.maximum(gp, 1.0) < cfg.newton_tol))
     z, moving = z[keep], moving[keep]
     if last:
         return z[~moving], z[moving]
@@ -432,11 +448,20 @@ def _merge_parabolic(qmap: QuadraticMap, n: int, found: np.ndarray,
 
 
 def enumeration_bytes(n: int) -> int:
-    """Peak bytes of fixed_points_of_iterate at level n: its 2^(n+1) + 2 +
-    CRITICAL_TAIL seeds and the first Newton pass over them all, its largest
-    step.  n = 22 needs 1.5 GiB and n = 23 3.0 GiB, so the 2 GiB budget first
-    refuses n = 23."""
+    """Peak bytes of fixed_points_of_iterate at level n, BYTES_PER_SEED for
+    each of its 2^(n+1) + 2 + CRITICAL_TAIL seeds: the largest of the first
+    Newton pass, dedup and the closure.  The whole tree is built for every c,
+    though at real c <= 1/4 Newton runs on about half the seeds.  n = 22
+    needs 1.4 GiB and n = 23 2.8 GiB, so the 2 GiB budget first refuses
+    n = 23."""
     return BYTES_PER_SEED * (2 ** (n + 1) + 2 + CRITICAL_TAIL)
+
+
+def _seeds(qmap: QuadraticMap, n: int, fp: FixedPoints) -> np.ndarray:
+    """The Newton seeds of level n: tree(-beta, n + 1), alpha, beta and the
+    critical tail."""
+    return np.concatenate([preimage_tree(qmap, -fp.beta, n + 1)[0],
+                           [fp.alpha, fp.beta], _critical_orbit_tail(qmap)])
 
 
 def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
@@ -447,11 +472,14 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
     The seeds are tree(-beta, n + 1) with alpha, beta and the critical tail.
     A first Newton pass of FIRST_PASS_STEPS runs on them all and, only when
     the count is still short, a second pass continues the stragglers for the
-    rest of NEWTON_STEPS.  A pass's roots join the found ones through
-    `_unseen`, those of never-settled seeds last; then `_close_under_f` adds
-    the roots the images of the found ones lead to, the parabolic merge runs
-    and the count is checked.  A UserWarning names the closest two roots
-    when they lie within RESOLUTION_MARGIN dedup_tol max(1, |z|).
+    rest of NEWTON_STEPS.  At real c <= 1/4 both passes run on the seeds with
+    Im >= 0 only, and each pass's non-real roots are joined by their
+    conjugates, the same floats the lower seeds lead to.  A pass's roots join
+    the found ones through `_unseen`, those of never-settled seeds last; then
+    `_close_under_f` adds the roots the images of the found ones lead to, the
+    parabolic merge runs and the count is checked.  A UserWarning names the
+    closest two roots when they lie within RESOLUTION_MARGIN dedup_tol
+    max(1, |z|).
 
     Raises QuadrayError when enumeration_bytes(n) exceeds the budget, and
     IncompleteEnumerationError, whose `found` holds the partial IterateRoots,
@@ -465,15 +493,21 @@ def fixed_points_of_iterate(qmap: QuadraticMap, n: int,
             f"level {n} needs about {enumeration_bytes(n) / 2 ** 30:.1f} GiB to "
             f"enumerate, over the {ENUMERATION_BUDGET_BYTES / 2 ** 30:.0f} GiB budget")
     fp = alpha_beta_fixed_points(qmap)
+    seeds = _seeds(qmap, n, fp)
+    # At real c <= 1/4 the seeds are conjugation-invariant and Newton commutes
+    # with conjugation, so the lower seeds' roots are the upper ones' mirrors.
+    mirror = qmap.c.imag == 0 and fp.beta.imag == 0
+    if mirror:
+        seeds = seeds[seeds.imag >= 0]
+
+    def mirrored(roots):
+        return np.concatenate([roots, roots[roots.imag != 0].conj()]) if mirror else roots
 
     def passes():
-        roots, stragglers = _newton_roots(
-            qmap, n, np.concatenate([preimage_tree(qmap, -fp.beta, n + 1)[0],
-                                     [fp.alpha, fp.beta], _critical_orbit_tail(qmap)]),
-            cfg, FIRST_PASS_STEPS)
-        yield (roots,)
-        yield _newton_roots(qmap, n, stragglers, cfg, NEWTON_STEPS - FIRST_PASS_STEPS,
-                            last=True)
+        roots, stragglers = _newton_roots(qmap, n, seeds, cfg, FIRST_PASS_STEPS)
+        yield (mirrored(roots),)
+        yield tuple(map(mirrored, _newton_roots(
+            qmap, n, stragglers, cfg, NEWTON_STEPS - FIRST_PASS_STEPS, last=True)))
 
     found = np.array([], dtype=complex)
     merges = [(0.0, None, None)]

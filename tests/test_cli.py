@@ -580,6 +580,8 @@ def test_unread_command_key_rejected(tmp_path, capsys, argv, key):
 
 
 @pytest.mark.parametrize("layers, message", [
+    (",", "render needs at least one layer"),
+    (" , ", "render needs at least one layer"),
     ("rays", "rays layer needs --angles"),
     ("julia,orbits", "orbits layer needs --marker-period"),
 ])
@@ -720,3 +722,32 @@ def test_orbit_writer_matches_row_oracle(tmp_path, orbits):
     _oracle_orbit_files(old, orbits)
     for name in ("orbits.csv", "orbits.jsonl"):
         assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+TIGHT_ARGS = ["--newton-tol", "1e-12", "--dedup-tol", "2e-11"]
+#: sha256 of the outputs of enumerations at real c, where Newton runs on the
+#: upper half-plane and the lower half comes as conjugates, and at c = 0.3,
+#: where every seed runs; taken before that halving and unchanged by it
+REAL_PARAMETER_OUTPUTS = [
+    (["orbits", "--c", "0,0", "--n", "12"], {
+        "orbits.csv": "6ab2ac4fbbd2b8b081f84c0bee3871dff707ab5da8c5bd11fc6c3fc427476568",
+        "orbits.jsonl": "2c421135be9ec610461a1644770931d4a69310e9dac55502aad19a3bd5252f83"}),
+    (["orbits", "--c", "-1,0", "--n", "12"], {
+        "orbits.csv": "f449dcd1837f8803d6992dd5d47d6b8ff29569fcf8fbcf8ab125ada531a262fa",
+        "orbits.jsonl": "066abbeb18aa852d882c6a453fe0126c9f1a54a61e4319187482188edde4be1c"}),
+    (["orbits", "--c", "-1.749,0", "--n", "12", *TIGHT_ARGS], {
+        "orbits.csv": "5130f068e219a843d0d100d9f8596390904fa304cfca9af699b4a71e4903aa19",
+        "orbits.jsonl": "10f1be964e6524110b1d361df2e07b97a6ade05892cd0ff7683ee82570d7c15b"}),
+    (["orbits", "--c", "0.3,0", "--n", "8"], {
+        "orbits.csv": "e7a126dc0bf055f7780c3df07a6e95f1ad36b39715d994ef309ed79e7eb64c63",
+        "orbits.jsonl": "2587197921ecd15d1f4f4d38e62822c9faf028595393310e4b97147363740f74"}),
+    (["pressure", "--c", "-1,0", "--t", "0:2:0.5", "--n", "12"], {
+        "pressure.json": "038bd3b4cf409e4fe882f2707a51a3bbf99b47494315edfec3e6b8ba4e0d9066"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", REAL_PARAMETER_OUTPUTS, ids=[
+    "orbits c=0", "orbits c=-1", "orbits c=-1.749 tight", "orbits c=0.3", "pressure c=-1"])
+def test_real_parameter_outputs_are_pinned(tmp_path, argv, digests):
+    assert run_command(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert {name: hashes(tmp_path)[name] for name in digests} == digests

@@ -156,13 +156,15 @@ def test_exports_resolve_lazily_to_their_definitions():
 # and nothing heavier: the orbit-set counts, the close-pair search, the
 # components and the linkage run on numpy arrays alone.  scipy takes 0.5-1 s
 # to import and mpmath about 0.1 s.  scipy.stats (with the scipy.optimize it
-# pulls in) loads only for the sampler of distortion_ratio.
+# pulls in) loads only for the sampler of distortion_ratio, and configparser
+# (2 ms) only for --config.
 _LOADED = """
 import sys
 import quadray, quadray.cli
 
 def heavy():
-    print(*sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
+    print(*sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("scipy", "mpmath", "configparser")))
 
 def ours():
     print(*sorted(m for m in sys.modules if m.startswith("quadray.")))

@@ -299,9 +299,13 @@ def test_level_cap_enforced(squaring, monkeypatch):
 
 
 def test_enumeration_bytes_bounds_the_whole_enumeration():
-    # the traced peak of fixed_points_of_iterate, its seeds included
+    # the traced peak of fixed_points_of_iterate, its seeds included, at real
+    # c, where Newton runs on the upper half of the seeds, and at the rabbit,
+    # where it runs on them all
+    rabbit = -0.12256116687665361 + 0.7448617666197442j
     for (c, cfg), n in itertools.product(
-            [(0j, DEFAULT_CONFIG), (-1 + 0j, DEFAULT_CONFIG), (-1.749 + 0j, TIGHT)], range(8, 15)):
+            [(0j, DEFAULT_CONFIG), (-1 + 0j, DEFAULT_CONFIG), (-1.749 + 0j, TIGHT),
+             (rabbit, DEFAULT_CONFIG)], range(8, 15)):
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -852,3 +856,90 @@ def test_grouping_rejects_ambiguous_points(squaring, zs, message):
     pts = IterateRoots(z=np.array(zs, dtype=complex), multiplicity=np.ones(len(zs), dtype=int))
     with pytest.raises(AmbiguousOrbitError, match=message):
         group_into_orbits(pts, squaring, 3)
+
+
+def _bits(z):
+    """The (re, im)-sorted points as int64 bit patterns, -0.0 read as 0.0."""
+    return np.sort(np.asarray(z, dtype=complex) + 0.0).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-2.0, 0.25), st.integers(1, 10))
+@example(-2.0, 10)
+@example(0.25, 6)
+@example(0.0, 10)
+@example(-0.75, 8)
+def test_real_parameter_seeds_are_their_own_conjugate(c, n):
+    # the multiset Newton halves at real c <= 1/4 is its own mirror image,
+    # bit for bit, up to the sign of zero
+    qmap = QuadraticMap(c)
+    seeds = orbits_mod._seeds(qmap, n, alpha_beta_fixed_points(qmap))
+    assert np.array_equal(_bits(seeds), _bits(seeds.conj()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-2.0, 0.25), st.integers(1, 8))
+@example(-2.0, 8)
+@example(-1.25, 8)
+@example(0.25, 6)
+@example(-1.75, 7)
+def test_real_parameter_roots_are_conjugation_closed(c, n):
+    # conjugation pairs the roots, each with one root within dedup_tol of its
+    # mirror image and of the same multiplicity.  Not bit for bit: dedup
+    # keeps the least of near-copies a few ulps apart in (re, im) order, and
+    # conjugation reverses the order of the imaginary parts
+    qmap = QuadraticMap(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            roots = fixed_points_of_iterate(qmap, n)
+        except IncompleteEnumerationError as exc:
+            roots = exc.found
+    gap = np.abs(roots.z[:, None] - roots.z.conj()[None, :])
+    pair = np.argmin(gap, axis=1)
+    assert np.all(gap[np.arange(len(pair)), pair]
+                  <= DEFAULT_CONFIG.dedup_tol * np.maximum(1.0, np.abs(roots.z)))
+    assert np.array_equal(pair[pair], np.arange(len(pair)))
+    assert np.array_equal(roots.multiplicity[pair], roots.multiplicity)
+
+
+@pytest.mark.parametrize("c, halved", [(-1 + 0j, True), (0.25 + 0j, True), (-2 + 0j, True),
+                                       (0.3 + 0j, False), (-0.5 + 0.5j, False)])
+def test_newton_runs_on_the_upper_seeds_at_real_c_up_to_a_quarter(c, halved, monkeypatch):
+    # at real c > 1/4 beta is not real, the seeds are not their own mirror
+    # image, and Newton runs on every seed
+    qmap, n = QuadraticMap(c), 6
+    seeds = orbits_mod._seeds(qmap, n, alpha_beta_fixed_points(qmap))
+    assert np.array_equal(_bits(seeds), _bits(seeds.conj())) == halved
+    runs = []
+    newton = orbits_mod._newton_roots
+    monkeypatch.setattr(orbits_mod, "_newton_roots",
+                        lambda q, n, s, *args, **kw: runs.append(s) or newton(q, n, s, *args, **kw))
+    assert fixed_points_of_iterate(qmap, n).multiplicity.sum() == 2 ** n
+    want = seeds[seeds.imag >= 0] if halved else seeds
+    assert np.array_equal(runs[0].view(np.int64), want.view(np.int64))
+
+
+def test_polish_cap_counts_the_points_polished(monkeypatch):
+    # at real c the mirror images of the polished points need no polish, so
+    # the cap counts the upper seeds' points, about half of what the full
+    # seed set hands to the polish
+    from quadray import QuadrayError
+    qmap, n = QuadraticMap(-1 + 0j), 7
+    cfg = PrecisionConfig(newton_tol=1e-15, dedup_tol=1e-15)
+    polished = []
+    polish = orbits_mod._mp_polish_root
+    monkeypatch.setattr(orbits_mod, "_mp_polish_root",
+                        lambda c, z, n: polished.append(z) or polish(c, z, n))
+    orbits_mod._newton_roots(qmap, n, orbits_mod._seeds(qmap, n, alpha_beta_fixed_points(qmap)),
+                             cfg, orbits_mod.FIRST_PASS_STEPS)
+    whole = len(polished)
+    polished.clear()
+    assert fixed_points_of_iterate(qmap, n, cfg).multiplicity.sum() == 2 ** n
+    upper = len(polished)
+    assert 0 < upper < whole
+    monkeypatch.setattr(orbits_mod, "POLISH_CAP", upper)
+    fixed_points_of_iterate(qmap, n, cfg)
+    monkeypatch.setattr(orbits_mod, "POLISH_CAP", upper - 1)
+    with pytest.raises(QuadrayError, match=f"^{upper} points unresolvable at level {n}; "):
+        fixed_points_of_iterate(qmap, n, cfg)
