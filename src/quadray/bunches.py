@@ -30,10 +30,7 @@ merge below the cut, and clustering each component on its own (with the
 same distances, in the same index order) gives the clusters of clustering
 all orbits at once.  The linkage is scipy's nearest-neighbour chain, ported
 with its tie rule, so that tied distances (the self-conjugate orbits of a
-real c make many) merge as scipy merges them.
-
-Everything here runs on numpy; only distortion_ratio imports scipy, for
-the scipy.stats.qmc sampler, on its first call.
+real c make many) merge as scipy merges them.  Everything here runs on numpy.
 """
 
 from __future__ import annotations
@@ -494,7 +491,7 @@ def count_orbits_near_point(qmap: QuadraticMap, z0: complex, p: int, n: int,
     """
     z0 = complex(z0)
     w, _ = orbit_with_derivative(qmap, np.array([z0]), p)
-    if abs(w[0] - z0) > 1e-6 * max(1.0, abs(z0)):
+    if not abs(w[0] - z0) <= 1e-6 * max(1.0, abs(z0)):  # NaN is not periodic
         raise QuadrayError(f"z0 = {z0} is not periodic of period {p} within tolerance")
     for d in range(1, p):
         if p % d == 0:
@@ -552,14 +549,31 @@ def count_orbits_in_disc_pattern(qmap: QuadraticMap, pattern: DiscPattern,
     return PatternCountReport(count=count, bound=p, passed=count <= p)
 
 
+def _scrambled_halton(count: int, seed: int) -> np.ndarray:
+    """The first count points (rows u, v) of scipy's qmc.Halton(d=2,
+    scramble=True, seed=seed), bit for bit: Owen's randomized Halton
+    (arXiv:1706.02808).  Base b shuffles its digits once for each of the
+    ceil(54 / log2 b) - 1 digits a double resolves, base 2 first, from one
+    generator; the digits are summed from low to high while the place value
+    is divided by b, since any other order moves the last bits."""
+    rng = np.random.default_rng(seed)
+    uv = np.zeros((2, count))
+    for u, b in zip(uv, (2, 3)):
+        perms = np.tile(np.arange(b), (math.ceil(54 / math.log2(b)) - 1, 1))
+        for perm in perms:
+            rng.shuffle(perm)
+        q, s = np.arange(count), 1.0 / b
+        for perm in perms:
+            u += perm[q % b] * s
+            q //= b
+            s /= b
+    return uv
+
+
 def _low_discrepancy_disc(center: complex, r: float, count: int, seed: int) -> np.ndarray:
     """Deterministic low-discrepancy points in a disc (Halton in polar form)."""
-    # scipy.stats costs about 0.5 s and 30 MB to import; only distortion needs it
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
-    uv = sampler.random(count)
-    return center + r * np.sqrt(uv[:, 0]) * np.exp(2j * np.pi * uv[:, 1])
+    u, v = _scrambled_halton(count, seed)
+    return center + r * np.sqrt(u) * np.exp(2j * np.pi * v)
 
 
 def distortion_ratio(qmap: QuadraticMap, center: complex, r: float, n: int,
@@ -569,13 +583,15 @@ def distortion_ratio(qmap: QuadraticMap, center: complex, r: float, n: int,
     B(center, r), i <= n, for g = f^period.
 
     Also reports the sampled sup of |log |g'(x)|| over the initial disc (the
-    per-step bound L r that controls the one-step expansion).  The first call
-    in a process imports scipy.stats for the sampler (about 0.5 s)."""
+    per-step bound L r that controls the one-step expansion)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if samples < 1:
         raise ValueError("need at least one sample pair")
-    pts = _low_discrepancy_disc(complex(center), r, 2 * samples, seed)
+    center = complex(center)
+    if not np.isfinite(center):
+        raise QuadrayError(f"distortion center {center} is not finite")
+    pts = _low_discrepancy_disc(center, r, 2 * samples, seed)
     x = pts[:samples].copy()
     y = pts[samples:].copy()
     _, gp = orbit_with_derivative(qmap, pts, period)
@@ -594,7 +610,7 @@ def distortion_ratio(qmap: QuadraticMap, center: complex, r: float, n: int,
         if np.any(np.abs(x) > radius) or np.any(np.abs(y) > radius):
             raise EscapeError("a sampled orbit escaped inside the distortion window")
         sup = max(sup, float(np.max(np.abs(dx / dy - 1.0))))
-    return DistortionReport(center=complex(center), r=float(r), n=n,
+    return DistortionReport(center=center, r=float(r), n=n,
                             sup_ratio_minus_one=sup,
                             per_step_log_derivative_bound=per_step)
 

@@ -58,9 +58,12 @@ def parse_complex(text: str) -> complex:
     if len(parts) != 2:
         raise UsageError(f"complex literal must be 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise UsageError(f"bad complex literal {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise UsageError(f"complex literal must be finite, got {text!r}")
+    return z
 
 
 def _number(cast, value, what: str):

@@ -290,7 +290,7 @@ def _radius_pairs(z: np.ndarray, radius: np.ndarray,
     order = np.argsort(proj)
     key = proj[order]
     # each rounded projection is off by at most 2 eps (|Re u| + |Im u|)
-    scale = max(float(np.max(np.abs(u.real) + np.abs(u.imag))) for u in (z, queries))
+    scale = max(float(np.max(np.abs(u.real) + np.abs(u.imag))) for u in (z, w) if u is not None)
     reach = float(radius.max()) * (1.0 + 1e-9) + 8.0 * np.finfo(float).eps * scale
     if w is None:
         lo = np.arange(1, len(z) + 1)  # sorted positions after each point's own

@@ -486,6 +486,27 @@ def test_distortion_repelling_negative_control(squaring):
     assert late.sup_ratio_minus_one > early.sup_ratio_minus_one
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 5000))
+def test_scrambled_halton_is_scipys_bit_for_bit(seed, count):
+    # scipy's sampler is the oracle; summing the digits in another order
+    # (by the inverse of the base, or by its powers) moves the last bits
+    from scipy.stats import qmc
+    ref = qmc.Halton(d=2, scramble=True, seed=seed).random(count).T
+    got = bunches._scrambled_halton(count, seed)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_non_finite_point_is_refused(basilica):
+    # a NaN z0 compares as neither far from its image nor close to it
+    with pytest.raises(QuadrayError, match="not periodic"):
+        count_orbits_near_point(basilica, complex(math.nan, 0.0), 1, 4, 0.3, 0.5)
+    with pytest.raises(QuadrayError, match="not finite"):
+        distortion_ratio(basilica, complex(math.nan, 0.0), 1e-4, 4)
+    with pytest.raises(QuadrayError, match="not finite"):
+        distortion_ratio(basilica, complex(0.0, math.inf), 1e-4, 4)
+
+
 def test_cluster_pairwise_certificate(squaring):
     # clusters emitted for tight thresholds stay pairwise-certified
     orbits = julia_orbits(squaring, 6)

@@ -552,6 +552,10 @@ def test_empty_grid_is_a_usage_error(tmp_path, capsys, argv):
     (["pressure", "--preset", "basilica", "--n", "4"], "t", "0:inf:1"),
     (["bryuno", "--terms", "5"], "alpha", "inf"),
     (["bryuno", "--terms", "5"], "alpha", "1e400"),
+    (["orbits", "--n", "3"], "c", "nan,0"),
+    (["near-point", "--c", "-1,0", "--n", "4"], "z0", "nan,0"),
+    (["distortion", "--c", "0,0"], "center", "nan,0"),
+    (["pressure", "--preset", "basilica", "--n", "4"], "basepoint", "nan,0"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_non_finite_or_non_positive_float_is_a_usage_error(tmp_path, capsys, argv, key, value):
     # refused before any work, and with no traceback
@@ -751,3 +755,27 @@ REAL_PARAMETER_OUTPUTS = [
 def test_real_parameter_outputs_are_pinned(tmp_path, argv, digests):
     assert run_command(argv + ["--output-dir", str(tmp_path)]) == 0
     assert {name: hashes(tmp_path)[name] for name in digests} == digests
+
+
+#: sha256 of distortion.json, taken while scipy's qmc.Halton drew the samples;
+#: the numpy port of that sampler keeps every byte
+DISTORTION_OUTPUTS = {
+    "criterion 10": (["--preset", "golden_siegel", "--center", "alpha", "--r", "1e-4",
+                      "--n", "10", "--samples", "256"],
+                     "51a45f0fa30fac6704652ff55bb03b1c674b71c496c83e81098cd98191163320"),
+    **{f"basilica beta seed={seed} samples={samples}": (
+        ["--preset", "basilica", "--center", "beta", "--n", "4", "--samples", samples,
+         "--seed", seed], digest) for seed, samples, digest in [
+        ("0", "1", "f7cebee5d90d9c866e518f90d62900b2928b3222427fa6219f8b8629e0d415ce"),
+        ("0", "2048", "809d5e42a8a0c635578588bfa70643d3501f884f511dbe9a5aefb8a2da4cc201"),
+        ("1", "1", "48429248d7f70328a28e01f5b97a05b91b81e0bfd95099ae29461d519b7264ac"),
+        ("1", "2048", "981edc5e11d15f30c8d765aa3e5cb13cf25a17f57a6ee4f28d833a3b56b1df11"),
+        ("7", "1", "a9b22c4a78958a079547f831b4fa0f4afafca79e9ca7657293e8d92f6bd7c4e2"),
+        ("7", "2048", "3287124c7260a24e95a20740804957ba0fb6720fa4f25a3b37af43a760d96dba")]},
+}
+
+
+@pytest.mark.parametrize("argv, digest", DISTORTION_OUTPUTS.values(), ids=DISTORTION_OUTPUTS)
+def test_distortion_outputs_are_pinned(tmp_path, argv, digest):
+    assert run_command(["distortion", *argv, "--output-dir", str(tmp_path)]) == 0
+    assert hashes(tmp_path) == {"distortion.json": digest}

@@ -151,13 +151,13 @@ def test_exports_resolve_lazily_to_their_definitions():
 
 # Importing the package and the CLI loads dynamics, errors and orbits and no
 # other quadray module: each command imports what it runs, so orbits adds no
-# module and bunches adds quadray.bunches alone.  Those commands, and the
-# pressure, portrait, render, near-point and disc-pattern commands, load numpy
-# and nothing heavier: the orbit-set counts, the close-pair search, the
-# components and the linkage run on numpy arrays alone.  scipy takes 0.5-1 s
-# to import and mpmath about 0.1 s.  scipy.stats (with the scipy.optimize it
-# pulls in) loads only for the sampler of distortion_ratio, and configparser
-# (2 ms) only for --config.
+# module and bunches adds quadray.bunches alone.  Every command, distortion
+# included, loads numpy and nothing heavier: the orbit-set counts, the
+# close-pair search, the components, the linkage and the scrambled Halton
+# sampler run on numpy arrays alone.  No module of the package imports scipy
+# (0.5-1 s to import), which is a test oracle only; mpmath (about 0.1 s)
+# loads only where a command polishes roots, and configparser (2 ms) only
+# for --config.
 _LOADED = """
 import sys
 import quadray, quadray.cli
@@ -188,6 +188,9 @@ run("disc-pattern", "--c", "0,0", "--period", "2", "--n", "2")
 heavy()
 from quadray import QuadraticMap, distortion_ratio
 distortion_ratio(QuadraticMap(0j), 0.5, 1e-4, 1, samples=4)
+run("distortion", "--c", "0,0", "--center", "0.5,0", "--n", "1", "--samples", "4")
+run("rays", "--c", "-2,0", "--angles", "1/3,2/3", "--g-min", "1e-6")
+run("bryuno", "--terms", "5")
 heavy()
 """
 
@@ -208,4 +211,21 @@ def test_startup_defers_scipy_stats(tmp_path):
     assert after_bunches == [], f"orbits and bunches load {after_bunches}"
     assert after_commands == [], (
         f"pressure, portrait, render, near-point and disc-pattern load {after_commands}")
-    assert "scipy.stats" in after_distortion
+    assert after_distortion == [], f"distortion, rays and bryuno load {after_distortion}"
+
+
+def test_no_module_imports_scipy():
+    # scipy is an oracle of the tests and tools only: pyproject.toml lists it
+    # in the test extra, not among the runtime dependencies
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            imports += [(path.name, node.lineno) for name in names
+                        if name.split(".")[0] == "scipy"]
+    assert not imports, f"scipy imported at {imports}"
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert not [d for d in project["dependencies"] if d.startswith("scipy")]
+    assert [d for d in project["optional-dependencies"]["test"] if d.startswith("scipy")]

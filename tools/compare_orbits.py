@@ -17,7 +17,8 @@ The files agree when
 This is the check for a change that moves printed roots in their last digits,
 where a byte comparison of the outputs would fail.  It prints one summary
 line with the largest drift max |z_a - z_b| / max(1, |z_a|) and exits 0 when
-the files agree, 1 otherwise.
+the files agree, 1 otherwise.  It pairs roots with scipy's cKDTree, so it
+needs the test extra (pip install -e .[test]); the package itself does not.
 """
 
 from __future__ import annotations
