@@ -10,18 +10,16 @@ threshold r, with the largest connected component of the graph
 
 Only the pairs with rho_n < r are ever computed in full.  Each orbit is
 rotated to its anchor, the point of least real part, and each cyclic
-rotation of an orbit is a vector in R^(2n) (real and imaginary parts).  Only
-the rotations whose base point lies within 2r of their orbit's least real
-part are searched; every aligned pair with rho_n < r passes through one of
-them.  Since max(|Re w|, |Im w|) <= |w|, such a pair differs by less than r
-in each of the 2n coordinates.  So each anchored orbit takes as candidates
-the rotations within r of it in one coordinate, read off that coordinate's
-sorted order (the coordinate that admits the fewest), drops those that
-differ by r or more in any coordinate, and evaluates rho_n exactly on the
-rest (the proofs are in _close_pairs).  A sweep over several thresholds
-(bunch_sweep) searches once, at the largest, and each threshold keeps the
-pairs below it; the components of {rho_n < r} come from label propagation
-over those pairs.
+rotation of an orbit is a vector in R^(2n) (real and imaginary parts).  The
+chain rule along an orbit bounds how far a close orbit can be at each point,
+its window radius: at most r, and down to the rounding where the orbit
+expands.  Each anchored orbit takes as candidates the rotations within its
+window in one coordinate, read off that coordinate's sorted order, drops
+those outside its windows in any coordinate, and evaluates rho_n exactly on
+the rest (the windows and the proofs are in _close_pairs).
+A sweep over several thresholds (bunch_sweep) searches once, at the
+largest, and each threshold keeps the pairs below it; the components of
+{rho_n < r} come from label propagation over those pairs.
 
 Complete linkage merges two clusters at the largest distance between their
 members, so every cluster below the cut is pairwise closer than r and lies
@@ -55,6 +53,8 @@ DISTORTION_SAMPLE_PAIRS = 2048
 #: each as complex numbers and as coordinates, and each coordinate's sort
 #: order: at most (3 rows + 3 K) n points of 16 bytes.
 BYTES_PER_ROTATION_ENTRY = 16
+#: Peak bytes per point of the window radii, W and anchored R: two doubles
+BYTES_PER_RADIUS_ENTRY = 2 * 8
 #: a rotation enters the close-pair search when its base point's real part
 #: exceeds its orbit's least one by at most 2 r ANCHOR_SLACK; the slack
 #: covers rounding (see _close_pairs)
@@ -70,6 +70,10 @@ CHUNK_CANDIDATES = 2 ** 15
 #: then its coordinate differences; tracemalloc measures about 47 (n = 8..14,
 #: delta = 0.02..0.3); eight doubles bound it.
 BYTES_PER_CANDIDATE = 8 * 8
+#: the relative widening of each factor of the window bound (see _close_pairs)
+WINDOW_SLACK = 1e-9
+#: a query whose windows all lie below this share of r takes coordinate 0
+NARROW_WINDOW = 1e-3
 #: Bytes of array headers and small temporaries, which outweigh the rest
 #: of a search over a few dozen orbits
 BYTES_PER_SEARCH = 2 ** 14
@@ -78,9 +82,11 @@ BYTES_PER_SEARCH = 2 ** 14
 #: copies, seven doubles.
 BYTES_PER_TRIPLE = 7 * 8
 #: Peak bytes per entry of a component's K x K rho_n matrix: tracemalloc
-#: measures 41 bytes per entry while the matrix is built, linked and
-#: certified (K = 335, n = 12); six doubles bound it.
-BYTES_PER_DISTANCE_ENTRY = 6 * 8
+#: measures 33 bytes per entry while the matrix is built, linked and
+#: certified (K = 186..630, n = 11..13); five doubles bound it.
+BYTES_PER_DISTANCE_ENTRY = 5 * 8
+#: the least block of _orbit_distance_matrix, in 24-byte point differences
+BLOCK_POINTS = 2 ** 14
 
 @dataclass(frozen=True)
 class BunchReport:
@@ -191,68 +197,111 @@ def _orbit_array(orbits: list[PeriodicOrbit], n: int) -> np.ndarray:
 
 def _orbit_distance_matrix(A: np.ndarray) -> np.ndarray:
     """Pairwise rho_n between the rows of the (K, n) orbit array A, minimized
-    over cyclic base alignment."""
+    over cyclic base alignment: one max over the n points of every rotation
+    per block of rows, a block holding at most max(K^2, BLOCK_POINTS) points."""
     K, n = A.shape
-    D = np.full((K, K), np.inf)
-    for rot in range(n):
-        rolled = np.roll(A, -rot, axis=1)
-        cur = np.zeros((K, K))
-        for i in range(n):
-            cur = np.maximum(cur, np.abs(rolled[:, None, i] - A[None, :, i]))
-        D = np.minimum(D, cur)
+    D = np.empty((K, K))
+    # rotations[a, s] is orbit a rotated to start at its point s (a view)
+    rotations = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([A, A], axis=1), n, axis=1)[:, :n]
+    step = max(1, max(K * K, BLOCK_POINTS) // (K * n * n))
+    for i in range(0, K, step):
+        D[i:i + step] = np.abs(rotations[i:i + step, :, None] - A).max(axis=3).min(axis=1)
     D = np.minimum(D, D.T)
     np.fill_diagonal(D, 0.0)
     return D
 
 
-def _anchor_mask(A: np.ndarray, threshold: float) -> np.ndarray:
+def _anchor_mask(A: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
     """The (K, n) mask of the rotations _close_pairs searches: [a, s] holds
-    when point s of orbit a lies within 2 threshold ANCHOR_SLACK of the least
-    real part of orbit a."""
+    when point s of orbit a lies within 2 radius ANCHOR_SLACK of the least
+    real part of orbit a; radius is one float or one per orbit, (K, 1)."""
     re = A.real
-    return re - re.min(axis=1, keepdims=True) <= 2.0 * threshold * ANCHOR_SLACK
+    return re - re.min(axis=1, keepdims=True) <= 2.0 * radius * ANCHOR_SLACK
+
+
+def _window_radii(A: np.ndarray, threshold: float) -> np.ndarray:
+    """The (K, n) window radii W <= r = threshold at the points of A, the
+    chain-rule bound proved in _close_pairs; a non-finite A keeps W = r."""
+    K, n = A.shape
+    s = WINDOW_SLACK
+    z = A.T  # the bound steps along the points, one row each
+    nxt = np.roll(z, -1, axis=0)
+    W = np.full((n, K), threshold * (1.0 + s))
+    # 0 inf (at r = 0) and overflow give NaN, which np.fmin passes over
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = nxt - z * z  # the c implied at each point
+        two_eta = (math.hypot(np.ptp(g.real), np.ptp(g.imag))
+                   + 2.0 ** -48 * float((np.abs(z) ** 2 + np.abs(nxt)).max())) if K else 0.0
+        fac = 2.0 * (1.0 - s) * np.abs(z) - threshold * (1.0 + s)
+        gain = np.divide(1.0 + s, fac, out=np.full_like(fac, np.inf), where=fac > 0)
+        for _ in range(3 if math.isfinite(two_eta) else 0):
+            before = W.copy()
+            for k in range(n - 1, -1, -1):
+                np.fmin(W[k], (W[(k + 1) % n] + two_eta) * gain[k], out=W[k])
+            if np.array_equal(W, before):
+                break
+    return np.minimum(W, threshold).T
 
 
 def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ordered orbit index pairs (a, b), a != b, with rho = rho_n(a, b) <
     threshold, each pair once, sorted by (a, b).
 
-    A is the (K, n) array of orbit points.  Each orbit y is queried once,
-    rotated to its anchor m (a point of least real part), against the
-    rotations of _anchor_mask only.  Of its 2n real coordinates, the query
-    takes the one whose window, the rows within r = threshold of it in that
-    coordinate's sorted order, holds the fewest rows.  The windows are
-    counted, and checked against CLUSTER_BUDGET_BYTES, before any is
-    gathered; then, in chunks, candidates differing by r or more in some
-    coordinate are dropped and rho_n is computed exactly for the rest.
+    A is the (K, n) array of orbit points, r = threshold and W =
+    _window_radii(A, r), a window radius per point.  Each orbit y is queried
+    once, rotated to its anchor m (a point of least real part), against the
+    rotations of _anchor_mask at each orbit's widest window.  Of its 2n real
+    coordinates, the query takes the one whose window, the rows within W of
+    it in that coordinate's sorted order, holds the fewest rows; a query
+    whose windows are all below NARROW_WINDOW r takes coordinate 0.  The
+    windows are counted, and checked against CLUSTER_BUDGET_BYTES, before any
+    is gathered; then, in chunks, candidates differing by more than W in
+    some coordinate are dropped and rho_n is computed exactly for the rest.
+
+    The windows.  Let |x_k - y_k| < r at every k, for x and y aligned.  With
+    g_k = z_(k+1) - z_k^2 (indices mod n) the c implied at a point, x_(k+1)
+    - y_(k+1) = (x_k - y_k)(x_k + y_k) + g^x_k - g^y_k, where |x_k + y_k| >
+    2 |y_k| - r and |g^x_k - g^y_k| <= 2 eta, the spread of g over A plus its
+    rounding (under 8 u (|z_k|^2 + |z_(k+1)|), u = 2^-53).  So |x_k - y_k| <=
+    (|x_(k+1) - y_(k+1)| + 2 eta) / (2 |y_k| - r) where that factor is
+    positive.  _window_radii runs this backwards round each cycle from r for
+    up to three laps, each factor widened by WINDOW_SLACK against rounding,
+    and caps it at r.  By symmetry, (*) |x_k - y_k| <= W at either orbit's
+    point where W < r.  An expanding orbit's windows shrink towards eta,
+    never past its near duplicates.
 
     No pair is lost.  Let rho_n(x, y) < r at shift s, that is |x_(s+i) -
-    y_i| < r for all i.  The row that meets anchored y is x rotated by s + m,
-    with base point x_(s+m).  Floating point first: the computed |w| is a
-    faithful rounding of hypot(Re w, Im w) >= |Re w|, a float, so it is >=
-    |Re w|, and likewise >= |Im w|; Re w = fl(Re x - Re y) is what the
-    coordinate filter computes, so the filter keeps the row.  Re w is also
-    within a factor 1 + u of the exact difference (u = 2^-53), so every
-    aligned pair has |Re x - Re y| < r / (1 - u) exactly.  With k a point of
-    least real part of x, min Re y <= Re y_(k-s) < min Re x + r / (1 - u),
-    and then Re x_(s+m) < Re y_m + r / (1 - u) < min Re x + 2 r / (1 - u).
-    The mask computes fl(Re x_(s+m) - min Re x) <= (Re x_(s+m) - min Re x)(1
-    + u) < 2 r (1 + u) / (1 - u), and compares it with fl(2 r ANCHOR_SLACK)
-    >= 2 r (1 + 2^-40)(1 - u), which is larger.  So that row is searched.
-    Last, the window holds it: in each coordinate, with x and q the row's and
-    the query's values, fl(x - q) < r implies x - q < r exactly, since
-    rounding is monotone and r is a float, and then x <= fl(q + r) by
-    monotone rounding again; likewise fl(x - q) > -r gives x >= fl(q - r).
-    The window runs from the first row >= fl(q - r) (side "left") to the
-    last row <= fl(q + r) (side "right").
+    y_i| < r for all i; the row that meets anchored y is x rotated by s + m.
+    The computed |w| is a faithful rounding of hypot(Re w, Im w), so it is >=
+    |fl(Re w)| and >= |fl(Im w)|, the differences the filter takes, and each
+    is within a factor 1 + u of the exact one.  So with R the widest window
+    of x, by (*) where W < r, each aligned coordinate differs by less than R
+    / (1 - u) exactly, and by at most either orbit's W after rounding (W is a
+    float and rounding monotone): the filter keeps the row.  With k a point
+    of least real part of x, min Re y <= Re y_(k-s) < min Re x + R / (1 - u),
+    and then Re x_(s+m) < Re y_m + R / (1 - u) < min Re x + 2 R / (1 - u).
+    The mask computes fl(Re x_(s+m) - min Re x) < 2 R (1 + u) / (1 - u) and
+    compares it with fl(2 R ANCHOR_SLACK) >= 2 R (1 + 2^-40)(1 - u), which is
+    larger: that row is searched.  Last, the window holds it: in a coordinate
+    with row value x, query value q and query window w, x - q <= w exactly,
+    by (*) where w < r and, where w = r, since fl(x - q) < r and rounding is
+    monotone; so x <= fl(q + w), and likewise x >= fl(q - w).  The window
+    runs from the first row >= fl(q - w) (side "left") to the last row <=
+    fl(q + w) (side "right").
     """
     K, n = A.shape
-    mask = _anchor_mask(A, threshold)
+    W = _window_radii(A, threshold)
+    mask = _anchor_mask(A, W.max(axis=1, keepdims=True))
     owner = np.nonzero(mask)[0]
+    anchor = np.argmin(A.real, axis=1)
+    # R[i, b]: the window radius at point i of anchored orbit b
+    R = np.take_along_axis(W, (anchor[:, None] + np.arange(n)) % n, axis=1).T.copy()
+    del W
     # rotations[a, s] is orbit a rotated to start at its point s (a view)
     rotations = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([A, A], axis=1), n, axis=1)[:, :n]
-    anchored = rotations[np.arange(K), np.argmin(A.real, axis=1)]
+    anchored = rotations[np.arange(K), anchor]
     rotated = rotations[mask]
     del rotations
     # the 2n interleaved (Re, Im) coordinates, one contiguous row each:
@@ -263,14 +312,17 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
     axis = np.zeros(K, dtype=np.intp)  # the query's window coordinate,
     lo = np.zeros(K, dtype=np.intp)    # its window's first sorted position
     count = np.full(K, rows)           # and length
-    admitted = np.empty(2 * n)         # all windows of each coordinate
-    for d in range(2 * n):
+    admitted = np.full(2 * n, np.inf)  # all windows of each coordinate
+    wide = np.flatnonzero(R.max(axis=0) >= NARROW_WINDOW * threshold)
+    for d in range(2 * n if len(wide) else 1):
+        at = wide if d else np.arange(K)  # narrow queries keep coordinate 0
         order[d] = np.argsort(X[d], kind="stable")
         ranked = X[d, order[d]]
-        left = np.searchsorted(ranked, Q[d] - threshold, side="left")
-        size = np.maximum(np.searchsorted(ranked, Q[d] + threshold, side="right") - left, 0)
-        fewer = size < count
-        axis[fewer], lo[fewer], count[fewer] = d, left[fewer], size[fewer]
+        q, w = Q[d, at], R[d // 2, at]
+        left = np.searchsorted(ranked, q - w, side="left")
+        size = np.maximum(np.searchsorted(ranked, q + w, side="right") - left, 0)
+        fewer = size < count[at]
+        axis[at[fewer]], lo[at[fewer]], count[at[fewer]] = d, left[fewer], size[fewer]
         admitted[d] = size.sum()
     total = int(count.sum())
     _check_budget(close_pair_bytes(K, n, rows, total),
@@ -291,7 +343,7 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
         j += np.arange(start, stop)
         j = order.take(j)
         for d in np.argsort(admitted, kind="stable"):  # the most selective first
-            near = np.abs(X[d].take(j) - Q[d].take(b)) < threshold
+            near = np.abs(X[d].take(j) - Q[d].take(b)) <= R[d // 2].take(b)
             b, j = b[near], j[near]
         rho = np.zeros(len(j))
         for i in range(n):
@@ -302,7 +354,7 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
         kept += len(found[-1][0])
         _check_budget(close_pair_bytes(K, n, rows, total, kept),
                       f"the close-pair search with {kept} close triples")
-    del Q, X, anchored, rotated, order
+    del Q, X, R, anchored, rotated, order
     a, b, rho = (np.concatenate(col) for col in zip(*found))
     del found
     # a pair found at several shifts keeps the least rho, which is rho_n
@@ -315,17 +367,19 @@ def _close_pairs(A: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarra
 
 def close_pair_bytes(K: int, n: int, rows: int, candidates: int = 0, found: int = 0) -> int:
     """Peak bytes of the close-pair search over K orbits of period n, of
-    which `rows` rotations are searched (the count of _anchor_mask), whose
+    which `rows` rotations are searched (the count of _anchor_mask at each
+    orbit's widest window radius), whose
     windows hold `candidates` rows in all, once `found` (orbit, orbit,
     shift) triples have passed."""
     return (BYTES_PER_SEARCH + BYTES_PER_ROTATION_ENTRY * (3 * rows + 3 * K) * n
+            + BYTES_PER_RADIUS_ENTRY * K * n
             + BYTES_PER_CANDIDATE * min(candidates, CHUNK_CANDIDATES) + BYTES_PER_TRIPLE * found)
 
 
 def distance_matrix_bytes(k: int) -> int:
     """Peak bytes of clustering one component of k orbits: its k x k rho_n
-    matrix and the temporaries that build it."""
-    return BYTES_PER_DISTANCE_ENTRY * k * k
+    matrix and the temporaries that build it, the least block included."""
+    return BYTES_PER_DISTANCE_ENTRY * k * k + 24 * BLOCK_POINTS
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -397,10 +451,11 @@ def _complete_linkage(D: np.ndarray, cut: float) -> np.ndarray:
 def _clusters(A: np.ndarray, comp_labels: np.ndarray,
               threshold: float) -> tuple[tuple[int, ...], ...]:
     """Complete-linkage clusters cut strictly below threshold, component by
-    component, each re-certified pairwise; largest first."""
+    component, each re-certified pairwise; largest first, then in index order."""
     cut = np.nextafter(threshold, 0.0)  # strict rho_n < threshold
     sizes = np.bincount(comp_labels)
-    groups = [[i] for i in np.flatnonzero(sizes[comp_labels] == 1).tolist()]
+    alone = sizes[comp_labels] == 1
+    groups = []
     for label in np.flatnonzero(sizes > 1):
         members = np.flatnonzero(comp_labels == label)
         D = _orbit_distance_matrix(A[members])
@@ -410,8 +465,11 @@ def _clusters(A: np.ndarray, comp_labels: np.ndarray,
             if not (D[np.ix_(local, local)] < threshold).all():
                 raise QuadrayError(
                     "internal error: emitted cluster fails the pairwise certificate")
-            groups.append(members[local].tolist())
-    return tuple(tuple(g) for g in sorted(groups, key=lambda g: (-len(g), g)))
+            alone[members[local]] = len(local) == 1
+            if len(local) > 1:
+                groups.append(tuple(members[local].tolist()))
+    return (tuple(sorted(groups, key=lambda g: (-len(g), g)))
+            + tuple(zip(np.flatnonzero(alone).tolist())))
 
 
 def bunch_sweep(orbits: list[PeriodicOrbit], mode: str, params: list[float],
@@ -591,6 +649,8 @@ def distortion_ratio(qmap: QuadraticMap, center: complex, r: float, n: int,
     center = complex(center)
     if not np.isfinite(center):
         raise QuadrayError(f"distortion center {center} is not finite")
+    if not (math.isfinite(r) and r > 0):
+        raise QuadrayError(f"distortion radius {r} is not finite and positive")
     pts = _low_discrepancy_disc(center, r, 2 * samples, seed)
     x = pts[:samples].copy()
     y = pts[samples:].copy()

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.sparse.csgraph import connected_components
@@ -91,11 +91,22 @@ def test_bunches_single_orbit(basilica):
     assert report.max_cluster == 1 and report.clusters == ((0,),)
 
 
-def test_bunches_duplicate_orbit_degenerate(basilica):
+def test_bunches_duplicate_orbit_degenerate(basilica, squaring):
     orbits = julia_orbits(basilica, 3)
     report = bunch_sweep([orbits[0], orbits[0]], "H", [0.1])[0]
     assert report.max_cluster == 2
     assert report.clusters[0] == (0, 1)
+    # an exact copy and one moved by 1e-15 of a repelling orbit, whose
+    # expansion narrows its search windows: at c = -3 (a Cantor Julia set)
+    # they shrink to the rounding of the implied c, where only eta keeps the
+    # moved copy in them
+    for qmap in (squaring, QuadraticMap(-3.0)):
+        orbits = julia_orbits(qmap, 10, minimal_only=True)
+        K, base = len(orbits), orbits[7]
+        moved = _orbit([z + complex(1e-15, 1e-15) for z in base.points])
+        for report in bunch_sweep(orbits + [base, moved], "H", [0.1, 0.3]):
+            assert report.clusters[0] == (7, K, K + 1), qmap
+            assert report.max_cluster == report.component_max == 3
 
 
 def test_bunches_strict_cut_boundary(squaring):
@@ -169,7 +180,9 @@ def test_close_pair_bytes_bounds_the_search(basilica, monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows = int(bunches._anchor_mask(A, math.exp(-0.1 * n)).sum())
+        # the rotations searched: each orbit's own anchor window
+        radii = bunches._window_radii(A, math.exp(-0.1 * n))
+        rows = int(bunches._anchor_mask(A, radii.max(axis=1, keepdims=True)).sum())
         assert checked[-1][:3] == (len(orbits), n, rows)
         bound = close_pair_bytes(*checked[-1])
         assert 0.5 * bound <= peak <= bound, (n, peak, bound)
@@ -207,6 +220,21 @@ def test_wide_threshold_search_stays_small(squaring):
         tracemalloc.stop()
     assert peak < 136.8 * 2 ** 20 / 3, peak
     assert rep.clusters == _dense_reference(orbits, 2.5)[0]
+
+
+def _loop_distance_matrix(A):
+    """Reference _orbit_distance_matrix: one point of every pair at a time."""
+    K, n = A.shape
+    D = np.full((K, K), np.inf)
+    for rot in range(n):
+        rolled = np.roll(A, -rot, axis=1)
+        cur = np.zeros((K, K))
+        for i in range(n):
+            cur = np.maximum(cur, np.abs(rolled[:, None, i] - A[None, :, i]))
+        D = np.minimum(D, cur)
+    D = np.minimum(D, D.T)
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 def _brute_close_pairs(A, threshold):
@@ -277,6 +305,57 @@ def test_close_pairs_match_brute_force(orbit_set, data):
     radii = [step, threshold, rho]
     assert bunches.bunch_sweep(orbits, "BMS", radii) == \
         [bunch_sweep(orbits, "BMS", [r])[0] for r in radii]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0.0, 1.0]), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.integers(2, 9), st.floats(0.01, 0.5))
+@example(1.0, 0.0, 1.0, 9, 0.02)  # c = i: pairs whose anchor row lies past
+@example(1.0, 0.0, 1.0, 9, 0.2)   # twice the least window of its orbit
+def test_close_pairs_on_orbit_sets_match_brute_force(imag, x, y, n, delta):
+    # real orbit sets of a real or complex c, |c| <= 2: the per-orbit
+    # windows lose no pair, and every pair stays inside them at every point
+    c = complex(x, y * imag)
+    assume(abs(c) <= 2.0)
+    try:
+        orbits = julia_orbits(QuadraticMap(c), n, minimal_only=True)
+    except QuadrayError:
+        assume(False)
+    assume(orbits)
+    A, r = _orbit_array(orbits, n), math.exp(-delta * n)
+    a, b, rho = bunches._close_pairs(A, r)
+    want = _brute_close_pairs(A, r)
+    assert list(zip(a.tolist(), b.tolist(), rho.tolist())) == want
+    W = bunches._window_radii(A, r)
+    assert (W <= r).all()
+    for p, q, _ in want:
+        for s in range(n):
+            gap = np.abs(np.roll(A[p], -s) - A[q])
+            if gap.max() < r:
+                assert (gap <= W[q]).all() and (gap <= np.roll(W[p], -s)).all(), (p, q, s)
+    D = _loop_distance_matrix(A)
+    assert np.array_equal(bunches._orbit_distance_matrix(A).view(np.int64), D.view(np.int64))
+
+
+def test_distance_kernel_matches_the_point_loop():
+    # components with tied distances (the self-conjugate orbits of a real c)
+    # and one large enough to take its rows in several blocks
+    tied = 0
+    for c, n, delta in ((-1.0, 10, 0.02), (-1.0, 12, 0.02), (0.0, 8, 0.01), (-1.75, 9, 0.01)):
+        A = _orbit_array(minimal_orbits(c, n), n)
+        a, b, rho = bunches._close_pairs(A, math.exp(-delta * n))
+        labels = bunches._components(len(A), a, b)
+        for label in np.flatnonzero(np.bincount(labels) > 1):
+            sub = A[labels == label]
+            want = _loop_distance_matrix(sub)
+            assert np.array_equal(_orbit_distance_matrix(sub).view(np.int64), want.view(np.int64))
+            off = want[np.triu_indices(len(sub), 1)]
+            tied += len(np.unique(off)) < len(off)
+    assert tied > 0
+    A = _orbit_array(julia_orbits(QuadraticMap(0j), 12), 12)
+    assert len(A) ** 2 > bunches.BLOCK_POINTS  # several blocks of rows
+    assert np.array_equal(_orbit_distance_matrix(A).view(np.int64),
+                          _loop_distance_matrix(A).view(np.int64))
 
 
 def test_sweep_matches_single_delta_reports():
@@ -361,18 +440,28 @@ def test_linkage_and_components_match_scipy(D, data):
 
 
 #: sha256 of bunches.json from the two bunch-sweep jobs of the benchmark
-#: (bench/workloads.py, seed 0): n = 14, delta = 0.1, 0.2, 0.3
+#: (bench/workloads.py, seed 0): n = 14, delta = 0.1, 0.2, 0.3; then at n =
+#: 16, delta = 0.05, 0.1, 0.2, 0.3, where each orbit's expansion narrows its
+#: search windows the most: c = 0 and the golden Siegel parameter, every
+#: orbit alone at each delta (so the two agree)
+BENCH_N14 = ["--n", "14", "--delta", "0.1,0.2,0.3"]
+EXPANDING_N16 = ["--n", "16", "--delta", "0.05,0.1,0.2,0.3"]
 BENCH_BUNCHES = [
-    (["--c", "-1.0,0.0"], "3a796cce43cd1cccc4dd09358c3a3c42b2d3f81da8604b92d2381a6fdeffcabb"),
-    (["--c", "-1.749,0.0", "--newton-tol", "1e-12", "--dedup-tol", "2e-11"],
+    (BENCH_N14 + ["--c", "-1.0,0.0"],
+     "3a796cce43cd1cccc4dd09358c3a3c42b2d3f81da8604b92d2381a6fdeffcabb"),
+    (BENCH_N14 + ["--c", "-1.749,0.0", "--newton-tol", "1e-12", "--dedup-tol", "2e-11"],
      "3f1cbc46bfeee23f429777cad3311a5fe8607300f52283c191398c568035de0f"),
+    (EXPANDING_N16 + ["--c", "0.0,0.0"],
+     "bb26785b4342e0efbfd4b846ab9b693d3251da39c320d4868d932e50f0c8b3a1"),
+    (EXPANDING_N16 + ["--c", f"{GOLDEN_C.real!r},{GOLDEN_C.imag!r}"],
+     "bb26785b4342e0efbfd4b846ab9b693d3251da39c320d4868d932e50f0c8b3a1"),
 ]
 
 
-@pytest.mark.parametrize("cargs, digest", BENCH_BUNCHES, ids=["c=-1", "c=-1.749"])
+@pytest.mark.parametrize("cargs, digest", BENCH_BUNCHES,
+                         ids=["c=-1", "c=-1.749", "n=16-c=0", "n=16-golden"])
 def test_bench_bunches_output_is_pinned(tmp_path, cargs, digest):
-    assert run_command(["bunches", "--n", "14", "--delta", "0.1,0.2,0.3", *cargs,
-                        "--output-dir", str(tmp_path)]) == 0
+    assert run_command(["bunches", *cargs, "--output-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "bunches.json").read_bytes()).hexdigest() == digest
 
 
@@ -505,6 +594,9 @@ def test_non_finite_point_is_refused(basilica):
         distortion_ratio(basilica, complex(math.nan, 0.0), 1e-4, 4)
     with pytest.raises(QuadrayError, match="not finite"):
         distortion_ratio(basilica, complex(0.0, math.inf), 1e-4, 4)
+    for r in (math.nan, -1e-4):
+        with pytest.raises(QuadrayError, match="radius"):
+            distortion_ratio(basilica, 0.5, r, 4, samples=8)
 
 
 def test_cluster_pairwise_certificate(squaring):
