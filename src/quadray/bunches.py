@@ -455,9 +455,11 @@ def _clusters(A: np.ndarray, comp_labels: np.ndarray,
     cut = np.nextafter(threshold, 0.0)  # strict rho_n < threshold
     sizes = np.bincount(comp_labels)
     alone = sizes[comp_labels] == 1
+    # one stable sort lists every component's members in index order
+    by_label, ends = np.argsort(comp_labels, kind="stable"), np.cumsum(sizes)
     groups = []
     for label in np.flatnonzero(sizes > 1):
-        members = np.flatnonzero(comp_labels == label)
+        members = by_label[ends[label] - sizes[label]:ends[label]]
         D = _orbit_distance_matrix(A[members])
         labels = _complete_linkage(D, cut)
         for lab in np.unique(labels):

@@ -20,14 +20,13 @@ Newton runs on the seeds in two passes, and the root count is checked after
 each.  The first pass takes FIRST_PASS_STEPS steps and keeps only the seeds
 that settled (their last step fell below 1e-13 (1 + |z|)); if the count is
 still short, a second pass continues the seeds still moving for the rest of
-NEWTON_STEPS.  Newton iterates only the seeds that still move.  Unsettled
-points near super-repelling chains are polished in software floating point,
-one per cluster near a multiple root.  Every pass ends by closing the found
-roots under f, which permutes Fix(f^n): the images with no found root
-nearby are polished by Newton and join the found roots, then their images,
-until none is new.  So the seeds need to reach each cycle once, not each
-root; on the census cells the first pass and its closure already account
-for all 2^n roots.
+NEWTON_STEPS.  Newton iterates only the seeds that still move, in binary64;
+a point is a root when its error estimate passes newton_tol and its next
+step is below 1e-6.  Every pass ends by closing the found roots under f,
+which permutes Fix(f^n): the images with no found root nearby are refined
+by Newton and join the found roots, then their images, until none is new.
+So the seeds need to reach each cycle once, not each root; on the census
+cells the first pass and its closure already account for all 2^n roots.
 
 Within a pass, dedup keeps the first of each close group in (re, im) order,
 solved over the close pairs.  Earlier roots win the merge: the roots of a
@@ -75,10 +74,6 @@ FIRST_PASS_STEPS = 16
 #: the level is near the resolution of the tolerances.
 RESOLUTION_MARGIN = 10.0
 
-#: Points one Newton pass may hand to the extended-precision polish; more
-#: raise QuadrayError.  At real c <= 1/4 only the points of the upper seeds
-#: are polished and counted: their mirror images need no polish.
-POLISH_CAP = 4096
 #: Critical-orbit points among the seeds, at most.
 CRITICAL_TAIL = 256
 #: Peak bytes per seed of a whole enumeration: 6.0-9.0 complex arrays of the
@@ -169,43 +164,21 @@ def _critical_orbit_tail(qmap: QuadraticMap) -> list[complex]:
     return orbit[-CRITICAL_TAIL:]
 
 
-def _mp_polish_root(c: complex, z0: complex, n: int, bits: int = 120, iters: int = 80) -> complex:
-    import mpmath as mp  # loaded on first use, off the start-up path
-
-    with mp.workprec(bits):
-        cc = mp.mpc(c)
-        z = mp.mpc(z0)
-        tiny = mp.mpf(2) ** (4 - bits)
-        for _ in range(iters):
-            w, d = z, mp.mpc(1)
-            for _ in range(n):
-                d = d * 2 * w
-                w = w * w + cc
-            gp = d - 1
-            if abs(gp) < mp.mpf(2) ** (-bits // 2):
-                break
-            step = (w - z) / gp
-            z = z - step
-            if abs(step) < (1 + abs(z)) * tiny:
-                break
-        return complex(z)
-
-
 def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray, cfg: PrecisionConfig,
                   maxit: int, last: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton pass on f^n(z) - z of at most `maxit` steps; returns
-    (roots, rest), the plausible roots of the seeds that settled and the rest.
+    """One Newton pass on g(z) = f^n(z) - z of at most `maxit` steps; returns
+    (roots, rest), the roots of the seeds that settled and the rest.
 
     Only the active seeds are iterated: a seed settles, leaving the active
     set, once its step is below 1e-13 (1 + |z|) or its update is not finite.
+    A point z is a root when z, g(z) and g'(z) are finite, |g| < 1e-3, the
+    error estimate |g| / max(1, |g'|) is below newton_tol, and the next
+    Newton step |g| / |g'| is below 1e-6: the step bound turns away small
+    residuals where g' nearly vanishes.
     A first pass tests only the settled seeds; the rest are the seeds still
     moving, at the points they reached, for the last pass to continue.  The
-    last pass tests every seed, and the rest are the plausible roots of the
-    seeds that never settled, to be merged after the settled ones.  Points
-    whose final Newton step cannot certify dedup resolution (noise floor near
-    super-repelling chains) are re-polished in extended precision; near a
-    multiple root, one per cluster, which counts with the rest.  More than
-    POLISH_CAP of them raise QuadrayError.
+    last pass tests every seed, and the rest are the roots of the seeds that
+    never settled, to be merged after the settled ones.
     """
     z = np.array(seeds, dtype=complex)
     active = np.arange(len(z))
@@ -231,35 +204,9 @@ def _newton_roots(qmap: QuadraticMap, n: int, seeds: np.ndarray, cfg: PrecisionC
         w, d = orbit_with_derivative(qmap, z, n)
         g = np.abs(w - z)
         gp = np.abs(d - 1.0)
-        last_step = g / np.maximum(gp, 1e-30)
-        plausible = (np.isfinite(z) & np.isfinite(g) & np.isfinite(gp)
-                     & (g < 1e-3) & ((g < cfg.newton_tol) | (last_step < 1e-6)))
-    z, moving = z[plausible], moving[plausible]
-    g, gp, last_step = g[plausible], gp[plausible], last_step[plausible]
-
-    unsettled = last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z))
-    if unsettled.sum() > POLISH_CAP:
-        raise QuadrayError(
-            f"{unsettled.sum()} points unresolvable at level {n}; raise dedup_tol or precision")
-    # _merge_parabolic collapses each cluster of points near a multiple root
-    # into one point, so only the cluster's first is polished.
-    near = unsettled & (gp < PARABOLIC_GATE)
-    clusters = _dedup(z[near], PARABOLIC_MERGE_TOL)
-    z = np.concatenate([z[~near], clusters])
-    moving = np.concatenate([moving[~near], np.ones(len(clusters), dtype=bool)])
-    polish = np.concatenate([unsettled[~near], np.ones(len(clusters), dtype=bool)])
-    # only the polished points move, so only they are evaluated again
-    fresh = np.zeros(len(clusters))
-    g, gp = np.concatenate([g[~near], fresh]), np.concatenate([gp[~near], fresh])
-    for i in np.flatnonzero(polish):
-        z[i] = _mp_polish_root(qmap.c, z[i], n)
-
-    with np.errstate(all="ignore"):
-        if polish.any():
-            w, d = orbit_with_derivative(qmap, z[polish], n)
-            g[polish], gp[polish] = np.abs(w - z[polish]), np.abs(d - 1.0)
-        keep = (np.isfinite(z) & np.isfinite(g) & (g < 1e-3)
-                & (g / np.maximum(gp, 1.0) < cfg.newton_tol))
+        keep = (np.isfinite(z) & np.isfinite(g) & np.isfinite(gp) & (g < 1e-3)
+                & (g / np.maximum(gp, 1.0) < cfg.newton_tol)
+                & (g / np.maximum(gp, 1e-30) < 1e-6))
     z, moving = z[keep], moving[keep]
     if last:
         return z[~moving], z[moving]
@@ -381,7 +328,7 @@ def _close_under_f(qmap: QuadraticMap, n: int, found: np.ndarray, cfg: Precision
     """`found` with the roots its images under f lead to: f permutes Fix(f^n),
     so one root of a cycle gives the whole cycle.
 
-    An image with no found root within dedup_tol max(1, |f(z)|) is polished
+    An image with no found root within dedup_tol max(1, |f(z)|) is refined
     by a last Newton pass and joins through `_unseen`, so earlier roots win
     the merge; then only the new roots' images are followed.  A cycle has at
     most n points, so n steps reach every point of every cycle met; the

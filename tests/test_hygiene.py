@@ -155,9 +155,8 @@ def test_exports_resolve_lazily_to_their_definitions():
 # included, loads numpy and nothing heavier: the orbit-set counts, the
 # close-pair search, the components, the linkage and the scrambled Halton
 # sampler run on numpy arrays alone.  No module of the package imports scipy
-# (0.5-1 s to import), which is a test oracle only; mpmath (about 0.1 s)
-# loads only where a command polishes roots, and configparser (2 ms) only
-# for --config.
+# (0.5-1 s to import) or mpmath (about 0.1 s), which are test oracles only,
+# and configparser (2 ms) loads only for --config.
 _LOADED = """
 import sys
 import quadray, quadray.cli
@@ -214,18 +213,19 @@ def test_startup_defers_scipy_stats(tmp_path):
     assert after_distortion == [], f"distortion, rays and bryuno load {after_distortion}"
 
 
-def test_no_module_imports_scipy():
-    # scipy is an oracle of the tests and tools only: pyproject.toml lists it
-    # in the test extra, not among the runtime dependencies
+@pytest.mark.parametrize("oracle", ["scipy", "mpmath"])
+def test_no_module_imports(oracle):
+    # scipy and mpmath are oracles of the tests and tools only: pyproject.toml
+    # lists them in the test extra, not among the runtime dependencies
     imports = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             imports += [(path.name, node.lineno) for name in names
-                        if name.split(".")[0] == "scipy"]
-    assert not imports, f"scipy imported at {imports}"
+                        if name.split(".")[0] == oracle]
+    assert not imports, f"{oracle} imported at {imports}"
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
-    assert not [d for d in project["dependencies"] if d.startswith("scipy")]
-    assert [d for d in project["optional-dependencies"]["test"] if d.startswith("scipy")]
+    assert not [d for d in project["dependencies"] if d.startswith(oracle)]
+    assert [d for d in project["optional-dependencies"]["test"] if d.startswith(oracle)]

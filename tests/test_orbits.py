@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from quadray import (DEFAULT_CONFIG, AmbiguousOrbitError,
                      IncompleteEnumerationError, IterateRoots,
                      PrecisionConfig, QuadraticMap, alpha_beta_fixed_points,
                      fixed_points_of_iterate, group_into_orbits, julia_orbits)
-from quadray.cli import write_orbits
 from quadray.dynamics import orbit_with_derivative, preimage_tree
 from tests.conftest import GOLDEN_C, GOLDEN_LAMBDA
 from tests.test_compare_orbits import compare_orbits
@@ -178,89 +178,48 @@ def test_parabolic_total_count(airplane_root):
     assert len(pts) == 5
 
 
-def ref_newton_roots(qmap, n, seeds, cfg, maxit, last=False):
-    """_newton_roots polishing every unsettled point on its own, near a
-    multiple root or not.  The pass contract is _newton_roots': a first pass
-    tests the settled seeds and hands back the moving ones, the last pass
-    tests them all and returns the roots of the never-settled ones apart."""
-    z = np.array(seeds, dtype=complex)
-    active = np.arange(len(z))
-    with np.errstate(all="ignore"):
-        for _ in range(maxit):
-            if len(active) == 0:
-                break
-            za = z[active]
-            g, gp = orbit_with_derivative(qmap, za, n)
-            g -= za
-            gp -= 1.0
-            step = np.where(np.abs(gp) > 1e-30, g / gp, 0.0)
-            za -= step
-            fin = np.isfinite(za)
-            z[active[fin]] = za[fin]
-            active = active[fin & (np.abs(step) >= 1e-13 * (1.0 + np.abs(za)))]
-    moving = np.zeros(len(z), dtype=bool)
-    moving[active] = True
-    if not last:
-        stragglers = z[moving]
-        z, moving = z[~moving], moving[~moving]
-    with np.errstate(all="ignore"):
-        w, d = orbit_with_derivative(qmap, z, n)
-        g = np.abs(w - z)
-        gp = np.abs(d - 1.0)
-        last_step = g / np.maximum(gp, 1e-30)
-        plausible = (np.isfinite(z) & np.isfinite(g) & np.isfinite(gp)
-                     & (g < 1e-3) & ((g < cfg.newton_tol) | (last_step < 1e-6)))
-    z, moving = z[plausible], moving[plausible]
-    last_step = last_step[plausible]
-    for i in np.where(last_step > 0.1 * cfg.dedup_tol * np.maximum(1.0, np.abs(z)))[0]:
-        z[i] = orbits_mod._mp_polish_root(qmap.c, z[i], n)
-    with np.errstate(all="ignore"):
-        w, d = orbit_with_derivative(qmap, z, n)
-        g = np.abs(w - z)
-        err = g / np.maximum(np.abs(d - 1.0), 1.0)
-        keep = np.isfinite(z) & np.isfinite(g) & (g < 1e-3) & (err < cfg.newton_tol)
-    z, moving = z[keep], moving[keep]
-    if last:
-        return z[~moving], z[moving]
-    return z, stragglers
+def _assert_same_roots(z, mult, complete):
+    """z with multiplicities mult pairs one to one with the IterateRoots
+    `complete`, with equal multiplicities.  A double root is merged from a
+    cluster, to its ~sqrt(eps) accuracy floor, so it is compared at the
+    multiple-root match radius of group_into_orbits."""
+    gap = np.abs(z[:, None] - complete.z[None, :])
+    match = gap.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(len(complete)))
+    assert np.array_equal(mult, complete.multiplicity[match])
+    rtol = np.where(mult > 1, 1e-6, compare_orbits.RTOL)
+    assert np.all(gap.min(axis=1) <= rtol * np.maximum(1.0, np.abs(z)))
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_near_parabolic_cluster_polished_once(n, airplane_root, monkeypatch, tmp_path):
+def test_near_parabolic_straggler_pass_completes_the_level(n, airplane_root):
     # the straggler pass of the seeds tree(beta, n + 2), alpha, beta and the
-    # critical tail at the airplane root: its unsettled seeds crowd around
-    # the double roots of the parabolic 3-cycle, so one polish per cluster,
-    # and the same orbits as polishing each of them (about 75 calls).  The
-    # enumeration's own seeds are closed under f and need no straggler pass.
-    calls = []
-    polish = orbits_mod._mp_polish_root
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return polish(*args, **kwargs)
-
-    monkeypatch.setattr(orbits_mod, "_mp_polish_root", counted)
+    # critical tail at the airplane root: its seeds crowd around the double
+    # roots of the parabolic 3-cycle, and binary64 Newton with the step bound
+    # still accounts for all 2^n roots and the orbits of the default
+    # enumeration.  The enumeration's own seeds are closed under f and need no
+    # straggler pass.
     fp = alpha_beta_fixed_points(airplane_root)
     seeds = np.concatenate([preimage_tree(airplane_root, fp.beta, n + 2)[0],
                             [fp.alpha, fp.beta], orbits_mod._critical_orbit_tail(airplane_root)])
     settled, stragglers = orbits_mod._newton_roots(airplane_root, n, seeds, DEFAULT_CONFIG,
                                                    orbits_mod.FIRST_PASS_STEPS)
     steps = orbits_mod.NEWTON_STEPS - orbits_mod.FIRST_PASS_STEPS
-    for name, newton in (("clustered", orbits_mod._newton_roots), ("each", ref_newton_roots)):
-        found = np.array([], dtype=complex)
-        for roots in (settled, *newton(airplane_root, n, stragglers, DEFAULT_CONFIG, steps,
-                                       last=True)):
-            found = np.concatenate([found, orbits_mod._unseen(found, roots,
-                                                              DEFAULT_CONFIG.dedup_tol, [])])
-        z, mult = orbits_mod._merge_parabolic(airplane_root, n, found, DEFAULT_CONFIG)
-        assert mult.sum() == 2 ** n
-        (tmp_path / name).mkdir()
-        write_orbits(tmp_path / name, group_into_orbits(IterateRoots(z, mult), airplane_root, n))
-        if name == "clustered":
-            assert 1 <= len(calls) <= 3
-    assert len(calls) > 30
-    assert compare_orbits.main([str(tmp_path / "clustered" / "orbits.csv"),
-                                str(tmp_path / "each" / "orbits.csv")]) == 0
+    found = np.array([], dtype=complex)
+    for roots in (settled, *orbits_mod._newton_roots(airplane_root, n, stragglers,
+                                                     DEFAULT_CONFIG, steps, last=True)):
+        found = np.concatenate([found, orbits_mod._unseen(found, roots,
+                                                          DEFAULT_CONFIG.dedup_tol, [])])
+    z, mult = orbits_mod._merge_parabolic(airplane_root, n, found, DEFAULT_CONFIG)
+    assert mult.sum() == 2 ** n
+    complete = fixed_points_of_iterate(airplane_root, n)
+
+    def classes(roots):
+        return sorted((o.minimal_period, o.stability, o.multiplicity)
+                      for o in group_into_orbits(roots, airplane_root, n))
+
+    assert classes(IterateRoots(z, mult)) == classes(complete)
+    _assert_same_roots(z, mult, complete)
 
 
 def test_alpha_beta_examples():
@@ -467,11 +426,13 @@ def _fails_at(check, error, reason):
 
 
 @pytest.mark.parametrize("c, n, message", [
-    pytest.param(-1.25 + 0j, 4, r"matches no enumerated point \(min dist 6\.98e-06\)",
+    pytest.param(-1.25 + 0j, 4, r"orbit image \(-1\.2071054495342297\+0j\) matches no "
+                 r"enumerated point \(min dist 2\.78e-06\)",
                  marks=_fails_at("image match", AmbiguousOrbitError,
                                  "the 2-cycle (multiplier -1) is a triple root of "
-                                 "f^4(z) - z, settled 6.98e-6 off, outside the 1e-6 "
-                                 "multiple-root radius"),
+                                 "f^4(z) - z; the image of its point near 0.207 lands "
+                                 "2.78e-6 from its point near -1.207, outside the "
+                                 "1e-6 multiple-root radius"),
                  id="-1.25-n4"),
     pytest.param(_rotation_parameter([2, 3, 10 ** 8]), 7,
                  r"matches no enumerated point \(min dist 1\.22e-08\)",
@@ -505,16 +466,21 @@ def test_known_failing_cells(c, n, message):
             raise
 
 
-def test_retired_near_cremer_cell_matches_300_bit_roots():
+@pytest.mark.parametrize("quotients, n", [([3, 1, 10 ** 8], 4), ([1, 1, 1, 10 ** 8], 9)],
+                         ids=["3-1-1e8-n4", "1-1-1-1e8-n9"])
+def test_retired_near_cremer_cell_matches_300_bit_roots(quotients, n):
     # theta = [0; 3, 1, 10^8], n = 4 failed the image match (an image 2.03e-8
-    # off) until seed round 1 was closed under f; Newton at 300 bits from
-    # every float root finds 16 distinct roots, 2 fixed points, one 2-cycle
-    # and three 4-cycles
+    # off) until seed round 1 was closed under f; [0; 1, 1, 1, 10^8], n = 9
+    # needed an extended-precision polish until binary64 Newton bounded the
+    # last step.  Newton at 300 bits from every float root finds 2^n distinct
+    # roots, and the cycles of each minimal period are as many as the Mobius
+    # sum gives
     import mpmath as mp
 
-    qmap = QuadraticMap(_rotation_parameter([3, 1, 10 ** 8]))
-    roots = fixed_points_of_iterate(qmap, 4)
-    assert sorted(o.minimal_period for o in group_into_orbits(roots, qmap, 4)) == [1, 1, 2, 4, 4, 4]
+    qmap = QuadraticMap(_rotation_parameter(quotients))
+    roots = fixed_points_of_iterate(qmap, n)
+    periods = Counter(o.minimal_period for o in group_into_orbits(roots, qmap, n))
+    assert periods == {d: mobius_count(d) // d for d in range(1, n + 1) if n % d == 0}
     with mp.workprec(300):
         c = mp.mpc(qmap.c)
         exact = []
@@ -522,7 +488,7 @@ def test_retired_near_cremer_cell_matches_300_bit_roots():
             z = mp.mpc(z0)
             for _ in range(100):
                 w, d = z, mp.mpc(1)
-                for _ in range(4):
+                for _ in range(n):
                     d, w = 2 * d * w, w * w + c
                 step = (w - z) / (d - 1)
                 z -= step
@@ -530,7 +496,10 @@ def test_retired_near_cremer_cell_matches_300_bit_roots():
                     break
             exact.append(z)
         assert max(abs(mp.mpc(z0) - z) for z0, z in zip(roots.z.tolist(), exact)) < 1e-8
-        assert min(abs(a - b) for k, a in enumerate(exact) for b in exact[k + 1:]) > 1e-3
+    # the 300-bit roots are 1e-3 apart, far above binary64 resolution
+    separate = np.array([complex(z) for z in exact])
+    gap = np.abs(separate[:, None] - separate[None, :])
+    assert gap[np.triu_indices(len(separate), 1)].min() > 1e-3
 
 
 def _one_point_per_cycle(qmap, n, cfg):
@@ -551,14 +520,7 @@ def test_closure_restores_every_cycle_from_one_point(name, n, cfg, request):
     closed = orbits_mod._close_under_f(qmap, n, heads, cfg, [])
     z, mult = orbits_mod._merge_parabolic(qmap, n, closed, cfg)
     assert mult.sum() == 2 ** n
-    gap = np.abs(z[:, None] - complete.z[None, :])
-    match = gap.argmin(axis=1)
-    assert sorted(match.tolist()) == list(range(len(complete)))
-    assert np.array_equal(mult, complete.multiplicity[match])
-    # a double root is merged from a cluster, to its ~sqrt(eps) accuracy floor:
-    # compare it at the multiple-root match radius of group_into_orbits
-    rtol = np.where(mult > 1, 1e-6, compare_orbits.RTOL)
-    assert np.all(gap.min(axis=1) <= rtol * np.maximum(1.0, np.abs(z)))
+    _assert_same_roots(z, mult, complete)
 
 
 @pytest.mark.parametrize("name, n, cfg", CLOSURE_CELLS, ids=[c[0] for c in CLOSURE_CELLS])
@@ -919,27 +881,3 @@ def test_newton_runs_on_the_upper_seeds_at_real_c_up_to_a_quarter(c, halved, mon
     want = seeds[seeds.imag >= 0] if halved else seeds
     assert np.array_equal(runs[0].view(np.int64), want.view(np.int64))
 
-
-def test_polish_cap_counts_the_points_polished(monkeypatch):
-    # at real c the mirror images of the polished points need no polish, so
-    # the cap counts the upper seeds' points, about half of what the full
-    # seed set hands to the polish
-    from quadray import QuadrayError
-    qmap, n = QuadraticMap(-1 + 0j), 7
-    cfg = PrecisionConfig(newton_tol=1e-15, dedup_tol=1e-15)
-    polished = []
-    polish = orbits_mod._mp_polish_root
-    monkeypatch.setattr(orbits_mod, "_mp_polish_root",
-                        lambda c, z, n: polished.append(z) or polish(c, z, n))
-    orbits_mod._newton_roots(qmap, n, orbits_mod._seeds(qmap, n, alpha_beta_fixed_points(qmap)),
-                             cfg, orbits_mod.FIRST_PASS_STEPS)
-    whole = len(polished)
-    polished.clear()
-    assert fixed_points_of_iterate(qmap, n, cfg).multiplicity.sum() == 2 ** n
-    upper = len(polished)
-    assert 0 < upper < whole
-    monkeypatch.setattr(orbits_mod, "POLISH_CAP", upper)
-    fixed_points_of_iterate(qmap, n, cfg)
-    monkeypatch.setattr(orbits_mod, "POLISH_CAP", upper - 1)
-    with pytest.raises(QuadrayError, match=f"^{upper} points unresolvable at level {n}; "):
-        fixed_points_of_iterate(qmap, n, cfg)
